@@ -107,7 +107,7 @@ def _emit_csv(headers: list[str], rows: list[list[str]], out) -> None:
 
 def _emit(config: RunConfig, payload: dict, headers: list[str], rows: list[list[str]], out) -> None:
     if config.output_format == "json":
-        json.dump({"format": FORMAT_VERSION, **payload}, out, indent=2)
+        json.dump({"format": FORMAT_VERSION, **payload}, out, indent=2, allow_nan=False)
         out.write("\n")
     elif config.output_format == "csv":
         _emit_csv(headers, rows, out)

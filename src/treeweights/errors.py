@@ -12,6 +12,12 @@ class TreeWeightsError(Exception):
     code = "error"
 
 
+class InvariantError(TreeWeightsError):
+    """An internal invariant failed: a bug, not bad input."""
+
+    code = "invariant-violated"
+
+
 # graph errors
 
 class DanglingEndpointError(TreeWeightsError):

@@ -292,4 +292,6 @@ class Multigraph:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ParseError("invalid JSON: nested too deeply") from exc
         return cls.from_json_dict(data)

@@ -4,19 +4,25 @@ A partition divides a graph's vertices into disjoint non-empty blocks.
 An edge is trans-block when its endpoints sit in two distinct blocks;
 contracting a trans-block edge removes both endpoints from their blocks
 (dropping any block left empty) and appends the merged vertex as a new
-singleton block. Walking an edge ordering this way yields a trace of
-(graph, partition) pairs from which all weights and contact data derive.
+singleton block. A vertex thus keeps its starting block until first
+merged, and an edge is trans-block exactly when its endpoints carry
+different integer labels: the starting block index, then a number fresh
+to the step that first merges the vertex. forest_trace walks one
+ordering on these labels, recording the step at which each vertex pair
+merges; ordered_trees searches every ordering depth first. A trace's
+(graph, partition) pairs are replayed only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicateVertexError,
     EmptyBlockError,
+    InvariantError,
     MissingVertexError,
     NotASpanningTreeError,
     NotAdmissibleError,
@@ -159,23 +165,28 @@ def contract_partition(g: Multigraph, part: Partition, edge_id: str) -> Partitio
 
 @dataclass(frozen=True)
 class ContractionTrace:
-    """The step-by-step record of contracting an ordered edge sequence.
+    """The integer record of contracting an ordered edge sequence.
 
-    Step p holds the graph and partition after the first p contractions,
-    together with the map sending each original vertex to its image.
-    k_values[p] is the trans-block edge count of step p (recorded just
-    before the step-(p+1) contraction).
+    Step p is the state after the first p contractions. k_values[p] is
+    the trans-block edge count of step p (recorded just before the
+    step-(p+1) contraction). Vertices are indexed as in graph.vertices:
+    start_blocks[a] is a's block index in the starting partition;
+    merge_steps[a][b] is the first step at which a and b have one image,
+    and its diagonal merge_steps[a][a] the first step at which a merges
+    with any vertex. On a partial trace a pair that never merges, or a
+    vertex never merged, gets len(order) + 1.
+
+    graphs, partitions and vertex_maps (each original vertex to its
+    image) give every step in object form. They are replayed through
+    Multigraph.contract on first access; no engine route reads them.
     """
 
-    graphs: tuple[Multigraph, ...]
-    partitions: tuple[Partition, ...]
-    vertex_maps: tuple[Mapping[str, str], ...]
+    graph: Multigraph
+    partition: Partition
     order: tuple[str, ...]
     k_values: tuple[int, ...]
-
-    @property
-    def graph(self) -> Multigraph:
-        return self.graphs[0]
+    start_blocks: tuple[int, ...]
+    merge_steps: tuple[tuple[int, ...], ...]
 
     @property
     def tree(self) -> frozenset[str]:
@@ -183,7 +194,23 @@ class ContractionTrace:
 
     @property
     def is_complete(self) -> bool:
-        return len(self.order) == len(self.graphs[0].vertices) - 1
+        return len(self.order) == len(self.graph.vertices) - 1
+
+    @cached_property
+    def _replay(self) -> tuple[tuple, tuple, tuple]:
+        g, part, vmap = self.graph, self.partition, {v: v for v in self.graph.vertices}
+        steps = [(g, part, vmap)]
+        for eid in self.order:
+            a, b = g.ends(eid)
+            g, step_map = g.contract(eid)
+            part = part.contract_pair(a, b, step_map[a])
+            vmap = {orig: step_map[img] for orig, img in vmap.items()}
+            steps.append((g, part, vmap))
+        return tuple(map(tuple, zip(*steps)))
+
+    graphs = property(lambda self: self._replay[0])
+    partitions = property(lambda self: self._replay[1])
+    vertex_maps = property(lambda self: self._replay[2])
 
 
 def forest_trace(
@@ -196,31 +223,37 @@ def forest_trace(
     trans-block for the partition reached at that point.
     """
     part.require_cover(g)
-    ids = list(edges)
+    ids = tuple(edges)
     if len(set(ids)) != len(ids):
         raise NotASpanningTreeError("ordered edges must be distinct")
+    vi = g._vertex_index
+    ends = {e.id: (vi[e.ends[0]], vi[e.ends[1]]) for e in g.edges}
     for eid in ids:
         g.edge(eid)
-    graphs = [g]
-    partitions = [part]
-    maps: list[dict[str, str]] = [{v: v for v in g.vertices}]
+    n = len(g.vertices)
+    fresh = len(part.blocks)
+    labels = [part.block_index(v) for v in g.vertices]
+    start = tuple(labels)
+    members = [[a] for a in range(n)]
+    merge = [[len(ids) + 1] * n for _ in range(n)]
     ks: list[int] = []
-    cur_g, cur_p, cur_map = g, part, maps[0]
     for step, eid in enumerate(ids):
-        if not is_trans_block(cur_g, cur_p, eid):
+        a, b = ends[eid]
+        if labels[a] == labels[b]:
             raise NotAdmissibleError(
                 f"edge {eid!r} is not trans-block at step {step}", step=step
             )
-        ks.append(trans_block_count(cur_g, cur_p))
-        a, b = cur_g.ends(eid)
-        cur_g, vmap = cur_g.contract(eid)
-        cur_p = cur_p.contract_pair(a, b, vmap[a])
-        cur_map = {orig: vmap[img] for orig, img in cur_map.items()}
-        graphs.append(cur_g)
-        partitions.append(cur_p)
-        maps.append(cur_map)
+        ks.append(sum(1 for x, y in ends.values() if labels[x] != labels[y]))
+        for x in members[a]:
+            for y in members[b]:
+                merge[x][y] = merge[y][x] = step + 1
+        joined = members[a] + members[b]
+        for x in joined:
+            members[x] = joined
+            labels[x] = fresh + step
+            merge[x][x] = min(merge[x][x], step + 1)
     return ContractionTrace(
-        tuple(graphs), tuple(partitions), tuple(maps), tuple(ids), tuple(ks)
+        g, part, ids, tuple(ks), start, tuple(tuple(row) for row in merge)
     )
 
 
@@ -235,8 +268,48 @@ def build_trace(
             f"{list(order)} is not an ordering of a spanning tree"
         )
     trace = forest_trace(g, part, order)
-    assert trace.partitions[-1].is_trivial
+    if max(trace.merge_steps[0]) > len(trace.order):
+        raise InvariantError("a spanning-tree trace must merge every vertex pair")
     return trace
+
+
+def ordered_trees(g: Multigraph, part: Partition) -> Iterator[tuple[tuple[str, ...], int]]:
+    """Every admissible ordered spanning tree of g with its k product.
+
+    Depth-first over contraction states on the integer labels of
+    forest_trace, with contracted edges remapped onto the surviving
+    endpoint: at each state every trans-block edge is a branch, and a
+    completed sequence yields (order, k_0 * ... * k_{|V|-2}). g must be
+    connected and the partition non-trivial; then every interior state
+    has a trans-block edge, so every branch completes. Yields in no
+    particular order.
+    """
+    part.require_cover(g)
+    n = len(g.vertices)
+    vi = g._vertex_index
+    ids = [e.id for e in g.edges]
+    fresh = len(part.blocks)
+    edges0 = [(i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges)]
+    stack = [(edges0, [part.block_index(v) for v in g.vertices], (), 1)]
+    while stack:
+        edges, labels, prefix, denom = stack.pop()
+        depth = len(prefix)
+        if depth == n - 1:
+            yield tuple(ids[i] for i in prefix), denom
+            continue
+        tb = [t for t in edges if labels[t[1]] != labels[t[2]]]
+        k = len(tb)
+        if not k:
+            raise InvariantError("an interior contraction state has no trans-block edge")
+        for ei, a, b in tb:
+            labels2 = labels[:]
+            labels2[a] = fresh + depth
+            edges2 = [
+                (j, a if x == b else x, a if y == b else y)
+                for j, x, y in edges
+                if j != ei
+            ]
+            stack.append((edges2, labels2, prefix + (ei,), denom * k))
 
 
 def admissible_orderings(
@@ -254,28 +327,8 @@ def admissible_orderings(
     tree_ids = sorted(set(tree))
     if not g.is_spanning_tree(tree_ids):
         raise NotASpanningTreeError(f"{tree_ids} is not a spanning tree")
-    skeleton = Multigraph(
-        g.vertices, tuple(g.edge(eid) for eid in tree_ids)
-    )
-    out: list[tuple[str, ...]] = []
-
-    def extend(cur_g: Multigraph, cur_p: Partition, prefix: tuple[str, ...], rest: list[str]):
-        if not rest:
-            out.append(prefix)
-            return
-        for eid in rest:
-            if is_trans_block(cur_g, cur_p, eid):
-                a, b = cur_g.ends(eid)
-                nxt_g, vmap = cur_g.contract(eid)
-                nxt_p = cur_p.contract_pair(a, b, vmap[a])
-                extend(nxt_g, nxt_p, prefix + (eid,), [x for x in rest if x != eid])
-
-    extend(skeleton, part, (), tree_ids)
-    out.sort()
-    # a spanning tree always admits at least one ordering when the
-    # partition is non-trivial
-    assert out
-    return out
+    skeleton = Multigraph(g.vertices, tuple(g.edge(eid) for eid in tree_ids))
+    return sorted(order for order, _ in ordered_trees(skeleton, part))
 
 
 def contact_indices(trace: ContractionTrace, v: str, w: str) -> tuple[int, int]:
@@ -284,22 +337,19 @@ def contact_indices(trace: ContractionTrace, v: str, w: str) -> tuple[int, int]:
     Returns (i, j): i is the first step whose partition puts the two
     images in distinct blocks, j the first step at which the images
     coincide. By convention the pair (v, v) gets (-1, 0). Along every
-    complete trace i < j.
+    complete trace i < j. Images in one starting block separate when
+    either vertex is first merged, into a fresh singleton block.
     """
-    g0 = trace.graphs[0]
+    vi = trace.graph._vertex_index
     for x in (v, w):
-        if x not in g0:
+        if x not in vi:
             raise UnknownVertexError(f"vertex {x!r} not in the traced graph")
     if v == w:
         return (-1, 0)
     if not trace.is_complete:
         raise NotASpanningTreeError("contact indices need a complete trace")
-    first_split: int | None = None
-    for p, (part, vmap) in enumerate(zip(trace.partitions, trace.vertex_maps)):
-        iv, iw = vmap[v], vmap[w]
-        if iv == iw:
-            assert first_split is not None
-            return (first_split, p)
-        if first_split is None and part.block_index(iv) != part.block_index(iw):
-            first_split = p
-    raise AssertionError("complete trace must merge every vertex pair")
+    a, b = vi[v], vi[w]
+    merge = trace.merge_steps
+    if trace.start_blocks[a] != trace.start_blocks[b]:
+        return (0, merge[a][b])
+    return (min(merge[a][a], merge[b][b]), merge[a][b])

@@ -14,6 +14,7 @@ fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,11 +31,10 @@ from .graph import Multigraph
 from .partitions import (
     ContractionTrace,
     Partition,
-    admissible_orderings,
     build_trace,
     contact_indices,
+    ordered_trees,
 )
-from .weights import ordered_weight_from_trace
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_SAMPLES = 20
@@ -45,7 +45,7 @@ AGREEMENT_TOLERANCE = 1e-12
 
 def _check_point(trace: ContractionTrace, u: Sequence[float]) -> np.ndarray:
     point = np.asarray(u, dtype=float)
-    steps = len(trace.graphs[0].vertices) - 1
+    steps = len(trace.graph.vertices) - 1
     if point.shape != (steps,):
         raise BadDimensionError(
             f"point has shape {point.shape}, trace needs ({steps},)"
@@ -58,7 +58,7 @@ def _check_point(trace: ContractionTrace, u: Sequence[float]) -> np.ndarray:
 def contact_matrix_direct(trace: ContractionTrace, u: Sequence[float]) -> np.ndarray:
     """Entrywise product of u_k over each pair's contact-index range."""
     point = _check_point(trace, u)
-    verts = trace.graphs[0].vertices
+    verts = trace.graph.vertices
     n = len(verts)
     m = np.ones((n, n))
     for a in range(n):
@@ -76,29 +76,21 @@ def contact_matrix_recursion(trace: ContractionTrace, u: Sequence[float]) -> np.
 
     Each step mixes the previous matrix with its projection, where the
     projection keeps an entry iff the two vertices' images at that step
-    coincide or share a partition block.
+    coincide or share a partition block: both not yet merged, in one
+    starting block.
     """
     point = _check_point(trace, u)
-    verts = trace.graphs[0].vertices
-    n = len(verts)
+    n = len(trace.graph.vertices)
+    merge = np.array(trace.merge_steps)
+    start = np.array(trace.start_blocks)
+    touch = merge.diagonal()
+    # step at which an unmerged pair in one starting block stops sharing it
+    split = np.where(start[:, None] == start[None, :], np.minimum.outer(touch, touch), 0)
+    steps = np.arange(n - 1)[:, None, None]
+    masks = (merge <= steps) | (split > steps)
     x = np.ones((n, n))
     for p in range(1, n):
-        part = trace.partitions[p - 1]
-        vmap = trace.vertex_maps[p - 1]
-        images = [vmap[v] for v in verts]
-        classes = [
-            (img, part.block_index(img)) for img in images
-        ]
-        mask = np.fromiter(
-            (
-                classes[a][0] == classes[b][0] or classes[a][1] == classes[b][1]
-                for a in range(n)
-                for b in range(n)
-            ),
-            dtype=bool,
-            count=n * n,
-        ).reshape(n, n)
-        x = point[p - 1] * x + (1.0 - point[p - 1]) * np.where(mask, x, 0.0)
+        x = point[p - 1] * x + (1.0 - point[p - 1]) * np.where(masks[p - 1], x, 0.0)
     return x
 
 
@@ -164,26 +156,23 @@ def verify_constructive(
     above -tol; the endpoint points (all-ones, all-zeros) must give the
     all-ones matrix and the identity exactly. Separately the tree
     measure is normalized exactly: over the tree alone, the ordered
-    weights of its admissible orderings sum to 1.
+    weights of its admissible orderings sum to 1. One search over the
+    tree alone gives both the orderings and those weights.
     """
     if part.is_trivial:
         raise TrivialPartitionError("verification needs a non-trivial partition")
+    if samples < 1 or not math.isfinite(tol):
+        raise OutOfRangeError(f"samples must be >= 1 and tol finite, not {samples}, {tol}")
     n = len(g.vertices)
     checks: list[TraceCheck] = []
     normalized = True
     index = 0
     for tree in g.spanning_trees():
         skeleton = Multigraph(g.vertices, tuple(g.edge(e) for e in sorted(tree)))
-        norm = sum(
-            (
-                ordered_weight_from_trace(build_trace(skeleton, part, order))
-                for order in admissible_orderings(skeleton, part, tree)
-            ),
-            Fraction(0),
-        )
-        if norm != 1:
+        walks = sorted(ordered_trees(skeleton, part))
+        if sum((Fraction(1, denom) for _, denom in walks), Fraction(0)) != 1:
             normalized = False
-        for order in admissible_orderings(g, part, tree):
+        for order, _ in walks:
             trace = build_trace(g, part, order)
             rng = np.random.default_rng([seed, index])
             index += 1

@@ -27,6 +27,7 @@ from .partitions import (
     admissible_orderings,
     build_trace,
     contact_indices,
+    ordered_trees,
 )
 
 
@@ -122,53 +123,6 @@ class WeightReport:
         return {frozenset(r.tree): r.weight for r in self.rows}
 
 
-def _ordered_tree_weights(
-    g: Multigraph, part: Partition
-) -> dict[tuple[str, ...], Fraction]:
-    """Weights of every admissible ordered tree, by shared-prefix search.
-
-    Depth-first over contraction states on a compact integer encoding:
-    at each state every trans-block edge is a branch, and a state k
-    steps short of spanning contributes the running 1/(k_0...k_p)
-    product once per completed sequence. Connectivity plus a
-    non-trivial partition keep at least one trans-block edge available
-    at every interior state, so every branch completes.
-    """
-    n = len(g.vertices)
-    vi = g._vertex_index
-    ids = [e.id for e in g.edges]
-    edges0 = [(i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges)]
-    labels0 = [part.block_index(v) for v in g.vertices]
-    fresh0 = len(part.blocks)
-    out: dict[tuple[str, ...], Fraction] = {}
-
-    def rec(
-        edges: list[tuple[int, int, int]],
-        labels: list[int],
-        depth: int,
-        prefix: tuple[int, ...],
-        denom: int,
-    ):
-        if depth == n - 1:
-            out[tuple(ids[i] for i in prefix)] = Fraction(1, denom)
-            return
-        tb = [t for t in edges if labels[t[1]] != labels[t[2]]]
-        k = len(tb)
-        assert k > 0
-        for ei, a, b in tb:
-            labels2 = labels[:]
-            labels2[a] = fresh0 + depth
-            edges2 = [
-                (j, a if x == b else x, a if y == b else y)
-                for j, x, y in edges
-                if j != ei
-            ]
-            rec(edges2, labels2, depth + 1, prefix + (ei,), denom * k)
-
-    rec(edges0, labels0, 0, (), 1)
-    return out
-
-
 def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     """The full probability distribution over the spanning trees of g."""
     if part.is_trivial:
@@ -176,10 +130,9 @@ def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     part.require_cover(g)
     if not g.is_connected():
         raise DisconnectedError("weights require a connected graph")
-    per_order = _ordered_tree_weights(g, part)
     grouped: dict[tuple[str, ...], list[tuple[tuple[str, ...], Fraction]]] = {}
-    for order, w in per_order.items():
-        grouped.setdefault(tuple(sorted(order)), []).append((order, w))
+    for order, denom in ordered_trees(g, part):
+        grouped.setdefault(tuple(sorted(order)), []).append((order, Fraction(1, denom)))
     rows = []
     for key in sorted(grouped):
         breakdown = tuple(sorted(grouped[key]))

@@ -2,7 +2,8 @@
 
 The oracles are deliberately naive and independent of the library's
 algorithms: spanning trees by subset enumeration, admissible orderings
-by filtering all permutations, the census by per-sector greedy calls.
+by filtering all permutations, the census by per-sector greedy calls,
+contact indices and k values by scanning the object form of a trace.
 """
 
 from __future__ import annotations
@@ -12,7 +13,12 @@ import random
 
 from treeweights.errors import NotAdmissibleError
 from treeweights.graph import DisjointSet, Multigraph
-from treeweights.partitions import Partition, build_trace
+from treeweights.partitions import (
+    ContractionTrace,
+    Partition,
+    build_trace,
+    trans_block_count,
+)
 from treeweights.sectors import leading_tree
 
 
@@ -50,6 +56,32 @@ def brute_force_orderings(
             continue
         out.add(perm)
     return out
+
+
+def scan_contact_indices(trace: ContractionTrace, v: str, w: str) -> tuple[int, int]:
+    """Contact indices by walking the replayed partitions and vertex maps.
+
+    O(n) per pair: the first step whose blocks split the two images, and
+    the first step at which the images coincide.
+    """
+    if v == w:
+        return (-1, 0)
+    first_split = None
+    for p, (part, vmap) in enumerate(zip(trace.partitions, trace.vertex_maps)):
+        iv, iw = vmap[v], vmap[w]
+        if iv == iw:
+            return (first_split, p)
+        if first_split is None and part.block_index(iv) != part.block_index(iw):
+            first_split = p
+    raise AssertionError(f"trace never merges {v!r} and {w!r}")
+
+
+def replayed_k_values(trace: ContractionTrace) -> tuple[int, ...]:
+    """Trans-block counts of the replayed graph and partition at each step."""
+    return tuple(
+        trans_block_count(trace.graphs[p], trace.partitions[p])
+        for p in range(len(trace.order))
+    )
 
 
 def census_by_leading_tree(g: Multigraph) -> dict[frozenset[str], int]:

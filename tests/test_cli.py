@@ -235,3 +235,45 @@ def test_main_entry_point(capsys):
     code = cli.main(["trees", "--graph", str(FIXTURES / "fig1.json")])
     assert code == 0
     assert "l1,l2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--samples", "0"), ("--samples", "-3"), ("--tol", "nan"), ("--tol", "inf")],
+)
+def test_psd_rejects_vacuous_settings(flag, value):
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(
+            [
+                "psd",
+                "--graph", str(FIXTURES / "fig1.json"),
+                flag, value,
+                "--format", fmt,
+            ]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[out-of-range]")
+
+
+def test_json_output_is_strict():
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out, _ = run_cli(
+        ["psd", "--graph", str(FIXTURES / "fig1.json"), "--samples", "1", "--format", "json"]
+    )
+    assert code == 0
+    json.loads(out, parse_constant=reject)
+    config = RunConfig(command="psd", graph_path="", output_format="json")
+    with pytest.raises(ValueError):
+        cli._emit(config, {"min_eigenvalue": float("inf")}, [], [], io.StringIO())
+
+
+def test_deeply_nested_graph_json_is_parse_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run_cli(["trees", "--graph", str(deep)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[parse-error]")
