@@ -230,8 +230,35 @@ class Multigraph:
         return out
 
     def complexity(self) -> int:
-        """Number of spanning trees."""
-        return len(self.spanning_trees())
+        """Number of spanning trees, by Kirchhoff's matrix-tree theorem.
+
+        The count is the determinant of the Laplacian (self-loops
+        ignored, parallel edges counted) with the first vertex's row and
+        column removed, computed exactly by fraction-free Bareiss
+        elimination. That minor is positive definite for a connected
+        graph, so every pivot is a positive leading minor and no row
+        exchange is needed.
+        """
+        if not self.is_connected():
+            raise DisconnectedError("spanning trees require a connected graph")
+        n = len(self.vertices)
+        vi = self._vertex_index
+        lap = [[0] * n for _ in range(n)]
+        for e in self.edges:
+            a, b = vi[e.ends[0]], vi[e.ends[1]]
+            if a != b:
+                lap[a][a] += 1
+                lap[b][b] += 1
+                lap[a][b] -= 1
+                lap[b][a] -= 1
+        m = [row[1:] for row in lap[1:]]
+        prev = 1
+        for p in range(n - 1):
+            for r in range(p + 1, n - 1):
+                for c in range(p + 1, n - 1):
+                    m[r][c] = (m[r][c] * m[p][p] - m[r][p] * m[p][c]) // prev
+            prev = m[p][p]
+        return prev
 
     def is_spanning_tree(self, edge_ids: Iterable[str]) -> bool:
         """True iff the ids form an acyclic edge set touching every vertex."""

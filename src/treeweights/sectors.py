@@ -3,13 +3,17 @@
 A sector is a total order on all edges of a graph. The greedy sweep
 walks the sector, keeping each edge that does not close a cycle
 (self-loops never qualify), which yields the unique spanning tree of
-minimum total rank. Counting leading trees over all |E|! sectors gives the symmetric
-weight of each tree as an exact fraction count/|E|!.
+minimum total rank: the Kruskal tree, so a tree's symmetric weight is
+its chance of being the minimum spanning tree under iid uniform edge
+weights. The census counts the sectors leading to each tree exactly,
+without listing the |E|! sectors one by one: the leading tree is fixed
+as soon as a sector prefix spans, so the census walks prefixes and
+credits each spanning prefix of d edges with the (|E| - d)! sectors
+that extend it. The weight of a tree is count/|E|!.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,10 +84,13 @@ class SectorCensus:
 
 
 def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
-    """Count leading trees over every sector, streamed lexicographically.
+    """Count leading trees over every sector, by walking sector prefixes.
 
-    Refuses graphs with more than ``guard`` edges: the census touches
-    |E|! permutations and is never silently sampled.
+    A prefix is extended by every unused edge in turn; the walk tracks
+    the greedy forest of the prefix as component labels and stops at
+    the first edge that makes it span, adding (|E| - d)! to that tree
+    for the d-edge prefix. Refuses graphs with more than ``guard``
+    edges before any work: the census is exhaustive, never sampled.
     """
     if not g.is_connected():
         raise DisconnectedError("census requires a connected graph")
@@ -93,37 +100,38 @@ def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
             f"{m} edges means {m}! sectors; guard is {guard}"
         )
     n = len(g.vertices)
-    total = math.factorial(m)
     ids = sorted(e.id for e in g.edges)
     vi = g._vertex_index
     pairs = [(vi[a], vi[b]) for a, b in (g.ends(i) for i in ids)]
-    target = n - 1
-    raw: dict[tuple[int, ...], int] = {}
-    if target == 0:
-        raw[()] = total
+    suffixes = [math.factorial(k) for k in range(m + 1)]
+    raw: dict[int, int] = {}
+
+    def extend(comp: tuple[int, ...], used: int, picked: int) -> None:
+        # edges still unplaced once one more joins the prefix
+        rest = m - used.bit_count() - 1
+        spans = picked.bit_count() + 1 == n - 1
+        for ei, (a, b) in enumerate(pairs):
+            bit = 1 << ei
+            if used & bit:
+                continue
+            ca, cb = comp[a], comp[b]
+            if ca == cb:
+                extend(comp, used | bit, picked)
+            elif spans:
+                raw[picked | bit] = raw.get(picked | bit, 0) + suffixes[rest]
+            else:
+                joined = tuple(ca if c == cb else c for c in comp)
+                extend(joined, used | bit, picked | bit)
+
+    if n == 1:
+        raw[0] = suffixes[m]
     else:
-        for perm in itertools.permutations(range(m)):
-            parent = list(range(n))
-            picked: list[int] = []
-            for ei in perm:
-                a, b = pairs[ei]
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a != b:
-                    parent[a] = b
-                    picked.append(ei)
-                    if len(picked) == target:
-                        break
-            key = tuple(sorted(picked))
-            raw[key] = raw.get(key, 0) + 1
+        extend(tuple(range(n)), 0, 0)
     counts = {
-        frozenset(ids[i] for i in key): c for key, c in raw.items()
+        frozenset(ids[i] for i in range(m) if key >> i & 1): c
+        for key, c in raw.items()
     }
-    return SectorCensus(counts, total)
+    return SectorCensus(counts, suffixes[m])
 
 
 def symmetric_weight(

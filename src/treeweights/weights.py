@@ -8,18 +8,25 @@ Two independent routes compute the weight of an ordered tree:
   the product of interpolation variables the ordered tree integrates,
   and evaluates the integral in closed form as prod 1/(exponent + 1).
 
-Both must agree bit-exactly. Tree weights sum the ordered weights over
-all admissible orderings, and the weights of all spanning trees of a
-connected graph sum to exactly 1.
+Both must agree bit-exactly. A tree weighs the sum of its ordered
+weights over its admissible orderings, and the weights of all spanning
+trees of a connected graph sum to exactly 1. weight_distribution does
+not walk those orderings: k and admissibility depend only on the set of
+edges contracted so far, so it sweeps forests instead, merging every
+ordering that reaches the same forest. The per-ordering breakdown is
+listed only when read.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
-from .errors import DisconnectedError, TrivialPartitionError
+from .errors import DisconnectedError, InvariantError, TrivialPartitionError
 from .graph import Multigraph
 from .partitions import (
     ContractionTrace,
@@ -86,11 +93,81 @@ def monomial_weight(g: Multigraph, part: Partition, order: Sequence[str]) -> Fra
 
 
 def tree_weight(g: Multigraph, part: Partition, tree: Iterable[str]) -> Fraction:
-    """Sum of ordered weights over all admissible orderings of the tree."""
+    """One tree's weight, summed over its admissible orderings one by one.
+
+    Independent of weight_distribution's forest sweep.
+    """
     total = Fraction(0)
     for order in admissible_orderings(g, part, tree):
         total += ordered_weight(g, part, order)
     return total
+
+
+def require_weighable(g: Multigraph, part: Partition) -> None:
+    """The input checks every exact weight route makes before any work."""
+    if part.is_trivial:
+        raise TrivialPartitionError("weights need a partition with at least two blocks")
+    part.require_cover(g)
+    if not g.is_connected():
+        raise DisconnectedError("weights require a connected graph")
+
+
+class _Listing:
+    """The per-ordering breakdown of one report, from one grouped pass.
+
+    The pass runs the ordered_trees search once, the first time any row
+    reads its orderings, and must give each tree as many orderings as
+    the forest sweep counted.
+    """
+
+    def __init__(self, g: Multigraph, part: Partition, counts: dict[tuple[str, ...], int]):
+        self.g, self.part, self.counts = g, part, counts
+
+    @cached_property
+    def by_tree(self) -> dict[tuple[str, ...], tuple[tuple[tuple[str, ...], Fraction], ...]]:
+        grouped: dict[tuple[str, ...], list[tuple[tuple[str, ...], Fraction]]] = {}
+        for order, denom in ordered_trees(self.g, self.part):
+            grouped.setdefault(tuple(sorted(order)), []).append((order, Fraction(1, denom)))
+        if {key: len(pairs) for key, pairs in grouped.items()} != self.counts:
+            raise InvariantError("the ordering search and the forest sweep disagree")
+        return {key: tuple(sorted(pairs)) for key, pairs in grouped.items()}
+
+
+class Breakdown(Sequence):
+    """One tree's admissible orderings with their ordered weights, sorted.
+
+    The length is the forest sweep's ordering count and costs nothing;
+    the orderings are listed, for every tree of the report at once, on
+    first read. Compares equal to any tuple or list of the same pairs.
+    """
+
+    __slots__ = ("_count", "_tree", "_listing")
+
+    def __init__(self, count: int, tree: tuple[str, ...], listing: _Listing):
+        self._count, self._tree, self._listing = count, tree, listing
+
+    def _pairs(self) -> tuple[tuple[tuple[str, ...], Fraction], ...]:
+        return self._listing.by_tree[self._tree]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._pairs()[index]
+
+    def __iter__(self):
+        return iter(self._pairs())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Breakdown, tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._pairs())
+
+    def __repr__(self) -> str:
+        return f"Breakdown(tree={self._tree!r}, orderings={self._count})"
 
 
 @dataclass(frozen=True)
@@ -99,7 +176,7 @@ class TreeRow:
 
     tree: tuple[str, ...]
     weight: Fraction
-    orderings: tuple[tuple[tuple[str, ...], Fraction], ...]
+    orderings: Sequence[tuple[tuple[str, ...], Fraction]]
 
 
 @dataclass(frozen=True)
@@ -123,23 +200,82 @@ class WeightReport:
         return {frozenset(r.tree): r.weight for r in self.rows}
 
 
+def _merged_labels(labels: tuple[int, ...], a: int, b: int, fresh: int) -> tuple[int, ...]:
+    """Labels after joining the components of a and b.
+
+    An untouched vertex is alone in its component whatever its label; a
+    merged component is labeled fresh plus its least vertex.
+    """
+    la, lb = labels[a], labels[b]
+    members = [
+        v for v, lv in enumerate(labels)
+        if v == a or v == b or (lv >= fresh and lv in (la, lb))
+    ]
+    out = list(labels)
+    for v in members:
+        out[v] = fresh + members[0]
+    return tuple(out)
+
+
+def _forest_sweep(g: Multigraph, part: Partition) -> tuple[dict[int, list], int]:
+    """Weight numerators and ordering counts of every spanning tree of g.
+
+    Level d holds every forest of d edges that an admissible ordering
+    reaches, keyed by its edge bitmask (bit i for g.edges[i]). A
+    forest's vertex labels are canonical: the starting block index while
+    a vertex is untouched, fresh plus the least vertex of its component
+    once merged, so an edge is trans-block exactly when its two labels
+    differ, as in ordered_trees. Each forest pushes w/k and its ordering
+    count to every successor by one trans-block edge. Weights are kept
+    as integer numerators over scale**d, where scale = lcm(1..|E|) is a
+    multiple of every k. Returns the last level, {tree mask: [labels,
+    numerator, orderings]}, and its denominator scale**(|V|-1). g must
+    be connected and the partition non-trivial.
+    """
+    vi = g._vertex_index
+    ends = [(vi[e.ends[0]], vi[e.ends[1]]) for e in g.edges]
+    fresh = len(part.blocks)
+    scale = math.lcm(*range(1, len(ends) + 1))
+    states = {0: [tuple(part.block_index(v) for v in g.vertices), 1, 1]}
+    for _ in range(len(g.vertices) - 1):
+        successors: dict[int, list] = {}
+        for mask, (labels, num, count) in states.items():
+            tb = [i for i, (a, b) in enumerate(ends) if labels[a] != labels[b]]
+            if not tb:
+                raise InvariantError("an interior forest has no trans-block edge")
+            share = num * (scale // len(tb))
+            for i in tb:
+                key = mask | 1 << i
+                state = successors.get(key)
+                if state is None:
+                    successors[key] = [_merged_labels(labels, *ends[i], fresh), share, count]
+                else:
+                    state[1] += share
+                    state[2] += count
+        states = successors
+    return states, scale ** (len(g.vertices) - 1)
+
+
 def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
-    """The full probability distribution over the spanning trees of g."""
-    if part.is_trivial:
-        raise TrivialPartitionError("weights need a partition with at least two blocks")
-    part.require_cover(g)
-    if not g.is_connected():
-        raise DisconnectedError("weights require a connected graph")
-    grouped: dict[tuple[str, ...], list[tuple[tuple[str, ...], Fraction]]] = {}
-    for order, denom in ordered_trees(g, part):
-        grouped.setdefault(tuple(sorted(order)), []).append((order, Fraction(1, denom)))
-    rows = []
-    for key in sorted(grouped):
-        breakdown = tuple(sorted(grouped[key]))
-        rows.append(
-            TreeRow(key, sum((w for _, w in breakdown), Fraction(0)), breakdown)
+    """The full probability distribution over the spanning trees of g.
+
+    Tree weights and ordering counts come from _forest_sweep; each row's
+    per-ordering breakdown is listed only when read.
+    """
+    require_weighable(g, part)
+    ids = [e.id for e in g.edges]
+    trees, denom = _forest_sweep(g, part)
+    found = {
+        tuple(sorted(ids[i] for i in range(len(ids)) if mask >> i & 1)): (num, count)
+        for mask, (_, num, count) in trees.items()
+    }
+    listing = _Listing(g, part, {key: count for key, (_, count) in found.items()})
+    return WeightReport(
+        tuple(
+            TreeRow(key, Fraction(num, denom), Breakdown(count, key, listing))
+            for key, (num, count) in sorted(found.items())
         )
-    return WeightReport(tuple(rows))
+    )
 
 
 def symmetric_via_partition(g: Multigraph) -> WeightReport:

@@ -4,22 +4,28 @@ The oracles are deliberately naive and independent of the library's
 algorithms: spanning trees by subset enumeration, admissible orderings
 by filtering all permutations, the census by per-sector greedy calls,
 contact indices and k values by scanning the object form of a trace.
+Two more are the routes the state sweeps replaced: tree weights grouped
+from every ordered tree, and the census over every permutation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
-from treeweights.errors import NotAdmissibleError
+from treeweights.errors import DisconnectedError, NotAdmissibleError
 from treeweights.graph import DisjointSet, Multigraph
 from treeweights.partitions import (
     ContractionTrace,
     Partition,
     build_trace,
+    ordered_trees,
     trans_block_count,
 )
-from treeweights.sectors import leading_tree
+from treeweights.sectors import SectorCensus, leading_tree
+from treeweights.weights import TreeRow, WeightReport, require_weighable
 
 
 def is_tree_subset(g: Multigraph, ids: tuple[str, ...]) -> bool:
@@ -92,6 +98,58 @@ def census_by_leading_tree(g: Multigraph) -> dict[frozenset[str], int]:
         t = leading_tree(g, perm)
         counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def grouped_weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
+    """Tree weights summed from every ordered tree, grouped by tree."""
+    require_weighable(g, part)
+    grouped: dict[tuple[str, ...], list[tuple[tuple[str, ...], Fraction]]] = {}
+    for order, denom in ordered_trees(g, part):
+        grouped.setdefault(tuple(sorted(order)), []).append((order, Fraction(1, denom)))
+    rows = []
+    for key in sorted(grouped):
+        breakdown = tuple(sorted(grouped[key]))
+        rows.append(
+            TreeRow(key, sum((w for _, w in breakdown), Fraction(0)), breakdown)
+        )
+    return WeightReport(tuple(rows))
+
+
+def permutation_census(g: Multigraph) -> SectorCensus:
+    """The census over all |E|! permutations, one greedy sweep each."""
+    if not g.is_connected():
+        raise DisconnectedError("census requires a connected graph")
+    m = len(g.edges)
+    n = len(g.vertices)
+    total = math.factorial(m)
+    ids = sorted(e.id for e in g.edges)
+    vi = g._vertex_index
+    pairs = [(vi[a], vi[b]) for a, b in (g.ends(i) for i in ids)]
+    target = n - 1
+    raw: dict[tuple[int, ...], int] = {}
+    if target == 0:
+        raw[()] = total
+    else:
+        for perm in itertools.permutations(range(m)):
+            parent = list(range(n))
+            picked: list[int] = []
+            for ei in perm:
+                a, b = pairs[ei]
+                while parent[a] != a:
+                    parent[a] = parent[parent[a]]
+                    a = parent[a]
+                while parent[b] != b:
+                    parent[b] = parent[parent[b]]
+                    b = parent[b]
+                if a != b:
+                    parent[a] = b
+                    picked.append(ei)
+                    if len(picked) == target:
+                        break
+            key = tuple(sorted(picked))
+            raw[key] = raw.get(key, 0) + 1
+    counts = {frozenset(ids[i] for i in key): c for key, c in raw.items()}
+    return SectorCensus(counts, total)
 
 
 def random_connected_multigraph(

@@ -153,6 +153,27 @@ def test_complexity():
     assert Multigraph.build(["v1", "v2"], [("l1", "v1", "v2")]).complexity() == 1
 
 
+def test_complexity_matches_enumeration():
+    # the matrix-tree count against the trees listed one by one
+    graphs = [fig1(), fig2(), Multigraph.build(["v1"], [("s1", "v1", "v1")])]
+    rng = random.Random(61)
+    graphs.extend(
+        random_connected_multigraph(rng, min_vertices=1, max_vertices=6, max_edges=11)
+        for _ in range(60)
+    )
+    audits = [g.validate() for g in graphs]
+    assert any(a.self_loops for a in audits)
+    assert any(a.parallel_classes for a in audits)
+    for g in graphs:
+        assert g.complexity() == len(g.spanning_trees())
+
+
+def test_complexity_disconnected():
+    g = Multigraph.build(["v1", "v2", "v3"], [("l1", "v1", "v2"), ("s1", "v3", "v3")])
+    with pytest.raises(DisconnectedError):
+        g.complexity()
+
+
 def test_json_round_trip():
     for g in (fig1(), fig2()):
         assert Multigraph.from_json(g.to_json()) == g
