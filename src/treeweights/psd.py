@@ -46,28 +46,32 @@ AGREEMENT_TOLERANCE = 1e-12
 def _check_point(trace: ContractionTrace, u: Sequence[float]) -> np.ndarray:
     point = np.asarray(u, dtype=float)
     steps = len(trace.graph.vertices) - 1
-    if point.shape != (steps,):
+    if point.ndim not in (1, 2) or point.shape[-1] != steps:
         raise BadDimensionError(
-            f"point has shape {point.shape}, trace needs ({steps},)"
+            f"point has shape {point.shape}, trace needs ({steps},) or (m, {steps})"
         )
-    if np.any(point < 0.0) or np.any(point > 1.0):
+    # written so that NaN fails the test too
+    if not np.all((point >= 0.0) & (point <= 1.0)):
         raise OutOfRangeError("evaluation point must lie in [0, 1]^steps")
     return point
 
 
 def contact_matrix_direct(trace: ContractionTrace, u: Sequence[float]) -> np.ndarray:
-    """Entrywise product of u_k over each pair's contact-index range."""
+    """Entrywise product of u_k over each pair's contact-index range.
+
+    A stack of m points, shape (m, |V|-1), gives the stack of their m matrices.
+    """
     point = _check_point(trace, u)
     verts = trace.graph.vertices
     n = len(verts)
-    m = np.ones((n, n))
+    m = np.ones(point.shape[:-1] + (n, n))
     for a in range(n):
         for b in range(a + 1, n):
             i, j = contact_indices(trace, verts[a], verts[b])
             value = 1.0
             for k in range(max(i + 1, 1), j + 1):
-                value *= point[k - 1]
-            m[a, b] = m[b, a] = value
+                value *= point[..., k - 1]
+            m[..., a, b] = m[..., b, a] = value
     return m
 
 
@@ -77,7 +81,7 @@ def contact_matrix_recursion(trace: ContractionTrace, u: Sequence[float]) -> np.
     Each step mixes the previous matrix with its projection, where the
     projection keeps an entry iff the two vertices' images at that step
     coincide or share a partition block: both not yet merged, in one
-    starting block.
+    starting block. A stack of points gives the stack of their matrices.
     """
     point = _check_point(trace, u)
     n = len(trace.graph.vertices)
@@ -88,14 +92,16 @@ def contact_matrix_recursion(trace: ContractionTrace, u: Sequence[float]) -> np.
     split = np.where(start[:, None] == start[None, :], np.minimum.outer(touch, touch), 0)
     steps = np.arange(n - 1)[:, None, None]
     masks = (merge <= steps) | (split > steps)
-    x = np.ones((n, n))
+    x = np.ones(point.shape[:-1] + (n, n))
     for p in range(1, n):
-        x = point[p - 1] * x + (1.0 - point[p - 1]) * np.where(masks[p - 1], x, 0.0)
+        up = point[..., p - 1, None, None]
+        x = up * x + (1.0 - up) * np.where(masks[p - 1], x, 0.0)
     return x
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
+    """Smallest eigenvalue of a symmetric matrix, or of any matrix in a stack."""
+    return float(np.linalg.eigvalsh(m)[..., 0].min())
 
 
 def check_psd(m: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -154,16 +160,20 @@ def verify_constructive(
     random points both matrix constructions must agree within tol, the
     diagonal must be exactly one, and the smallest eigenvalue must stay
     above -tol; the endpoint points (all-ones, all-zeros) must give the
-    all-ones matrix and the identity exactly. Separately the tree
-    measure is normalized exactly: over the tree alone, the ordered
-    weights of its admissible orderings sum to 1. One search over the
-    tree alone gives both the orderings and those weights.
+    all-ones matrix and the identity exactly. Each construction builds
+    one stack per ordered tree: the samples, then the two endpoints.
+    Separately the tree measure is normalized exactly: over the tree
+    alone, the ordered weights of its admissible orderings sum to 1. One
+    search over the tree alone gives both the orderings and those weights.
     """
     if part.is_trivial:
         raise TrivialPartitionError("verification needs a non-trivial partition")
     if samples < 1 or not math.isfinite(tol):
         raise OutOfRangeError(f"samples must be >= 1 and tol finite, not {samples}, {tol}")
+    if seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, not {seed}")
     n = len(g.vertices)
+    corners = np.array([np.ones((n, n)), np.eye(n)])
     checks: list[TraceCheck] = []
     normalized = True
     index = 0
@@ -176,28 +186,16 @@ def verify_constructive(
             trace = build_trace(g, part, order)
             rng = np.random.default_rng([seed, index])
             index += 1
-            worst_gap = 0.0
-            worst_eig = np.inf
-            diag_ok = True
-            for _ in range(samples):
-                u = rng.uniform(0.0, 1.0, size=n - 1)
-                direct = contact_matrix_direct(trace, u)
-                recursed = contact_matrix_recursion(trace, u)
-                worst_gap = max(worst_gap, float(np.abs(direct - recursed).max()))
-                worst_eig = min(worst_eig, min_eigenvalue(direct))
-                if not (
-                    np.array_equal(np.diag(direct), np.ones(n))
-                    and np.array_equal(np.diag(recursed), np.ones(n))
-                ):
-                    diag_ok = False
-            ones = np.ones(n - 1)
-            zeros = np.zeros(n - 1)
-            endpoints = (
-                np.array_equal(contact_matrix_direct(trace, ones), np.ones((n, n)))
-                and np.array_equal(contact_matrix_recursion(trace, ones), np.ones((n, n)))
-                and np.array_equal(contact_matrix_direct(trace, zeros), np.eye(n))
-                and np.array_equal(contact_matrix_recursion(trace, zeros), np.eye(n))
+            sampled = rng.uniform(0.0, 1.0, size=(samples, n - 1))
+            points = np.vstack((sampled, np.ones(n - 1), np.zeros(n - 1)))
+            direct = contact_matrix_direct(trace, points)
+            recursed = contact_matrix_recursion(trace, points)
+            worst_gap = float(np.abs(direct[:samples] - recursed[:samples]).max())
+            worst_eig = min_eigenvalue(direct[:samples])
+            diag_ok = all(
+                np.all(m[:samples, range(n), range(n)] == 1.0) for m in (direct, recursed)
             )
+            endpoints = all(np.array_equal(m[samples:], corners) for m in (direct, recursed))
             ok = (
                 worst_gap <= AGREEMENT_TOLERANCE
                 and worst_eig >= -tol
@@ -208,7 +206,7 @@ def verify_constructive(
                 TraceCheck(
                     tree=tuple(sorted(tree)),
                     order=order,
-                    min_eigenvalue=float(worst_eig),
+                    min_eigenvalue=worst_eig,
                     max_discrepancy=worst_gap,
                     endpoints_exact=endpoints,
                     unit_diagonal=diag_ok,

@@ -5,7 +5,9 @@ algorithms: spanning trees by subset enumeration, admissible orderings
 by filtering all permutations, the census by per-sector greedy calls,
 contact indices and k values by scanning the object form of a trace.
 Two more are the routes the state sweeps replaced: tree weights grouped
-from every ordered tree, and the census over every permutation.
+from every ordered tree, and the census over every permutation. The
+last is the positivity check that builds its matrices one point at a
+time, which the stacked build replaced.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from treeweights.errors import DisconnectedError, NotAdmissibleError
 from treeweights.graph import DisjointSet, Multigraph
 from treeweights.partitions import (
@@ -23,6 +27,14 @@ from treeweights.partitions import (
     build_trace,
     ordered_trees,
     trans_block_count,
+)
+from treeweights.psd import (
+    AGREEMENT_TOLERANCE,
+    PsdReport,
+    TraceCheck,
+    contact_matrix_direct,
+    contact_matrix_recursion,
+    min_eigenvalue,
 )
 from treeweights.sectors import SectorCensus, leading_tree
 from treeweights.weights import TreeRow, WeightReport, require_weighable
@@ -150,6 +162,76 @@ def permutation_census(g: Multigraph) -> SectorCensus:
             raw[key] = raw.get(key, 0) + 1
     counts = {frozenset(ids[i] for i in key): c for key, c in raw.items()}
     return SectorCensus(counts, total)
+
+
+def pointwise_verify_constructive(
+    g: Multigraph, part: Partition, samples: int, tol: float, seed: int
+) -> PsdReport:
+    """verify_constructive with one builder call per point.
+
+    Draws each sample on its own and runs the endpoint points as four
+    separate calls, keeping running worst values across the samples.
+    """
+    n = len(g.vertices)
+    checks: list[TraceCheck] = []
+    normalized = True
+    index = 0
+    for tree in g.spanning_trees():
+        skeleton = Multigraph(g.vertices, tuple(g.edge(e) for e in sorted(tree)))
+        walks = sorted(ordered_trees(skeleton, part))
+        if sum((Fraction(1, denom) for _, denom in walks), Fraction(0)) != 1:
+            normalized = False
+        for order, _ in walks:
+            trace = build_trace(g, part, order)
+            rng = np.random.default_rng([seed, index])
+            index += 1
+            worst_gap = 0.0
+            worst_eig = np.inf
+            diag_ok = True
+            for _ in range(samples):
+                u = rng.uniform(0.0, 1.0, size=n - 1)
+                direct = contact_matrix_direct(trace, u)
+                recursed = contact_matrix_recursion(trace, u)
+                worst_gap = max(worst_gap, float(np.abs(direct - recursed).max()))
+                worst_eig = min(worst_eig, min_eigenvalue(direct))
+                if not (
+                    np.array_equal(np.diag(direct), np.ones(n))
+                    and np.array_equal(np.diag(recursed), np.ones(n))
+                ):
+                    diag_ok = False
+            ones = np.ones(n - 1)
+            zeros = np.zeros(n - 1)
+            endpoints = (
+                np.array_equal(contact_matrix_direct(trace, ones), np.ones((n, n)))
+                and np.array_equal(contact_matrix_recursion(trace, ones), np.ones((n, n)))
+                and np.array_equal(contact_matrix_direct(trace, zeros), np.eye(n))
+                and np.array_equal(contact_matrix_recursion(trace, zeros), np.eye(n))
+            )
+            ok = (
+                worst_gap <= AGREEMENT_TOLERANCE
+                and worst_eig >= -tol
+                and diag_ok
+                and endpoints
+            )
+            checks.append(
+                TraceCheck(
+                    tree=tuple(sorted(tree)),
+                    order=order,
+                    min_eigenvalue=float(worst_eig),
+                    max_discrepancy=worst_gap,
+                    endpoints_exact=endpoints,
+                    unit_diagonal=diag_ok,
+                    passed=ok,
+                )
+            )
+    return PsdReport(
+        seed=seed,
+        samples=samples,
+        tolerance=tol,
+        checks=tuple(checks),
+        measure_normalized=normalized,
+        passed=normalized and all(c.passed for c in checks),
+    )
 
 
 def random_connected_multigraph(

@@ -239,7 +239,13 @@ def test_main_entry_point(capsys):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--samples", "0"), ("--samples", "-3"), ("--tol", "nan"), ("--tol", "inf")],
+    [
+        ("--samples", "0"),
+        ("--samples", "-3"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--seed", "-1"),
+    ],
 )
 def test_psd_rejects_vacuous_settings(flag, value):
     for fmt in ("table", "json"):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ from treeweights.psd import (
     verify_constructive,
 )
 
+from helpers import (
+    nontrivial_partitions,
+    pointwise_verify_constructive,
+    random_connected_multigraph,
+)
+
 FIXTURE_CASES = [
     (fig1(), fig1_root_first()),
     (fig1(), fig1_root_second()),
@@ -29,6 +37,16 @@ FIXTURE_CASES = [
     (fig2(), fig2_double_rooted()),
     (fig2(), Partition.singletons(fig2().vertices)),
 ]
+
+
+def multigraph_cases():
+    """Seeded multigraphs with loops and parallel edges, one partition each."""
+    rng = random.Random(4004)
+    cases = []
+    for _ in range(12):
+        g = random_connected_multigraph(rng, min_vertices=2, max_vertices=5, max_edges=7)
+        cases.append((g, rng.choice(nontrivial_partitions(g, rng))))
+    return cases
 
 
 def all_traces(g, part):
@@ -80,6 +98,26 @@ def test_point_validation():
         contact_matrix_direct(trace, [0.5, 1.5])
     with pytest.raises(OutOfRangeError):
         contact_matrix_recursion(trace, [-0.1, 0.5])
+    for build in (contact_matrix_direct, contact_matrix_recursion):
+        with pytest.raises(OutOfRangeError):
+            build(trace, [np.nan, 0.5])
+        with pytest.raises(OutOfRangeError):
+            build(trace, [[0.5, 0.5], [0.5, np.nan]])
+        with pytest.raises(BadDimensionError):
+            build(trace, np.full((2, 2, 2), 0.5))
+
+
+def test_stacked_builds_equal_pointwise_builds():
+    rng = np.random.default_rng(17)
+    for g, part in FIXTURE_CASES + multigraph_cases():
+        n = len(g.vertices)
+        for trace in all_traces(g, part):
+            sampled = rng.uniform(size=(7, n - 1))
+            points = np.vstack((sampled, np.ones(n - 1), np.zeros(n - 1)))
+            for build in (contact_matrix_direct, contact_matrix_recursion):
+                stack = build(trace, points)
+                assert np.array_equal(stack, np.stack([build(trace, u) for u in points]))
+                assert min_eigenvalue(stack) == min(min_eigenvalue(m) for m in stack)
 
 
 def test_check_psd():
@@ -113,3 +151,11 @@ def test_verify_constructive_deterministic():
     a = verify_constructive(fig1(), fig1_root_first(), samples=5, seed=42)
     b = verify_constructive(fig1(), fig1_root_first(), samples=5, seed=42)
     assert a == b
+
+
+@pytest.mark.parametrize("samples", [1, 5, 20])
+@pytest.mark.parametrize("seed", [0, 31])
+def test_verify_constructive_equals_pointwise_loop(samples, seed):
+    for g, part in FIXTURE_CASES + multigraph_cases():
+        report = verify_constructive(g, part, samples=samples, seed=seed)
+        assert report == pointwise_verify_constructive(g, part, samples, 1e-10, seed)
