@@ -29,6 +29,7 @@ from .sectors import (
     symmetric_weight,
 )
 from .weights import (
+    ExactReport,
     Monomial,
     TreeRow,
     WeightReport,
@@ -37,6 +38,7 @@ from .weights import (
     ordered_weight,
     symmetric_via_partition,
     tree_weight,
+    verify_exact,
     weight_distribution,
 )
 
@@ -45,6 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ContractionTrace",
     "Edge",
+    "ExactReport",
     "GraphAudit",
     "Monomial",
     "Multigraph",
@@ -75,5 +78,6 @@ __all__ = [
     "trans_block_count",
     "tree_weight",
     "verify_constructive",
+    "verify_exact",
     "weight_distribution",
 ]

@@ -26,16 +26,10 @@ from .errors import (
     TreeWeightsError,
 )
 from .graph import Multigraph
-from .partitions import Partition, build_trace, contact_indices, ordered_trees
+from .partitions import Partition
 from .psd import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, verify_constructive
 from .sectors import DEFAULT_GUARD, sector_census
-from .weights import (
-    WeightReport,
-    edge_monomials,
-    ordered_weight_from_trace,
-    require_weighable,
-    weight_distribution,
-)
+from .weights import WeightReport, verify_exact, weight_distribution
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -75,8 +69,11 @@ def parse_partition(spec: str, g: Multigraph) -> Partition:
     return Partition.parse(spec, g.vertices)
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
+def _partition_or_singletons(config: RunConfig, g: Multigraph) -> Partition:
+    """The --partition of verify and psd, all singletons when omitted."""
+    if config.partition is None:
+        return Partition.singletons(g.vertices)
+    return parse_partition(config.partition, g)
 
 
 def _decimal_str(x: Fraction) -> str:
@@ -115,54 +112,43 @@ def _emit(config: RunConfig, payload: dict, headers: list[str], rows: list[list[
         _emit_table(headers, rows, out)
 
 
-def _weight_rows(report: WeightReport, breakdown: bool):
-    headers = ["tree", "weight", "decimal", "orderings"]
-    rows = []
-    for row in report.rows:
-        rows.append(
-            [
-                _tree_str(row.tree),
-                _fraction_str(row.weight),
-                _decimal_str(row.weight),
-                str(len(row.orderings)),
-            ]
-        )
-        if breakdown:
-            for order, w in row.orderings:
-                rows.append(
-                    ["  " + ",".join(order), _fraction_str(w), _decimal_str(w), ""]
-                )
-    return headers, rows
+def _cells(item: dict) -> list[str]:
+    """A JSON item's values, in key order, as table cells; lists joined by commas."""
+    return [",".join(v) if isinstance(v, list) else str(v) for v in item.values()]
 
 
-def _weight_payload(report: WeightReport, breakdown: bool) -> list[dict]:
-    out = []
+def _weight_items(report: WeightReport, breakdown: bool):
+    """The JSON items and the table rows of a weight report."""
+    items, rows = [], []
     for row in report.rows:
         item = {
             "tree": list(row.tree),
-            "weight": _fraction_str(row.weight),
+            "weight": str(row.weight),
             "decimal": _decimal_str(row.weight),
             "orderings": len(row.orderings),
         }
+        rows.append(_cells(item))
         if breakdown:
             item["breakdown"] = [
-                {"order": list(order), "weight": _fraction_str(w)}
-                for order, w in row.orderings
+                {"order": list(order), "weight": str(w)} for order, w in row.orderings
             ]
-        out.append(item)
-    return out
+            rows.extend(
+                ["  " + ",".join(order), str(w), _decimal_str(w), ""]
+                for order, w in row.orderings
+            )
+        items.append(item)
+    return items, rows
 
 
 def cmd_trees(config: RunConfig, g: Multigraph, out) -> int:
     trees = g.spanning_trees()
-    headers = ["tree"]
     rows = [[_tree_str(t)] for t in trees]
     payload = {
         "command": "trees",
         "count": len(trees),
         "trees": [sorted(t) for t in trees],
     }
-    _emit(config, payload, headers, rows, out)
+    _emit(config, payload, ["tree"], rows, out)
     return EXIT_OK
 
 
@@ -176,29 +162,16 @@ def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
         order_counts = {frozenset(r.tree): len(r.orderings) for r in report.rows}
     else:
         order_counts = {}
-    headers = ["tree", "weight", "decimal", "sectors", "orderings"]
-    rows = []
-    items = []
-    for tree in sorted(census_weights, key=lambda t: tuple(sorted(t))):
-        w = census_weights[tree]
-        rows.append(
-            [
-                _tree_str(tree),
-                _fraction_str(w),
-                _decimal_str(w),
-                str(census.counts[tree]),
-                str(order_counts.get(tree, 0)),
-            ]
-        )
-        items.append(
-            {
-                "tree": sorted(tree),
-                "weight": _fraction_str(w),
-                "decimal": _decimal_str(w),
-                "sectors": census.counts[tree],
-                "orderings": order_counts.get(tree, 0),
-            }
-        )
+    items = [
+        {
+            "tree": sorted(tree),
+            "weight": str(w),
+            "decimal": _decimal_str(w),
+            "sectors": census.counts[tree],
+            "orderings": order_counts.get(tree, 0),
+        }
+        for tree, w in sorted(census_weights.items(), key=lambda item: sorted(item[0]))
+    ]
     total = sum(census_weights.values(), Fraction(0))
     if total != 1:
         raise CheckFailure(f"weights sum to {total}, not 1")
@@ -206,9 +179,10 @@ def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
         "command": "symmetric",
         "sectors_total": census.total,
         "rows": items,
-        "sum": _fraction_str(total),
+        "sum": str(total),
     }
-    _emit(config, payload, headers, rows, out)
+    headers = ["tree", "weight", "decimal", "sectors", "orderings"]
+    _emit(config, payload, headers, [_cells(item) for item in items], out)
     return EXIT_OK
 
 
@@ -220,70 +194,32 @@ def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
     total = report.total
     if total != 1:
         raise CheckFailure(f"weights sum to {total}, not 1")
-    headers, rows = _weight_rows(report, config.breakdown)
+    items, rows = _weight_items(report, config.breakdown)
     payload = {
         "command": "weights",
         "partition": part.format(),
-        "rows": _weight_payload(report, config.breakdown),
-        "sum": _fraction_str(total),
+        "rows": items,
+        "sum": str(total),
     }
-    _emit(config, payload, headers, rows, out)
+    _emit(config, payload, ["tree", "weight", "decimal", "orderings"], rows, out)
     return EXIT_OK
 
 
 def cmd_verify(config: RunConfig, g: Multigraph, out) -> int:
-    part = (
-        parse_partition(config.partition, g)
-        if config.partition is not None
-        else Partition.singletons(g.vertices)
-    )
-    require_weighable(g, part)
-
-    total = Fraction(0)
-    routes_ok = True
-    exponents_ok = True
-    contacts_ok = True
-    ordered = 0
-    # the search runs to completion before the checks: interleaving it
-    # with the trace work measured slower
-    for order, denom in list(ordered_trees(g, part)):
-        w = Fraction(1, denom)
-        total += w
-        trace = build_trace(g, part, order)
-        ordered += 1
-        mono = edge_monomials(g, trace)
-        if not (ordered_weight_from_trace(trace) == w and mono.integral() == w):
-            routes_ok = False
-        if any(
-            e != k - 1 for e, k in zip(mono.exponents, trace.k_values)
-        ):
-            exponents_ok = False
-        verts = g.vertices
-        for a in range(len(verts)):
-            for b in range(a, len(verts)):
-                i, j = contact_indices(trace, verts[a], verts[b])
-                if not i < j:
-                    contacts_ok = False
-                if a == b and (i, j) != (-1, 0):
-                    contacts_ok = False
+    part = _partition_or_singletons(config, g)
+    report = verify_exact(g, part)
     lines: list[tuple[str, bool, str]] = [
-        ("normalization", total == 1, f"sum = {total}")
+        ("normalization", report.total == 1, f"sum = {report.total}"),
+        (
+            "dual-route",
+            report.routes_agree,
+            f"{report.ordered} ordered trees, count vs integral",
+        ),
+        ("exponent-law", report.exponent_law, "monomial exponents equal k - 1"),
+        ("contact-indices", report.contact_order, "i < j for every vertex pair"),
     ]
-    lines.append(
-        ("dual-route", routes_ok, f"{ordered} ordered trees, count vs integral")
-    )
-    lines.append(
-        ("exponent-law", exponents_ok, "monomial exponents equal k - 1")
-    )
-    lines.append(
-        ("contact-indices", contacts_ok, "i < j for every vertex pair")
-    )
-
     ok = all(flag for _, flag, _ in lines)
-    headers = ["check", "status", "detail"]
-    rows = [
-        [name, "ok" if flag else "FAIL", detail] for name, flag, detail in lines
-    ]
+    rows = [[name, "ok" if flag else "FAIL", detail] for name, flag, detail in lines]
     payload = {
         "command": "verify",
         "partition": part.format(),
@@ -293,18 +229,14 @@ def cmd_verify(config: RunConfig, g: Multigraph, out) -> int:
         ],
         "passed": ok,
     }
-    _emit(config, payload, headers, rows, out)
+    _emit(config, payload, ["check", "status", "detail"], rows, out)
     if not ok:
         raise CheckFailure("verification failed")
     return EXIT_OK
 
 
 def cmd_psd(config: RunConfig, g: Multigraph, out) -> int:
-    part = (
-        parse_partition(config.partition, g)
-        if config.partition is not None
-        else Partition.singletons(g.vertices)
-    )
+    part = _partition_or_singletons(config, g)
     report = verify_constructive(
         g, part, samples=config.samples, tol=config.tolerance, seed=config.seed
     )
@@ -396,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--graph", required=True, help="path to a graph JSON file")
+        p.add_argument(
+            "--graph", required=True, dest="graph_path", metavar="GRAPH",
+            help="path to a graph JSON file",
+        )
         p.add_argument(
             "--partition",
             help='blocks separated by "|", members by "," (e.g. "v1|v2,v3")',
@@ -410,25 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+        p.add_argument(
+            "--tol", type=float, default=DEFAULT_TOLERANCE, dest="tolerance", metavar="TOL"
+        )
         p.add_argument("--breakdown", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        graph_path=args.graph,
-        partition=args.partition,
-        output_format=args.output_format,
-        guard=args.guard,
-        seed=args.seed,
-        samples=args.samples,
-        tolerance=args.tol,
-        breakdown=args.breakdown,
-    )
-    return run(config)
+    # the parser's destinations are the RunConfig fields
+    return run(RunConfig(**vars(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

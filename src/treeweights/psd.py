@@ -170,6 +170,8 @@ def verify_constructive(
         raise TrivialPartitionError("verification needs a non-trivial partition")
     if samples < 1 or not math.isfinite(tol):
         raise OutOfRangeError(f"samples must be >= 1 and tol finite, not {samples}, {tol}")
+    if tol < 0:
+        raise OutOfRangeError(f"tol must be >= 0, not {tol}")
     if seed < 0:
         raise OutOfRangeError(f"seed must be >= 0, not {seed}")
     n = len(g.vertices)

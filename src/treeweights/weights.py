@@ -8,13 +8,15 @@ Two independent routes compute the weight of an ordered tree:
   the product of interpolation variables the ordered tree integrates,
   and evaluates the integral in closed form as prod 1/(exponent + 1).
 
-Both must agree bit-exactly. A tree weighs the sum of its ordered
-weights over its admissible orderings, and the weights of all spanning
-trees of a connected graph sum to exactly 1. weight_distribution does
-not walk those orderings: k and admissibility depend only on the set of
-edges contracted so far, so it sweeps forests instead, merging every
-ordering that reaches the same forest. The per-ordering breakdown is
-listed only when read.
+Both must agree bit-exactly; verify_exact checks this on every ordered
+tree, together with the exponent law and the order of the contact
+indices. A tree weighs the sum of its ordered weights over its
+admissible orderings, and the weights of all spanning trees of a
+connected graph sum to exactly 1. weight_distribution does not walk
+those orderings: k and admissibility depend only on the set of edges
+contracted so far, so it sweeps forests instead, merging every ordering
+that reaches the same forest. The per-ordering breakdown is listed only
+when read.
 """
 
 from __future__ import annotations
@@ -46,10 +48,7 @@ class Monomial:
 
     def integral(self) -> Fraction:
         """Integral over the unit cube: prod 1/(e_p + 1)."""
-        denom = 1
-        for e in self.exponents:
-            denom *= e + 1
-        return Fraction(1, denom)
+        return Fraction(1, math.prod(e + 1 for e in self.exponents))
 
 
 def edge_monomials(g: Multigraph, trace: ContractionTrace) -> Monomial:
@@ -72,10 +71,7 @@ def edge_monomials(g: Multigraph, trace: ContractionTrace) -> Monomial:
 
 def ordered_weight_from_trace(trace: ContractionTrace) -> Fraction:
     """Count route: the product of 1/k over the trace steps."""
-    denom = 1
-    for k in trace.k_values:
-        denom *= k
-    return Fraction(1, denom)
+    return Fraction(1, math.prod(trace.k_values))
 
 
 def ordered_weight(g: Multigraph, part: Partition, order: Sequence[str]) -> Fraction:
@@ -83,13 +79,9 @@ def ordered_weight(g: Multigraph, part: Partition, order: Sequence[str]) -> Frac
     return ordered_weight_from_trace(build_trace(g, part, order))
 
 
-def monomial_weight_from_trace(g: Multigraph, trace: ContractionTrace) -> Fraction:
-    """Integration route: closed-form integral of the combined monomial."""
-    return edge_monomials(g, trace).integral()
-
-
 def monomial_weight(g: Multigraph, part: Partition, order: Sequence[str]) -> Fraction:
-    return monomial_weight_from_trace(g, build_trace(g, part, order))
+    """Integration route: closed-form integral of the combined monomial."""
+    return edge_monomials(g, build_trace(g, part, order)).integral()
 
 
 def tree_weight(g: Multigraph, part: Partition, tree: Iterable[str]) -> Fraction:
@@ -97,10 +89,8 @@ def tree_weight(g: Multigraph, part: Partition, tree: Iterable[str]) -> Fraction
 
     Independent of weight_distribution's forest sweep.
     """
-    total = Fraction(0)
-    for order in admissible_orderings(g, part, tree):
-        total += ordered_weight(g, part, order)
-    return total
+    orders = admissible_orderings(g, part, tree)
+    return sum((ordered_weight(g, part, order) for order in orders), Fraction(0))
 
 
 def require_weighable(g: Multigraph, part: Partition) -> None:
@@ -110,6 +100,45 @@ def require_weighable(g: Multigraph, part: Partition) -> None:
     part.require_cover(g)
     if not g.is_connected():
         raise DisconnectedError("weights require a connected graph")
+
+
+@dataclass(frozen=True)
+class ExactReport:
+    """The ordered trees, their summed weight, and one verdict per check."""
+
+    ordered: int
+    total: Fraction
+    routes_agree: bool
+    exponent_law: bool
+    contact_order: bool
+
+
+def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
+    """The exact checks on every ordered tree of a partition.
+
+    prod 1/k equals the integral of the edge monomial, whose exponents
+    equal k - 1, and distinct vertices get contact indices i < j (a
+    vertex with itself gets (-1, 0) by convention).
+    """
+    require_weighable(g, part)
+    verts = g.vertices
+    pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
+    total = Fraction(0)
+    routes = exponents = contacts = True
+    # the search runs to completion before the checks: interleaving it
+    # with the trace work measured slower
+    walks = list(ordered_trees(g, part))
+    for order, denom in walks:
+        weight = Fraction(1, denom)
+        total += weight
+        trace = build_trace(g, part, order)
+        mono = edge_monomials(g, trace)
+        routes = routes and ordered_weight_from_trace(trace) == weight == mono.integral()
+        exponents = exponents and mono.exponents == tuple(k - 1 for k in trace.k_values)
+        contacts = contacts and all(
+            i < j for i, j in (contact_indices(trace, v, w) for v, w in pairs)
+        )
+    return ExactReport(len(walks), total, routes, exponents, contacts)
 
 
 class _Listing:

@@ -29,12 +29,7 @@ from treeweights.partitions import (
 )
 from treeweights.psd import contact_matrix_direct, contact_matrix_recursion, min_eigenvalue
 from treeweights.sectors import sector_census
-from treeweights.weights import (
-    edge_monomials,
-    monomial_weight_from_trace,
-    ordered_weight_from_trace,
-    weight_distribution,
-)
+from treeweights.weights import verify_exact, weight_distribution
 
 from helpers import (
     brute_force_orderings,
@@ -132,8 +127,8 @@ def trace_sweep():
     """Every admissible trace arising in criteria 2-5, with verdicts.
 
     Returns (traces, dual_ok, exponent_ok, contact_ok) where traces is
-    the number of ordered trees visited and the flags aggregate the
-    per-trace checks used by criteria 6 and 8.
+    the number of ordered trees visited and the flags AND the
+    verify_exact verdicts of every case, used by criteria 6 and 8.
     """
     cases: list[tuple[Multigraph, Partition]] = [
         (fig2(), fig2_double_rooted()),
@@ -144,30 +139,11 @@ def trace_sweep():
     for g, parts in pool_normalization():
         cases.extend((g, part) for part in parts)
 
-    traces = 0
-    dual_ok = exponent_ok = contact_ok = True
-    for g, part in cases:
-        report = weight_distribution(g, part)
-        for row in report.rows:
-            for order, w in row.orderings:
-                trace = build_trace(g, part, order)
-                traces += 1
-                if not (
-                    ordered_weight_from_trace(trace) == w
-                    and monomial_weight_from_trace(g, trace) == w
-                ):
-                    dual_ok = False
-                mono = edge_monomials(g, trace)
-                if mono.exponents != tuple(k - 1 for k in trace.k_values):
-                    exponent_ok = False
-                verts = g.vertices
-                for a in range(len(verts)):
-                    for b in range(a, len(verts)):
-                        i, j = contact_indices(trace, verts[a], verts[b])
-                        if not (i < j):
-                            contact_ok = False
-                        if a == b and (i, j) != (-1, 0):
-                            contact_ok = False
+    reports = [verify_exact(g, part) for g, part in cases]
+    traces = sum(r.ordered for r in reports)
+    dual_ok = all(r.routes_agree for r in reports)
+    exponent_ok = all(r.exponent_law for r in reports)
+    contact_ok = all(r.contact_order for r in reports)
     return traces, dual_ok, exponent_ok, contact_ok
 
 

@@ -5,30 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from treeweights import cli
+from treeweights import cli, weights
 from treeweights.cli import RunConfig, parse_graph, parse_partition
 from treeweights.errors import DuplicateVertexError, ParseError
-from treeweights.fixtures import fig1, fig2
-from treeweights.weights import WeightReport
+from treeweights.fixtures import fig1, fig2, fig2_double_rooted
+from treeweights.weights import Monomial, WeightReport, verify_exact
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run_cli(args):
     out, err = io.StringIO(), io.StringIO()
-    parser = cli.build_parser()
-    ns = parser.parse_args(args)
-    config = RunConfig(
-        command=ns.command,
-        graph_path=ns.graph,
-        partition=ns.partition,
-        output_format=ns.output_format,
-        guard=ns.guard,
-        seed=ns.seed,
-        samples=ns.samples,
-        tolerance=ns.tol,
-        breakdown=ns.breakdown,
-    )
+    config = RunConfig(**vars(cli.build_parser().parse_args(args)))
     code = cli.run(config, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
@@ -231,6 +219,40 @@ def test_check_failure_exit_code(monkeypatch):
     assert "error[check-failure]" in err
 
 
+def _off_by_one(f):
+    def broken(g, trace):
+        exponents = f(g, trace).exponents
+        return Monomial((exponents[0] + 1,) + exponents[1:])
+    return broken
+
+
+@pytest.mark.parametrize(
+    "name,broken,failing",
+    [
+        ("edge_monomials", _off_by_one, {"dual-route", "exponent-law"}),
+        # edge_monomials reads the swapped indices too
+        (
+            "contact_indices",
+            lambda f: lambda trace, v, w: f(trace, v, w)[::-1],
+            {"dual-route", "exponent-law", "contact-indices"},
+        ),
+        ("ordered_trees", lambda f: lambda *args: list(f(*args))[1:], {"normalization"}),
+    ],
+    ids=["edge_monomials", "contact_indices", "ordered_trees"],
+)
+def test_verify_reports_a_broken_route(monkeypatch, name, broken, failing):
+    monkeypatch.setattr(weights, name, broken(getattr(weights, name)))
+    report = verify_exact(fig2(), fig2_double_rooted())
+    checks = ("normalization", "dual-route", "exponent-law", "contact-indices")
+    flags = (report.total == 1, report.routes_agree, report.exponent_law, report.contact_order)
+    assert {check for check, ok in zip(checks, flags) if not ok} == failing
+    graph = str(FIXTURES / "fig2.json")
+    code, out, err = run_cli(["verify", "--graph", graph, "--partition", "v1|v2|v3,v4"])
+    assert code == 3 and err.startswith("error[check-failure]")
+    statuses = dict(line.split()[:2] for line in out.splitlines()[1:])
+    assert {check for check, status in statuses.items() if status == "FAIL"} == failing
+
+
 def test_main_entry_point(capsys):
     code = cli.main(["trees", "--graph", str(FIXTURES / "fig1.json")])
     assert code == 0
@@ -244,6 +266,7 @@ def test_main_entry_point(capsys):
         ("--samples", "-3"),
         ("--tol", "nan"),
         ("--tol", "inf"),
+        ("--tol", "-1"),
         ("--seed", "-1"),
     ],
 )

@@ -134,7 +134,7 @@ def test_tree_weights_never_list_orderings(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("an ordering was listed")
 
-    for module in (partitions, weights, cli, psd):
+    for module in (partitions, weights, psd):
         monkeypatch.setattr(module, "ordered_trees", refuse)
     assert run_all() == expected
     report = weight_distribution(g, part)
