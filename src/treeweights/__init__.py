@@ -5,12 +5,15 @@ from .graph import Edge, GraphAudit, Multigraph
 from .partitions import (
     ContractionTrace,
     Partition,
+    TraceBatch,
     admissible_orderings,
+    batch_contact_indices,
     build_trace,
     contact_indices,
     contract_partition,
     forest_trace,
     is_trans_block,
+    trace_batch,
     trans_block_count,
 )
 from .psd import (
@@ -54,11 +57,13 @@ __all__ = [
     "Partition",
     "PsdReport",
     "SectorCensus",
+    "TraceBatch",
     "TraceCheck",
     "TreeRow",
     "TreeWeightsError",
     "WeightReport",
     "admissible_orderings",
+    "batch_contact_indices",
     "build_trace",
     "check_psd",
     "contact_indices",
@@ -75,6 +80,7 @@ __all__ = [
     "sector_census",
     "symmetric_via_partition",
     "symmetric_weight",
+    "trace_batch",
     "trans_block_count",
     "tree_weight",
     "verify_constructive",

@@ -6,8 +6,11 @@
     treeweights verify    --graph g.json [--partition SPEC]
     treeweights psd       --graph g.json [--partition SPEC] [--seed N]
 
-Exit codes: 0 success, 2 input error, 3 check failure, 4 enumeration
-guard exceeded. Output is deterministic for a fixed config and seed.
+Exit codes: 0 success, 2 input error (a bad graph, partition or
+argument), 3 check failure, 4 enumeration guard exceeded, 5 internal
+fault (an invariant of the program failed: a bug, not bad input). Every
+error writes one `error[<code>]: ...` line to stderr. Output is
+deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     EnumerationGuardExceededError,
+    InvariantError,
     ParseError,
     TreeWeightsError,
 )
@@ -35,6 +40,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CHECK = 3
 EXIT_GUARD = 4
+EXIT_INTERNAL = 5
 
 FORMAT_VERSION = 1
 
@@ -102,14 +108,18 @@ def _emit_csv(headers: list[str], rows: list[list[str]], out) -> None:
     out.write(buf.getvalue())
 
 
-def _emit(config: RunConfig, payload: dict, headers: list[str], rows: list[list[str]], out) -> None:
+def _emit(config: RunConfig, payload, headers: list[str], rows, out) -> None:
+    """Write the JSON payload or the table rows, whichever --format asks for.
+
+    payload and rows are callables; only the one written is built.
+    """
     if config.output_format == "json":
-        json.dump({"format": FORMAT_VERSION, **payload}, out, indent=2, allow_nan=False)
+        json.dump({"format": FORMAT_VERSION, **payload()}, out, indent=2, allow_nan=False)
         out.write("\n")
     elif config.output_format == "csv":
-        _emit_csv(headers, rows, out)
+        _emit_csv(headers, rows(), out)
     else:
-        _emit_table(headers, rows, out)
+        _emit_table(headers, rows(), out)
 
 
 def _cells(item: dict) -> list[str]:
@@ -117,9 +127,9 @@ def _cells(item: dict) -> list[str]:
     return [",".join(v) if isinstance(v, list) else str(v) for v in item.values()]
 
 
-def _weight_items(report: WeightReport, breakdown: bool):
-    """The JSON items and the table rows of a weight report."""
-    items, rows = [], []
+def _weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
+    """The JSON items of a weight report, or with table=True its table rows."""
+    out = []
     for row in report.rows:
         item = {
             "tree": list(row.tree),
@@ -127,28 +137,33 @@ def _weight_items(report: WeightReport, breakdown: bool):
             "decimal": _decimal_str(row.weight),
             "orderings": len(row.orderings),
         }
-        rows.append(_cells(item))
+        if table:
+            out.append(_cells(item))
+            if breakdown:
+                out.extend(
+                    ["  " + ",".join(order), str(w), _decimal_str(w), ""]
+                    for order, w in row.orderings
+                )
+            continue
         if breakdown:
             item["breakdown"] = [
                 {"order": list(order), "weight": str(w)} for order, w in row.orderings
             ]
-            rows.extend(
-                ["  " + ",".join(order), str(w), _decimal_str(w), ""]
-                for order, w in row.orderings
-            )
-        items.append(item)
-    return items, rows
+        out.append(item)
+    return out
 
 
 def cmd_trees(config: RunConfig, g: Multigraph, out) -> int:
     trees = g.spanning_trees()
+    # both outputs are small next to the tree list itself; building them
+    # lazily left a higher peak RSS after the K7 listing (heap layout)
     rows = [[_tree_str(t)] for t in trees]
     payload = {
         "command": "trees",
         "count": len(trees),
         "trees": [sorted(t) for t in trees],
     }
-    _emit(config, payload, ["tree"], rows, out)
+    _emit(config, lambda: payload, ["tree"], lambda: rows, out)
     return EXIT_OK
 
 
@@ -182,7 +197,7 @@ def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
         "sum": str(total),
     }
     headers = ["tree", "weight", "decimal", "sectors", "orderings"]
-    _emit(config, payload, headers, [_cells(item) for item in items], out)
+    _emit(config, lambda: payload, headers, lambda: [_cells(item) for item in items], out)
     return EXIT_OK
 
 
@@ -194,14 +209,22 @@ def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
     total = report.total
     if total != 1:
         raise CheckFailure(f"weights sum to {total}, not 1")
-    items, rows = _weight_items(report, config.breakdown)
-    payload = {
-        "command": "weights",
-        "partition": part.format(),
-        "rows": items,
-        "sum": str(total),
-    }
-    _emit(config, payload, ["tree", "weight", "decimal", "orderings"], rows, out)
+
+    def payload():
+        return {
+            "command": "weights",
+            "partition": part.format(),
+            "rows": _weight_items(report, config.breakdown, table=False),
+            "sum": str(total),
+        }
+
+    _emit(
+        config,
+        payload,
+        ["tree", "weight", "decimal", "orderings"],
+        lambda: _weight_items(report, config.breakdown, table=True),
+        out,
+    )
     return EXIT_OK
 
 
@@ -229,7 +252,7 @@ def cmd_verify(config: RunConfig, g: Multigraph, out) -> int:
         ],
         "passed": ok,
     }
-    _emit(config, payload, ["check", "status", "detail"], rows, out)
+    _emit(config, lambda: payload, ["check", "status", "detail"], lambda: rows, out)
     if not ok:
         raise CheckFailure("verification failed")
     return EXIT_OK
@@ -240,45 +263,49 @@ def cmd_psd(config: RunConfig, g: Multigraph, out) -> int:
     report = verify_constructive(
         g, part, samples=config.samples, tol=config.tolerance, seed=config.seed
     )
-    headers = ["tree", "order", "min_eigenvalue", "max_discrepancy", "status"]
-    rows = [
-        [
-            _tree_str(c.tree),
-            ",".join(c.order),
-            f"{c.min_eigenvalue:.3e}",
-            f"{c.max_discrepancy:.3e}",
-            "ok" if c.passed else "FAIL",
-        ]
-        for c in report.checks
-    ]
-    rows.append(
-        [
-            "(all)",
-            f"seed={report.seed} samples={report.samples}",
-            f"{report.min_eigenvalue:.3e}",
-            f"{report.max_discrepancy:.3e}",
-            "ok" if report.passed else "FAIL",
-        ]
-    )
-    payload = {
-        "command": "psd",
-        "partition": part.format(),
-        "seed": report.seed,
-        "samples": report.samples,
-        "tolerance": report.tolerance,
-        "measure_normalized": report.measure_normalized,
-        "checks": [
-            {
-                "tree": list(c.tree),
-                "order": list(c.order),
-                "min_eigenvalue": c.min_eigenvalue,
-                "max_discrepancy": c.max_discrepancy,
-                "passed": c.passed,
-            }
+
+    def rows():
+        return [
+            [
+                _tree_str(c.tree),
+                ",".join(c.order),
+                f"{c.min_eigenvalue:.3e}",
+                f"{c.max_discrepancy:.3e}",
+                "ok" if c.passed else "FAIL",
+            ]
             for c in report.checks
-        ],
-        "passed": report.passed,
-    }
+        ] + [
+            [
+                "(all)",
+                f"seed={report.seed} samples={report.samples}",
+                f"{report.min_eigenvalue:.3e}",
+                f"{report.max_discrepancy:.3e}",
+                "ok" if report.passed else "FAIL",
+            ]
+        ]
+
+    def payload():
+        return {
+            "command": "psd",
+            "partition": part.format(),
+            "seed": report.seed,
+            "samples": report.samples,
+            "tolerance": report.tolerance,
+            "measure_normalized": report.measure_normalized,
+            "checks": [
+                {
+                    "tree": list(c.tree),
+                    "order": list(c.order),
+                    "min_eigenvalue": c.min_eigenvalue,
+                    "max_discrepancy": c.max_discrepancy,
+                    "passed": c.passed,
+                }
+                for c in report.checks
+            ],
+            "passed": report.passed,
+        }
+
+    headers = ["tree", "order", "min_eigenvalue", "max_discrepancy", "status"]
     _emit(config, payload, headers, rows, out)
     if not report.passed:
         raise CheckFailure("positivity verification failed")
@@ -302,19 +329,32 @@ def run(config: RunConfig, out=None, err=None) -> int:
             raise ParseError("--guard must be at least 1")
         g = parse_graph(config.graph_path)
         return COMMANDS[config.command](config, g, out)
-    except EnumerationGuardExceededError as exc:
-        err.write(f"error[{exc.code}]: {exc}\n")
-        return EXIT_GUARD
     except TreeWeightsError as exc:
         err.write(f"error[{exc.code}]: {exc}\n")
-        return EXIT_INPUT
+        if isinstance(exc, EnumerationGuardExceededError):
+            return EXIT_GUARD
+        return EXIT_INTERNAL if isinstance(exc, InvariantError) else EXIT_INPUT
     except CheckFailure as exc:
         err.write(f"error[check-failure]: {exc}\n")
         return EXIT_CHECK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises ParseError instead of printing the usage and
+    exiting, and takes any negative number (-1e-12, -inf) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeweights",
         description="Exact probability measures on the spanning trees of multigraphs",
     )
@@ -353,8 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except ParseError as exc:
+        sys.stderr.write(f"error[{exc.code}]: {exc}\n")
+        return EXIT_INPUT
     # the parser's destinations are the RunConfig fields
-    return run(RunConfig(**vars(build_parser().parse_args(argv))))
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

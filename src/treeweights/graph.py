@@ -88,6 +88,10 @@ class Multigraph:
     def _edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
 
+    @cached_property
+    def _edge_index(self) -> dict[str, int]:
+        return {e.id: i for i, e in enumerate(self.edges)}
+
     def __contains__(self, vertex: str) -> bool:
         return vertex in self._vertex_index
 

@@ -7,9 +7,10 @@ and by the interpolation recursion that rewrites it as a chain of
 barycentric combinations (which is what makes it positive
 semidefinite). Verification samples seeded random points per ordered
 tree, compares the two constructions, checks eigenvalues, and confirms
-the exact normalization of the tree measure. This is the only module
-that touches floating point; every weight elsewhere is an exact
-fraction.
+the exact normalization of the tree measure; the traces and matrices of
+many ordered trees are built together, in bounded blocks. This is the
+only module that touches floating point; every weight elsewhere is an
+exact fraction.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from .errors import (
 )
 from .graph import Multigraph
 from .partitions import (
+    BLOCK_ORDERINGS,
     ContractionTrace,
     Partition,
-    build_trace,
-    contact_indices,
+    TraceBatch,
+    batch_contact_indices,
     ordered_trees,
+    trace_batch,
 )
 
 DEFAULT_TOLERANCE = 1e-10
@@ -41,62 +44,78 @@ DEFAULT_SAMPLES = 20
 # the two matrix constructions are algebraically identical; their
 # floating-point realizations must match this tightly
 AGREEMENT_TOLERANCE = 1e-12
+# at most this many float64 entries in one stack of contact matrices
+STACK_ENTRIES = 1 << 14
 
 
-def _check_point(trace: ContractionTrace, u: Sequence[float]) -> np.ndarray:
+def _batch_points(
+    trace: ContractionTrace | TraceBatch, u: Sequence[float]
+) -> tuple[TraceBatch, np.ndarray, tuple[int, ...]]:
+    """The batch, its points as (N, m, |V|-1), and the shape of the
+    matrices asked for; a single trace is a batch of one."""
+    single = isinstance(trace, ContractionTrace)
+    batch = trace.batch if single else trace
     point = np.asarray(u, dtype=float)
-    steps = len(trace.graph.vertices) - 1
-    if point.ndim not in (1, 2) or point.shape[-1] != steps:
+    stacked = point[None] if single else point
+    steps = batch.merge_steps.shape[1] - 1
+    if stacked.ndim not in (2, 3) or (len(stacked), stacked.shape[-1]) != (len(batch), steps):
+        lead = "" if single else f"{len(batch)}, "
         raise BadDimensionError(
-            f"point has shape {point.shape}, trace needs ({steps},) or (m, {steps})"
+            f"point has shape {point.shape}, trace needs ({lead}{steps},) or ({lead}m, {steps})"
         )
     # written so that NaN fails the test too
-    if not np.all((point >= 0.0) & (point <= 1.0)):
+    if not np.all((stacked >= 0.0) & (stacked <= 1.0)):
         raise OutOfRangeError("evaluation point must lie in [0, 1]^steps")
-    return point
+    points = stacked if stacked.ndim == 3 else stacked[:, None]
+    return batch, points, point.shape[:-1] + (steps + 1, steps + 1)
 
 
-def contact_matrix_direct(trace: ContractionTrace, u: Sequence[float]) -> np.ndarray:
+def contact_matrix_direct(
+    trace: ContractionTrace | TraceBatch, u: Sequence[float]
+) -> np.ndarray:
     """Entrywise product of u_k over each pair's contact-index range.
 
-    A stack of m points, shape (m, |V|-1), gives the stack of their m matrices.
+    A trace and a point of shape (|V|-1,) give one matrix, a stack of m
+    points (m, |V|-1) the stack of their m matrices. A TraceBatch of N
+    rows takes (N, |V|-1) or (N, m, |V|-1) points and gives every row's
+    matrices. The factors of an entry multiply in ascending k.
     """
-    point = _check_point(trace, u)
-    verts = trace.graph.vertices
-    n = len(verts)
-    m = np.ones(point.shape[:-1] + (n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = contact_indices(trace, verts[a], verts[b])
-            value = 1.0
-            for k in range(max(i + 1, 1), j + 1):
-                value *= point[..., k - 1]
-            m[..., a, b] = m[..., b, a] = value
-    return m
+    batch, points, shape = _batch_points(trace, u)
+    i, j = batch_contact_indices(batch)
+    first = np.maximum(i + 1, 1)
+    m = np.ones(points.shape[:-1] + i.shape[1:])
+    for k in range(1, points.shape[-1] + 1):
+        covered = (first <= k) & (k <= j)
+        m = np.where(covered[:, None], m * points[..., k - 1, None, None], m)
+    return m.reshape(shape)
 
 
-def contact_matrix_recursion(trace: ContractionTrace, u: Sequence[float]) -> np.ndarray:
+def contact_matrix_recursion(
+    trace: ContractionTrace | TraceBatch, u: Sequence[float]
+) -> np.ndarray:
     """Barycentric interpolation chain from the all-ones matrix.
 
     Each step mixes the previous matrix with its projection, where the
     projection keeps an entry iff the two vertices' images at that step
     coincide or share a partition block: both not yet merged, in one
-    starting block. A stack of points gives the stack of their matrices.
+    starting block. Takes points as contact_matrix_direct does.
     """
-    point = _check_point(trace, u)
-    n = len(trace.graph.vertices)
-    merge = np.array(trace.merge_steps)
-    start = np.array(trace.start_blocks)
-    touch = merge.diagonal()
+    batch, points, shape = _batch_points(trace, u)
+    merge = batch.merge_steps
+    start = batch.start_blocks
+    n = merge.shape[1]
+    touch = merge.diagonal(axis1=1, axis2=2)
     # step at which an unmerged pair in one starting block stops sharing it
-    split = np.where(start[:, None] == start[None, :], np.minimum.outer(touch, touch), 0)
+    split = np.where(
+        start[:, None] == start[None, :], np.minimum(touch[:, :, None], touch[:, None, :]), 0
+    )
     steps = np.arange(n - 1)[:, None, None]
-    masks = (merge <= steps) | (split > steps)
-    x = np.ones(point.shape[:-1] + (n, n))
+    masks = (merge[:, None] <= steps) | (split[:, None] > steps)
+    x = np.ones(points.shape[:-1] + (n, n))
     for p in range(1, n):
-        up = point[..., p - 1, None, None]
-        x = up * x + (1.0 - up) * np.where(masks[p - 1], x, 0.0)
-    return x
+        up = points[..., p - 1, None, None]
+        x = up * x + (1.0 - up) * np.where(masks[:, None, p - 1], x, 0.0)
+    return x.reshape(shape)
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -160,8 +179,11 @@ def verify_constructive(
     random points both matrix constructions must agree within tol, the
     diagonal must be exactly one, and the smallest eigenvalue must stay
     above -tol; the endpoint points (all-ones, all-zeros) must give the
-    all-ones matrix and the identity exactly. Each construction builds
-    one stack per ordered tree: the samples, then the two endpoints.
+    all-ones matrix and the identity exactly. Each ordered tree keeps its
+    own generator, seeded [seed, index]. The ordered trees go through
+    trace_batch in blocks of at most STACK_ENTRIES matrix entries, and
+    each construction builds one stack per block: per ordered tree the
+    samples, then the two endpoints; eigvalsh runs once per block.
     Separately the tree measure is normalized exactly: over the tree
     alone, the ordered weights of its admissible orderings sum to 1. One
     search over the tree alone gives both the orderings and those weights.
@@ -175,46 +197,53 @@ def verify_constructive(
     if seed < 0:
         raise OutOfRangeError(f"seed must be >= 0, not {seed}")
     n = len(g.vertices)
-    corners = np.array([np.ones((n, n)), np.eye(n)])
-    checks: list[TraceCheck] = []
+    trees: list[tuple[str, ...]] = []
+    orders: list[tuple[str, ...]] = []
     normalized = True
-    index = 0
     for tree in g.spanning_trees():
         skeleton = Multigraph(g.vertices, tuple(g.edge(e) for e in sorted(tree)))
         walks = sorted(ordered_trees(skeleton, part))
         if sum((Fraction(1, denom) for _, denom in walks), Fraction(0)) != 1:
             normalized = False
-        for order, _ in walks:
-            trace = build_trace(g, part, order)
-            rng = np.random.default_rng([seed, index])
-            index += 1
-            sampled = rng.uniform(0.0, 1.0, size=(samples, n - 1))
-            points = np.vstack((sampled, np.ones(n - 1), np.zeros(n - 1)))
-            direct = contact_matrix_direct(trace, points)
-            recursed = contact_matrix_recursion(trace, points)
-            worst_gap = float(np.abs(direct[:samples] - recursed[:samples]).max())
-            worst_eig = min_eigenvalue(direct[:samples])
-            diag_ok = all(
-                np.all(m[:samples, range(n), range(n)] == 1.0) for m in (direct, recursed)
+        trees.extend([tuple(sorted(tree))] * len(walks))
+        orders.extend(order for order, _ in walks)
+    index = g._edge_index
+    corners = np.array([np.ones((n, n)), np.eye(n)])
+    diag = np.arange(n)
+    size = max(1, min(BLOCK_ORDERINGS, STACK_ENTRIES // ((samples + 2) * n * n)))
+    checks: list[TraceCheck] = []
+    for first in range(0, len(orders), size):
+        block = orders[first:first + size]
+        batch = trace_batch(g, part, [[index[eid] for eid in order] for order in block])
+        points = np.empty((len(block), samples + 2, n - 1))
+        for row in range(len(block)):
+            rng = np.random.default_rng([seed, first + row])
+            points[row, :samples] = rng.uniform(0.0, 1.0, size=(samples, n - 1))
+        points[:, samples] = 1.0
+        points[:, samples + 1] = 0.0
+        direct = contact_matrix_direct(batch, points)
+        recursed = contact_matrix_recursion(batch, points)
+        gaps = np.abs(direct[:, :samples] - recursed[:, :samples]).max(axis=(1, 2, 3))
+        lowest = np.linalg.eigvalsh(direct[:, :samples])[..., 0].min(axis=1)
+        diag_ok = np.logical_and.reduce(
+            [np.all(m[:, :samples, diag, diag] == 1.0, axis=(1, 2)) for m in (direct, recursed)]
+        )
+        endpoints = np.logical_and.reduce(
+            [np.all(m[:, samples:] == corners, axis=(1, 2, 3)) for m in (direct, recursed)]
+        )
+        passed = (gaps <= AGREEMENT_TOLERANCE) & (lowest >= -tol) & diag_ok & endpoints
+        checks.extend(
+            TraceCheck(
+                tree=trees[first + row],
+                order=order,
+                min_eigenvalue=float(lowest[row]),
+                max_discrepancy=float(gaps[row]),
+                endpoints_exact=bool(endpoints[row]),
+                unit_diagonal=bool(diag_ok[row]),
+                passed=bool(passed[row]),
             )
-            endpoints = all(np.array_equal(m[samples:], corners) for m in (direct, recursed))
-            ok = (
-                worst_gap <= AGREEMENT_TOLERANCE
-                and worst_eig >= -tol
-                and diag_ok
-                and endpoints
-            )
-            checks.append(
-                TraceCheck(
-                    tree=tuple(sorted(tree)),
-                    order=order,
-                    min_eigenvalue=worst_eig,
-                    max_discrepancy=worst_gap,
-                    endpoints_exact=endpoints,
-                    unit_diagonal=diag_ok,
-                    passed=ok,
-                )
-            )
+            for row, order in enumerate(block)
+        )
     passed = normalized and all(c.passed for c in checks)
     return PsdReport(
         seed=seed,

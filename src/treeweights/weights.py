@@ -10,9 +10,10 @@ Two independent routes compute the weight of an ordered tree:
 
 Both must agree bit-exactly; verify_exact checks this on every ordered
 tree, together with the exponent law and the order of the contact
-indices. A tree weighs the sum of its ordered weights over its
-admissible orderings, and the weights of all spanning trees of a
-connected graph sum to exactly 1. weight_distribution does not walk
+indices, on traces built in blocks by partitions.trace_batch. A tree
+weighs the sum of its ordered weights over its admissible orderings,
+and the weights of all spanning trees of a connected graph sum to
+exactly 1. weight_distribution does not walk
 those orderings: k and admissibility depend only on the set of edges
 contracted so far, so it sweeps forests instead, merging every ordering
 that reaches the same forest. The per-ordering breakdown is listed only
@@ -22,21 +23,28 @@ when read.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
+import numpy as np
+
 from .errors import DisconnectedError, InvariantError, TrivialPartitionError
 from .graph import Multigraph
 from .partitions import (
+    BLOCK_ORDERINGS,
     ContractionTrace,
     Partition,
+    TraceBatch,
     admissible_orderings,
+    batch_contact_indices,
     build_trace,
     contact_indices,
     ordered_trees,
+    trace_batch,
 )
 
 
@@ -113,31 +121,58 @@ class ExactReport:
     contact_order: bool
 
 
+def edge_exponents(
+    g: Multigraph, batch: TraceBatch, contacts: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """edge_monomials of every row of a batch, as an (N, |V|-1) array.
+
+    contacts is the batch's (i, j) from batch_contact_indices. The
+    exponent of u_p counts the edges whose range covers step p: i < p < j
+    for a tree edge, i < p <= j for every other edge.
+    """
+    vi = g._vertex_index
+    a, b = (np.array([vi[e.ends[x]] for e in g.edges], dtype=np.intp) for x in (0, 1))
+    i, j = (c[:, a, b] for c in contacts)
+    in_tree = np.zeros(i.shape, dtype=bool)
+    in_tree[np.arange(len(batch))[:, None], batch.orders] = True
+    steps = np.arange(1, len(g.vertices))
+    covered = (i[..., None] < steps) & (steps < (j + ~in_tree)[..., None])
+    return np.count_nonzero(covered, axis=1)
+
+
+def _row_products(a: np.ndarray) -> list[int]:
+    """The exact product of each row, in Python ints past the int64 range."""
+    if a.size and int(np.abs(a).max()) ** a.shape[1] >= 2**63:
+        a = a.astype(object)
+    return a.prod(axis=1).tolist()
+
+
 def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     """The exact checks on every ordered tree of a partition.
 
     prod 1/k equals the integral of the edge monomial, whose exponents
-    equal k - 1, and distinct vertices get contact indices i < j (a
-    vertex with itself gets (-1, 0) by convention).
+    equal k - 1, and distinct vertices get contact indices i < j. The
+    traces are built BLOCK_ORDERINGS orderings at a time; the count
+    route reads k from the labels, the monomial route the merge steps.
     """
     require_weighable(g, part)
-    verts = g.vertices
-    pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
-    total = Fraction(0)
-    routes = exponents = contacts = True
+    index = g._edge_index
+    rows, cols = np.triu_indices(len(g.vertices), 1)
     # the search runs to completion before the checks: interleaving it
     # with the trace work measured slower
     walks = list(ordered_trees(g, part))
-    for order, denom in walks:
-        weight = Fraction(1, denom)
-        total += weight
-        trace = build_trace(g, part, order)
-        mono = edge_monomials(g, trace)
-        routes = routes and ordered_weight_from_trace(trace) == weight == mono.integral()
-        exponents = exponents and mono.exponents == tuple(k - 1 for k in trace.k_values)
-        contacts = contacts and all(
-            i < j for i, j in (contact_indices(trace, v, w) for v, w in pairs)
-        )
+    denoms = [denom for _, denom in walks]
+    total = sum((Fraction(c, d) for d, c in Counter(denoms).items()), Fraction(0))
+    routes = exponents = contacts = True
+    for first in range(0, len(walks), BLOCK_ORDERINGS):
+        block = walks[first:first + BLOCK_ORDERINGS]
+        batch = trace_batch(g, part, [[index[eid] for eid in order] for order, _ in block])
+        i, j = batch_contact_indices(batch)
+        exps = edge_exponents(g, batch, (i, j))
+        searched = denoms[first:first + len(block)]
+        routes = routes and _row_products(batch.k) == searched == _row_products(exps + 1)
+        exponents = exponents and np.array_equal(exps, batch.k - 1)
+        contacts = contacts and bool(np.all(i[:, rows, cols] < j[:, rows, cols]))
     return ExactReport(len(walks), total, routes, exponents, contacts)
 
 

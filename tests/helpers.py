@@ -5,9 +5,11 @@ algorithms: spanning trees by subset enumeration, admissible orderings
 by filtering all permutations, the census by per-sector greedy calls,
 contact indices and k values by scanning the object form of a trace.
 Two more are the routes the state sweeps replaced: tree weights grouped
-from every ordered tree, and the census over every permutation. The
-last is the positivity check that builds its matrices one point at a
-time, which the stacked build replaced.
+from every ordered tree, and the census over every permutation. Then
+the positivity check that builds its matrices one point at a time,
+which the stacked build replaced, and the exact and positivity checks
+that build one trace per ordered tree, which the batched kernel
+replaced.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from treeweights.partitions import (
     ContractionTrace,
     Partition,
     build_trace,
+    contact_indices,
     ordered_trees,
     trans_block_count,
 )
@@ -37,7 +40,14 @@ from treeweights.psd import (
     min_eigenvalue,
 )
 from treeweights.sectors import SectorCensus, leading_tree
-from treeweights.weights import TreeRow, WeightReport, require_weighable
+from treeweights.weights import (
+    ExactReport,
+    TreeRow,
+    WeightReport,
+    edge_monomials,
+    ordered_weight_from_trace,
+    require_weighable,
+)
 
 
 def is_tree_subset(g: Multigraph, ids: tuple[str, ...]) -> bool:
@@ -222,6 +232,115 @@ def pointwise_verify_constructive(
                     endpoints_exact=endpoints,
                     unit_diagonal=diag_ok,
                     passed=ok,
+                )
+            )
+    return PsdReport(
+        seed=seed,
+        samples=samples,
+        tolerance=tol,
+        checks=tuple(checks),
+        measure_normalized=normalized,
+        passed=normalized and all(c.passed for c in checks),
+    )
+
+
+def per_tree_verify_exact(g: Multigraph, part: Partition) -> ExactReport:
+    """verify_exact with one trace, one edge_monomials call and one
+    contact_indices call per distinct vertex pair for each ordered tree."""
+    require_weighable(g, part)
+    verts = g.vertices
+    pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
+    total = Fraction(0)
+    routes = exponents = contacts = True
+    walks = list(ordered_trees(g, part))
+    for order, denom in walks:
+        weight = Fraction(1, denom)
+        total += weight
+        trace = build_trace(g, part, order)
+        mono = edge_monomials(g, trace)
+        routes = routes and ordered_weight_from_trace(trace) == weight == mono.integral()
+        exponents = exponents and mono.exponents == tuple(k - 1 for k in trace.k_values)
+        contacts = contacts and all(
+            i < j for i, j in (contact_indices(trace, v, w) for v, w in pairs)
+        )
+    return ExactReport(len(walks), total, routes, exponents, contacts)
+
+
+def trace_matrix_direct(trace: ContractionTrace, points: np.ndarray) -> np.ndarray:
+    """The direct contact matrices of one trace at a stack of points,
+    one contact_indices call per vertex pair."""
+    verts = trace.graph.vertices
+    n = len(verts)
+    m = np.ones(points.shape[:-1] + (n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            i, j = contact_indices(trace, verts[a], verts[b])
+            value = 1.0
+            for k in range(max(i + 1, 1), j + 1):
+                value *= points[..., k - 1]
+            m[..., a, b] = m[..., b, a] = value
+    return m
+
+
+def trace_matrix_recursion(trace: ContractionTrace, points: np.ndarray) -> np.ndarray:
+    """The interpolation chain of one trace at a stack of points."""
+    n = len(trace.graph.vertices)
+    merge = np.array(trace.merge_steps)
+    start = np.array(trace.start_blocks)
+    touch = merge.diagonal()
+    split = np.where(start[:, None] == start[None, :], np.minimum.outer(touch, touch), 0)
+    steps = np.arange(n - 1)[:, None, None]
+    masks = (merge <= steps) | (split > steps)
+    x = np.ones(points.shape[:-1] + (n, n))
+    for p in range(1, n):
+        up = points[..., p - 1, None, None]
+        x = up * x + (1.0 - up) * np.where(masks[p - 1], x, 0.0)
+    return x
+
+
+def per_tree_verify_constructive(
+    g: Multigraph, part: Partition, samples: int, tol: float, seed: int
+) -> PsdReport:
+    """verify_constructive with one trace, one stack per construction
+    and one eigvalsh call for each ordered tree."""
+    n = len(g.vertices)
+    corners = np.array([np.ones((n, n)), np.eye(n)])
+    checks: list[TraceCheck] = []
+    normalized = True
+    index = 0
+    for tree in g.spanning_trees():
+        skeleton = Multigraph(g.vertices, tuple(g.edge(e) for e in sorted(tree)))
+        walks = sorted(ordered_trees(skeleton, part))
+        if sum((Fraction(1, denom) for _, denom in walks), Fraction(0)) != 1:
+            normalized = False
+        for order, _ in walks:
+            trace = build_trace(g, part, order)
+            rng = np.random.default_rng([seed, index])
+            index += 1
+            sampled = rng.uniform(0.0, 1.0, size=(samples, n - 1))
+            points = np.vstack((sampled, np.ones(n - 1), np.zeros(n - 1)))
+            direct = trace_matrix_direct(trace, points)
+            recursed = trace_matrix_recursion(trace, points)
+            worst_gap = float(np.abs(direct[:samples] - recursed[:samples]).max())
+            worst_eig = min_eigenvalue(direct[:samples])
+            diag_ok = all(
+                np.all(m[:samples, range(n), range(n)] == 1.0) for m in (direct, recursed)
+            )
+            endpoints = all(np.array_equal(m[samples:], corners) for m in (direct, recursed))
+            checks.append(
+                TraceCheck(
+                    tree=tuple(sorted(tree)),
+                    order=order,
+                    min_eigenvalue=worst_eig,
+                    max_discrepancy=worst_gap,
+                    endpoints_exact=endpoints,
+                    unit_diagonal=diag_ok,
+                    passed=(
+                        worst_gap <= AGREEMENT_TOLERANCE
+                        and worst_eig >= -tol
+                        and diag_ok
+                        and endpoints
+                    ),
                 )
             )
     return PsdReport(

@@ -9,7 +9,7 @@ from treeweights import cli, weights
 from treeweights.cli import RunConfig, parse_graph, parse_partition
 from treeweights.errors import DuplicateVertexError, ParseError
 from treeweights.fixtures import fig1, fig2, fig2_double_rooted
-from treeweights.weights import Monomial, WeightReport, verify_exact
+from treeweights.weights import WeightReport, verify_exact
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -220,20 +220,23 @@ def test_check_failure_exit_code(monkeypatch):
 
 
 def _off_by_one(f):
-    def broken(g, trace):
-        exponents = f(g, trace).exponents
-        return Monomial((exponents[0] + 1,) + exponents[1:])
+    def broken(g, batch, contacts):
+        exponents = f(g, batch, contacts)
+        exponents[:, 0] += 1
+        return exponents
     return broken
 
 
+# verify_exact builds its traces in batches: the monomial route reads
+# edge_exponents, and both it and the contact check read
+# batch_contact_indices
 @pytest.mark.parametrize(
     "name,broken,failing",
     [
-        ("edge_monomials", _off_by_one, {"dual-route", "exponent-law"}),
-        # edge_monomials reads the swapped indices too
+        ("edge_exponents", _off_by_one, {"dual-route", "exponent-law"}),
         (
-            "contact_indices",
-            lambda f: lambda trace, v, w: f(trace, v, w)[::-1],
+            "batch_contact_indices",
+            lambda f: lambda batch: f(batch)[::-1],
             {"dual-route", "exponent-law", "contact-indices"},
         ),
         ("ordered_trees", lambda f: lambda *args: list(f(*args))[1:], {"normalization"}),
@@ -296,7 +299,7 @@ def test_json_output_is_strict():
     json.loads(out, parse_constant=reject)
     config = RunConfig(command="psd", graph_path="", output_format="json")
     with pytest.raises(ValueError):
-        cli._emit(config, {"min_eigenvalue": float("inf")}, [], [], io.StringIO())
+        cli._emit(config, lambda: {"min_eigenvalue": float("inf")}, [], list, io.StringIO())
 
 
 def test_deeply_nested_graph_json_is_parse_error(tmp_path):
@@ -306,3 +309,72 @@ def test_deeply_nested_graph_json_is_parse_error(tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error[parse-error]")
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["psd", "--graph", "GRAPH", "--tol", "abc"], "parse-error"),
+        (["psd", "--graph", "GRAPH", "--tol", "-1e-12"], "out-of-range"),
+        (["psd", "--graph", "GRAPH", "--tol", "-inf"], "out-of-range"),
+        (["psd", "--graph", "GRAPH", "--seed", "-1"], "out-of-range"),
+        (["psd", "--graph", "GRAPH", "--samples", "-3"], "out-of-range"),
+        (["psd", "--graph", "GRAPH", "--samples", "many"], "parse-error"),
+        (["psd", "--graph"], "parse-error"),
+        (["trees", "--graph", "GRAPH", "--bogus"], "parse-error"),
+        (["trees"], "parse-error"),
+        (["nope"], "parse-error"),
+        ([], "parse-error"),
+    ],
+)
+def test_argument_errors_print_one_error_line(capsys, args, code):
+    graph = str(FIXTURES / "fig1.json")
+    assert cli.main([graph if a == "GRAPH" else a for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error[{code}]: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["--help"], ["psd", "--help"]])
+def test_help_exits_zero(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: treeweights") and captured.err == ""
+
+
+def test_internal_fault_exit_code(monkeypatch):
+    # an ordering search that drops a row disagrees with the forest sweep,
+    # which the breakdown reports as an InvariantError
+    search = weights.ordered_trees
+    monkeypatch.setattr(weights, "ordered_trees", lambda *args: list(search(*args))[1:])
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(
+            [
+                "weights",
+                "--graph", str(FIXTURES / "fig2.json"),
+                "--partition", "v1|v2|v3,v4",
+                "--breakdown",
+                "--format", fmt,
+            ]
+        )
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert err.startswith("error[invariant-violated]")
+
+
+def test_emit_builds_only_what_the_format_writes():
+    def refuse():
+        raise AssertionError("built output that --format does not write")
+
+    for fmt in ("table", "csv"):
+        out = io.StringIO()
+        cli._emit(RunConfig(command="trees", graph_path="", output_format=fmt),
+                  refuse, ["tree"], lambda: [["l1"]], out)
+        assert "l1" in out.getvalue()
+    out = io.StringIO()
+    cli._emit(RunConfig(command="trees", graph_path="", output_format="json"),
+              lambda: {"count": 1}, ["tree"], refuse, out)
+    assert json.loads(out.getvalue()) == {"format": 1, "count": 1}

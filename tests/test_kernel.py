@@ -1,31 +1,48 @@
 """The integer contraction kernel against the object-level walk it replaced.
 
 The kernel's k values and contact indices must equal, bit for bit, those
-read off the replayed graphs and partitions; the engine routes must run
-without contracting a single graph; and no invariant may hide in an
-`assert` that `python -O` strips.
+read off the replayed graphs and partitions; the batched kernel must
+equal the single-trace routes row by row, and the checks built on it the
+per-ordering loops they replaced; the engine routes must run without
+contracting a single graph; and no invariant may hide in an `assert`
+that `python -O` strips.
 """
 
 import ast
 import io
+import itertools
+import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from treeweights import cli
+from treeweights import cli, psd, weights
 from treeweights.cli import RunConfig
-from treeweights.errors import InvariantError
+from treeweights.errors import InvariantError, NotAdmissibleError
 from treeweights.fixtures import fig1, fig1_root_first, fig1_root_second, fig2, fig2_double_rooted
 from treeweights.graph import Multigraph
 from treeweights.partitions import (
     Partition,
     admissible_orderings,
+    batch_contact_indices,
     build_trace,
     contact_indices,
+    forest_trace,
     ordered_trees,
+    trace_batch,
 )
+from treeweights.psd import verify_constructive
+from treeweights.weights import edge_exponents, edge_monomials, verify_exact
 
-from helpers import replayed_k_values, scan_contact_indices
+from helpers import (
+    nontrivial_partitions,
+    per_tree_verify_constructive,
+    per_tree_verify_exact,
+    random_connected_multigraph,
+    replayed_k_values,
+    scan_contact_indices,
+)
 from test_acceptance import pool_normalization
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +74,81 @@ def test_kernel_matches_replayed_scan():
                             )
                     traces += 1
     assert traces > 1000
+
+
+def batch_cases():
+    """The criterion-9 cases and 40 seeded multigraphs with loops and
+    parallel edges, one partition each."""
+    cases = [(g, part) for g, parts in kernel_cases() for part in parts]
+    rng = random.Random(6006)
+    for _ in range(40):
+        g = random_connected_multigraph(rng, min_vertices=2, max_vertices=5, max_edges=8)
+        cases.append((g, rng.choice(nontrivial_partitions(g, rng))))
+    return cases
+
+
+def test_batch_kernel_matches_single_traces():
+    rows = 0
+    for g, part in batch_cases():
+        walks = list(ordered_trees(g, part))
+        index = g._edge_index
+        batch = trace_batch(g, part, [[index[eid] for eid in order] for order, _ in walks])
+        i, j = batch_contact_indices(batch)
+        exps = edge_exponents(g, batch, (i, j))
+        verts = g.vertices
+        for row, (order, _) in enumerate(walks):
+            trace = forest_trace(g, part, order)
+            assert tuple(batch.k[row].tolist()) == trace.k_values
+            assert tuple(map(tuple, batch.merge_steps[row].tolist())) == trace.merge_steps
+            assert tuple(batch.start_blocks.tolist()) == trace.start_blocks
+            assert [
+                [(int(i[row, a, b]), int(j[row, a, b])) for b in range(len(verts))]
+                for a in range(len(verts))
+            ] == [[contact_indices(trace, v, w) for w in verts] for v in verts]
+            assert tuple(exps[row].tolist()) == edge_monomials(g, trace).exponents
+            rows += 1
+    assert rows > 5000
+
+
+@lru_cache(maxsize=1)
+def per_tree_reports():
+    return [
+        (per_tree_verify_exact(g, part), per_tree_verify_constructive(g, part, 2, 1e-10, 5))
+        for g, part in batch_cases()
+    ]
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["default-blocks", "blocks-of-3"])
+def test_batched_checks_equal_per_tree_loops(monkeypatch, block):
+    if block is not None:
+        for module in (weights, psd):
+            monkeypatch.setattr(module, "BLOCK_ORDERINGS", block)
+    for (g, part), (exact, positivity) in zip(batch_cases(), per_tree_reports()):
+        assert verify_exact(g, part) == exact
+        assert verify_constructive(g, part, samples=2, seed=5) == positivity
+
+
+def test_batch_kernel_refuses_like_forest_trace():
+    g, part = fig2(), fig2_double_rooted()
+    index = g._edge_index
+    rows, refused = [], []
+    for tree in g.spanning_trees():
+        for order in itertools.permutations(sorted(tree)):
+            rows.append([index[eid] for eid in order])
+            try:
+                forest_trace(g, part, order)
+            except NotAdmissibleError as expected:
+                with pytest.raises(NotAdmissibleError) as err:
+                    trace_batch(g, part, rows[-1:])
+                assert (err.value.step, str(err.value)) == (expected.step, str(expected))
+                refused.append(expected.step)
+            else:
+                assert len(trace_batch(g, part, rows[-1:])) == 1
+    assert 0 < len(refused) < len(rows)
+    # a batch stops at the first step at which any row is refused
+    with pytest.raises(NotAdmissibleError) as err:
+        trace_batch(g, part, rows)
+    assert err.value.step == min(refused)
 
 
 def test_engine_routes_never_contract(monkeypatch):

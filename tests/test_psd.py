@@ -15,7 +15,13 @@ from treeweights.fixtures import (
     fig2,
     fig2_double_rooted,
 )
-from treeweights.partitions import Partition, admissible_orderings, build_trace
+from treeweights.partitions import (
+    Partition,
+    admissible_orderings,
+    build_trace,
+    ordered_trees,
+    trace_batch,
+)
 from treeweights.psd import (
     check_psd,
     contact_matrix_direct,
@@ -28,6 +34,8 @@ from helpers import (
     nontrivial_partitions,
     pointwise_verify_constructive,
     random_connected_multigraph,
+    trace_matrix_direct,
+    trace_matrix_recursion,
 )
 
 FIXTURE_CASES = [
@@ -118,6 +126,28 @@ def test_stacked_builds_equal_pointwise_builds():
                 stack = build(trace, points)
                 assert np.array_equal(stack, np.stack([build(trace, u) for u in points]))
                 assert min_eigenvalue(stack) == min(min_eigenvalue(m) for m in stack)
+
+
+def test_batch_builds_equal_per_trace_builds():
+    rng = np.random.default_rng(23)
+    for g, part in FIXTURE_CASES + multigraph_cases():
+        n = len(g.vertices)
+        orders = [order for order, _ in ordered_trees(g, part)]
+        index = g._edge_index
+        batch = trace_batch(g, part, [[index[eid] for eid in order] for order in orders])
+        points = rng.uniform(size=(len(orders), 4, n - 1))
+        traces = [build_trace(g, part, order) for order in orders]
+        for build, oracle in (
+            (contact_matrix_direct, trace_matrix_direct),
+            (contact_matrix_recursion, trace_matrix_recursion),
+        ):
+            expected = np.stack([oracle(t, p) for t, p in zip(traces, points)])
+            assert np.array_equal(build(batch, points), expected)
+            assert np.array_equal(build(batch, points[:, 0]), expected[:, 0])
+            with pytest.raises(BadDimensionError):
+                build(batch, points[1:])
+            with pytest.raises(BadDimensionError):
+                build(batch, points[..., 1:])
 
 
 def test_check_psd():
