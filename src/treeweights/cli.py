@@ -382,13 +382,25 @@ def build_parser() -> argparse.ArgumentParser:
             default="table",
             dest="output_format",
         )
-        p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
         p.add_argument(
-            "--tol", type=float, default=DEFAULT_TOLERANCE, dest="tolerance", metavar="TOL"
+            "--guard", type=int, default=DEFAULT_GUARD,
+            help=f"max edge count for the symmetric census (default {DEFAULT_GUARD})",
         )
-        p.add_argument("--breakdown", action="store_true")
+        p.add_argument(
+            "--seed", type=int, default=0, help="random seed of the psd sample points"
+        )
+        p.add_argument(
+            "--samples", type=int, default=DEFAULT_SAMPLES,
+            help=f"sampled points per ordered tree for psd (default {DEFAULT_SAMPLES})",
+        )
+        p.add_argument(
+            "--tol", type=float, default=DEFAULT_TOLERANCE, dest="tolerance", metavar="TOL",
+            help=f"psd fails an eigenvalue below -TOL (default {DEFAULT_TOLERANCE:g})",
+        )
+        p.add_argument(
+            "--breakdown", action="store_true",
+            help="weights: list each admissible ordering and its weight",
+        )
     return parser
 
 

@@ -6,10 +6,14 @@ walks the sector, keeping each edge that does not close a cycle
 minimum total rank: the Kruskal tree, so a tree's symmetric weight is
 its chance of being the minimum spanning tree under iid uniform edge
 weights. The census counts the sectors leading to each tree exactly,
-without listing the |E|! sectors one by one: the leading tree is fixed
-as soon as a sector prefix spans, so the census walks prefixes and
-credits each spanning prefix of d edges with the (|E| - d)! sectors
-that extend it. The weight of a tree is count/|E|!.
+without listing the |E|! sectors one by one. How a sector prefix can go
+on depends only on the set of edges it placed and the greedy forest
+they built, so the census sweeps these states level by level, each with
+the number of prefixes that reach it, and the leading tree is fixed as
+soon as the forest spans: a state whose next edge makes a spanning tree
+after d placed edges credits that tree with its multiplicity times the
+(|E| - d - 1)! ways to order the rest. The weight of a tree is
+count/|E|!. Counting is in integers throughout.
 """
 
 from __future__ import annotations
@@ -62,10 +66,15 @@ def leading_tree(g: Multigraph, sector: Sequence[str]) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class SectorCensus:
-    """Leading-tree counts over all |E|! sectors of one graph."""
+    """Leading-tree counts over all |E|! sectors of one graph.
+
+    states is the number of non-spanning (placed edges, forest) states
+    the census swept, the empty root included.
+    """
 
     counts: Mapping[frozenset[str], int]
     total: int
+    states: int = 0
 
     def weight(self, tree: Iterable[str]) -> Fraction:
         return Fraction(self.counts.get(frozenset(tree), 0), self.total)
@@ -73,24 +82,18 @@ class SectorCensus:
     def weights(self) -> dict[frozenset[str], Fraction]:
         return {t: Fraction(c, self.total) for t, c in self.counts.items()}
 
-    @staticmethod
-    def merge(parts: Iterable[SectorCensus], total: int) -> SectorCensus:
-        """Combine partial censuses by exact integer addition."""
-        counts: dict[frozenset[str], int] = {}
-        for part in parts:
-            for tree, c in part.counts.items():
-                counts[tree] = counts.get(tree, 0) + c
-        return SectorCensus(counts, total)
-
 
 def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
-    """Count leading trees over every sector, by walking sector prefixes.
+    """Count leading trees over every sector, by sweeping prefix states.
 
-    A prefix is extended by every unused edge in turn; the walk tracks
-    the greedy forest of the prefix as component labels and stops at
-    the first edge that makes it span, adding (|E| - d)! to that tree
-    for the d-edge prefix. Refuses graphs with more than ``guard``
-    edges before any work: the census is exhaustive, never sampled.
+    A state is the set U of edges placed so far with the greedy forest F
+    they built, carried as F's component labels and the number of
+    ordered prefixes that reach it. Level d holds the states with
+    |U| = d; each unused edge e moves a state to (U + e, F) when e
+    closes a cycle in F, credits the multiplicity times (|E| - d - 1)!
+    to the tree F + e when that spans, and moves it to (U + e, F + e)
+    otherwise. Refuses graphs with more than ``guard`` edges before any
+    work: the census is exhaustive, never sampled.
     """
     if not g.is_connected():
         raise DisconnectedError("census requires a connected graph")
@@ -102,36 +105,48 @@ def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
     n = len(g.vertices)
     ids = sorted(e.id for e in g.edges)
     vi = g._vertex_index
-    pairs = [(vi[a], vi[b]) for a, b in (g.ends(i) for i in ids)]
+    edges = [(1 << ei, vi[a], vi[b]) for ei, (a, b) in enumerate(map(g.ends, ids))]
     suffixes = [math.factorial(k) for k in range(m + 1)]
     raw: dict[int, int] = {}
-
-    def extend(comp: tuple[int, ...], used: int, picked: int) -> None:
-        # edges still unplaced once one more joins the prefix
-        rest = m - used.bit_count() - 1
-        spans = picked.bit_count() + 1 == n - 1
-        for ei, (a, b) in enumerate(pairs):
-            bit = 1 << ei
-            if used & bit:
-                continue
-            ca, cb = comp[a], comp[b]
-            if ca == cb:
-                extend(comp, used | bit, picked)
-            elif spans:
-                raw[picked | bit] = raw.get(picked | bit, 0) + suffixes[rest]
-            else:
-                joined = tuple(ca if c == cb else c for c in comp)
-                extend(joined, used | bit, picked | bit)
-
+    states = 0
+    # state key: placed edges | forest edges << m; value: [labels, multiplicity]
+    level: dict[int, list] = {}
     if n == 1:
         raw[0] = suffixes[m]
     else:
-        extend(tuple(range(n)), 0, 0)
+        level[0] = [tuple(range(n)), 1]
+    for placed in range(m):
+        states += len(level)
+        # sectors extending a prefix of placed + 1 edges
+        credit = suffixes[m - placed - 1]
+        after: dict[int, list] = {}
+        for key, (comp, mult) in level.items():
+            spans = (key >> m).bit_count() + 2 == n
+            for bit, a, b in edges:
+                if key & bit:
+                    continue
+                ca, cb = comp[a], comp[b]
+                if ca == cb:
+                    step = key | bit
+                elif spans:
+                    tree = key >> m | bit
+                    raw[tree] = raw.get(tree, 0) + mult * credit
+                    continue
+                else:
+                    step = key | bit | bit << m
+                state = after.get(step)
+                if state is not None:
+                    state[1] += mult
+                elif ca == cb:
+                    after[step] = [comp, mult]
+                else:
+                    after[step] = [tuple(ca if c == cb else c for c in comp), mult]
+        level = after
     counts = {
         frozenset(ids[i] for i in range(m) if key >> i & 1): c
         for key, c in raw.items()
     }
-    return SectorCensus(counts, suffixes[m])
+    return SectorCensus(counts, suffixes[m], states)
 
 
 def symmetric_weight(

@@ -4,8 +4,9 @@ The oracles are deliberately naive and independent of the library's
 algorithms: spanning trees by subset enumeration, admissible orderings
 by filtering all permutations, the census by per-sector greedy calls,
 contact indices and k values by scanning the object form of a trace.
-Two more are the routes the state sweeps replaced: tree weights grouped
-from every ordered tree, and the census over every permutation. Then
+Three more are the routes the state sweeps replaced: tree weights
+grouped from every ordered tree, the census over every permutation and
+the census that walks every sector prefix. Then
 the positivity check that builds its matrices one point at a time,
 which the stacked build replaced, and the exact and positivity checks
 that build one trace per ordered tree, which the batched kernel
@@ -21,7 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from treeweights.errors import DisconnectedError, NotAdmissibleError
+from treeweights.errors import (
+    DisconnectedError,
+    EnumerationGuardExceededError,
+    NotAdmissibleError,
+)
 from treeweights.graph import DisjointSet, Multigraph
 from treeweights.partitions import (
     ContractionTrace,
@@ -39,7 +44,7 @@ from treeweights.psd import (
     contact_matrix_recursion,
     min_eigenvalue,
 )
-from treeweights.sectors import SectorCensus, leading_tree
+from treeweights.sectors import DEFAULT_GUARD, SectorCensus, leading_tree
 from treeweights.weights import (
     ExactReport,
     TreeRow,
@@ -172,6 +177,56 @@ def permutation_census(g: Multigraph) -> SectorCensus:
             raw[key] = raw.get(key, 0) + 1
     counts = {frozenset(ids[i] for i in key): c for key, c in raw.items()}
     return SectorCensus(counts, total)
+
+
+def prefix_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
+    """The census by walking sector prefixes one by one.
+
+    A prefix is extended by every unused edge in turn; the walk tracks
+    the greedy forest of the prefix as component labels and stops at
+    the first edge that makes it span, adding (|E| - d)! to that tree
+    for the d-edge prefix.
+    """
+    if not g.is_connected():
+        raise DisconnectedError("census requires a connected graph")
+    m = len(g.edges)
+    if m > guard:
+        raise EnumerationGuardExceededError(
+            f"{m} edges means {m}! sectors; guard is {guard}"
+        )
+    n = len(g.vertices)
+    ids = sorted(e.id for e in g.edges)
+    vi = g._vertex_index
+    pairs = [(vi[a], vi[b]) for a, b in (g.ends(i) for i in ids)]
+    suffixes = [math.factorial(k) for k in range(m + 1)]
+    raw: dict[int, int] = {}
+
+    def extend(comp: tuple[int, ...], used: int, picked: int) -> None:
+        # edges still unplaced once one more joins the prefix
+        rest = m - used.bit_count() - 1
+        spans = picked.bit_count() + 1 == n - 1
+        for ei, (a, b) in enumerate(pairs):
+            bit = 1 << ei
+            if used & bit:
+                continue
+            ca, cb = comp[a], comp[b]
+            if ca == cb:
+                extend(comp, used | bit, picked)
+            elif spans:
+                raw[picked | bit] = raw.get(picked | bit, 0) + suffixes[rest]
+            else:
+                joined = tuple(ca if c == cb else c for c in comp)
+                extend(joined, used | bit, picked | bit)
+
+    if n == 1:
+        raw[0] = suffixes[m]
+    else:
+        extend(tuple(range(n)), 0, 0)
+    counts = {
+        frozenset(ids[i] for i in range(m) if key >> i & 1): c
+        for key, c in raw.items()
+    }
+    return SectorCensus(counts, suffixes[m])
 
 
 def pointwise_verify_constructive(

@@ -345,6 +345,14 @@ def test_help_exits_zero(capsys, args):
     assert captured.out.startswith("usage: treeweights") and captured.err == ""
 
 
+def test_symmetric_help_names_the_guard(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["symmetric", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--guard GUARD max edge count for the symmetric census (default 10)" in out
+
+
 def test_internal_fault_exit_code(monkeypatch):
     # an ordering search that drops a row disagrees with the forest sweep,
     # which the breakdown reports as an InvariantError

@@ -1,9 +1,11 @@
 """The state sweeps against the routes they replaced.
 
-weight_distribution sweeps forests and sector_census walks sector
-prefixes; both must equal, bit for bit, the grouping of every ordered
-tree and the census over every permutation kept in helpers. Printing
-tree weights must never list an ordering.
+weight_distribution sweeps forests and sector_census sweeps (placed
+edges, greedy forest) states; both must equal, bit for bit, the routes
+kept in helpers: the grouping of every ordered tree, and the census
+that walks every sector prefix and the one over every permutation.
+Printing tree weights must never list an ordering, and the symmetric
+command must print the same bytes with the prefix walk as its census.
 """
 
 import io
@@ -18,13 +20,14 @@ from treeweights.cli import RunConfig
 from treeweights.fixtures import fig1_root_first, fig1_root_second, fig2_double_rooted
 from treeweights.graph import Multigraph
 from treeweights.partitions import Partition
-from treeweights.sectors import sector_census
+from treeweights.sectors import DEFAULT_GUARD, sector_census
 from treeweights.weights import symmetric_via_partition, weight_distribution
 
 from helpers import (
     grouped_weight_distribution,
     nontrivial_partitions,
     permutation_census,
+    prefix_census,
     random_connected_multigraph,
 )
 from test_kernel import kernel_cases
@@ -72,28 +75,92 @@ def test_forest_sweep_matches_grouped_orderings():
     assert orderings > 10000
 
 
-def test_prefix_census_matches_permutations():
+def complete_graph(k, parallel=()):
+    """K_k with edges l<a><b>, plus one edge p<i> per (a, b) in parallel."""
+    vertices = [f"v{i}" for i in range(1, k + 1)]
+    edges = [
+        (f"l{a}{b}", vertices[a], vertices[b]) for a in range(k) for b in range(a + 1, k)
+    ]
+    edges.extend(
+        (f"p{i}", vertices[a], vertices[b]) for i, (a, b) in enumerate(parallel)
+    )
+    return Multigraph.build(vertices, edges)
+
+
+def test_state_census_matches_prefix_walk_and_permutations():
     graphs = [g for g, _ in kernel_cases()] + list(multigraph_pool())
     for g in graphs:
-        census, oracle = sector_census(g), permutation_census(g)
+        census = sector_census(g)
+        for oracle in (prefix_census(g), permutation_census(g)):
+            assert dict(census.counts) == dict(oracle.counts)
+            assert census.total == oracle.total
+    triangle = [("l1", "v1", "v2"), ("l2", "v2", "v3"), ("l3", "v1", "v3")]
+    loops = [(f"s{i}", f"v{i % 3 + 1}", f"v{i % 3 + 1}") for i in range(7)]
+    larger = [
+        (complete_graph(5), DEFAULT_GUARD),
+        (complete_graph(5, [(0, 1), (2, 3)]), 12),
+        (Multigraph.build(["v1", "v2", "v3"], triangle + loops), DEFAULT_GUARD),
+        (Multigraph.build(["v1"], [("s1", "v1", "v1"), ("s2", "v1", "v1")]), DEFAULT_GUARD),
+    ]
+    for g, guard in larger:
+        census, oracle = sector_census(g, guard=guard), prefix_census(g, guard=guard)
         assert dict(census.counts) == dict(oracle.counts)
         assert census.total == oracle.total
 
 
+def test_census_counts_states():
+    assert sector_census(complete_graph(5)).states == 786
+    assert sector_census(complete_graph(5, [(0, 1), (2, 3)]), guard=12).states == 3155
+    single = Multigraph.build(["v1"], [("s1", "v1", "v1")])
+    assert sector_census(single).states == 0
+    edge = Multigraph.build(["v1", "v2"], [("l1", "v1", "v2")])
+    assert sector_census(edge).states == 1
+
+
 def test_ten_edge_census_at_default_guard():
-    vertices = [f"v{i}" for i in range(1, 6)]
-    k5 = Multigraph.build(
-        vertices,
-        [
-            (f"l{a}{b}", vertices[a], vertices[b])
-            for a in range(5)
-            for b in range(a + 1, 5)
-        ],
-    )
+    k5 = complete_graph(5)
     census = sector_census(k5)
     assert census.total == 3628800
     assert len(census.counts) == 125
     assert census.weights() == symmetric_via_partition(k5).weights()
+
+
+def test_symmetric_output_matches_prefix_walk(monkeypatch, tmp_path):
+    corners = [f"v{i}" for i in range(8)]
+    cube = Multigraph.build(
+        corners,
+        [
+            (f"l{a}{a | bit}", corners[a], corners[a | bit])
+            for a in range(8)
+            for bit in (1, 2, 4)
+            if not a & bit
+        ],
+    )
+    paths = [FIG1, FIG2]
+    for name, g in (("k5", complete_graph(5)), ("cube", cube)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(g.to_json())
+        paths.append(str(path))
+    configs = [
+        RunConfig(command="symmetric", graph_path=path, output_format=fmt)
+        for path in paths
+        for fmt in ("table", "json", "csv")
+    ]
+
+    def run_all():
+        outputs = []
+        for config in configs:
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.run(config, out=out, err=err)
+            outputs.append((code, out.getvalue(), err.getvalue()))
+        return outputs
+
+    states = run_all()
+    assert [code for code, _, _ in states] == [0] * 9 + [4] * 3
+    for _, out, err in states[9:]:
+        assert out == "" and err.startswith("error[guard-exceeded]: 12 edges")
+    monkeypatch.setattr(cli, "sector_census", prefix_census)
+    assert run_all() == states
 
 
 def test_tree_weights_never_list_orderings(monkeypatch):
