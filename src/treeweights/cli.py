@@ -187,14 +187,15 @@ def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
         }
         for tree, w in sorted(census_weights.items(), key=lambda item: sorted(item[0]))
     ]
-    total = sum(census_weights.values(), Fraction(0))
-    if total != 1:
-        raise CheckFailure(f"weights sum to {total}, not 1")
+    # every weight is a count over census.total, so the counts must sum to it
+    counted = sum(census.counts.values())
+    if counted != census.total:
+        raise CheckFailure(f"weights sum to {Fraction(counted, census.total)}, not 1")
     payload = {
         "command": "symmetric",
         "sectors_total": census.total,
         "rows": items,
-        "sum": str(total),
+        "sum": "1",
     }
     headers = ["tree", "weight", "decimal", "sectors", "orderings"]
     _emit(config, lambda: payload, headers, lambda: [_cells(item) for item in items], out)

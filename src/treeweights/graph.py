@@ -187,50 +187,81 @@ class Multigraph:
         return Multigraph(new_vertices, new_edges), vmap
 
     def spanning_trees(self) -> list[frozenset[str]]:
-        """All spanning trees as edge-id sets, via contraction-deletion.
+        """All spanning trees as edge-id sets, sorted by their sorted ids.
 
-        Branching on one non-loop edge e splits the trees into those that
-        contain e (trees of G/e, each extended by e) and those that do not
-        (trees of G-e, explored only while G-e stays connected), so every
-        tree is produced exactly once. Output is sorted for determinism.
+        The non-loop edges are taken in id order. A state is a position
+        in that order together with the forest chosen from the edges
+        before it, carried as canonical component labels (each vertex
+        labeled by the least vertex of its component). How the forest
+        can grow depends only on the state, so a state reached by
+        different choices is built once. A state can take its edge when
+        the ends lie in different components, and can always skip it.
+
+        The states are built position by position, then swept back once
+        to drop the dead ones: those with fewer edges left than the
+        forest needs, or with no live successor. A walk over the live
+        states, taking before skipping, meets every tree exactly once
+        and never enters a branch without one, so no branch needs a
+        connectivity test. Taking first lists the trees in sorted order,
+        so no final sort is needed. The walk keeps its own stack and the
+        build is a loop over positions: nothing recurses, so a graph
+        with thousands of edges lists its trees like any other.
         """
         if not self.is_connected():
             raise DisconnectedError("spanning trees require a connected graph")
         n = len(self.vertices)
+        if n == 1:
+            return [frozenset()]
         vi = self._vertex_index
-        edges = [(e.id, vi[e.ends[0]], vi[e.ends[1]]) for e in self.edges]
+        edges = sorted(
+            (e.id, vi[e.ends[0]], vi[e.ends[1]]) for e in self.edges if not e.is_self_loop
+        )
+        m = len(edges)
+        # a state is [edge id, take, skip]: the states after taking and
+        # after skipping its edge, None when dead; take is `spans` when
+        # taking the edge completes a tree
+        spans: list = []
+        root = [edges[0][0], None, None]
+        # per position: component labels -> (state, edges the tree still needs)
+        levels = [{tuple(range(n)): (root, n - 1)}]
+        for pos, (_, a, b) in enumerate(edges):
+            left = m - pos - 1
+            after: dict[tuple[int, ...], tuple[list, int]] = {}
+            for labels, (state, need) in levels[-1].items():
+                moves = [(2, labels, need)]
+                lo, hi = sorted((labels[a], labels[b]))
+                if lo != hi and need == 1:
+                    state[1] = spans
+                elif lo != hi:
+                    moves.append((1, tuple(lo if c == hi else c for c in labels), need - 1))
+                for side, key, rest in moves:
+                    # rest >= 1, so a built successor has an edge to decide
+                    if left < rest:
+                        continue
+                    if key not in after:
+                        after[key] = ([edges[pos + 1][0], None, None], rest)
+                    state[side] = after[key][0]
+            levels.append(after)
+        # a state with neither successor live is dead; successors lie one
+        # position further, so sweep the positions backwards
+        for level in reversed(levels):
+            for state, _ in level.values():
+                for side in (1, 2):
+                    child = state[side]
+                    if child is None or child is spans:
+                        continue
+                    if child[1] is None and child[2] is None:
+                        state[side] = None
         out: list[frozenset[str]] = []
-
-        def still_connected(nverts: int, rem: list[tuple[str, int, int]]) -> bool:
-            ds = DisjointSet(n)
-            groups = nverts
-            for _, a, b in rem:
-                if ds.union(a, b):
-                    groups -= 1
-            return groups == 1
-
-        def rec(nverts: int, rem: list[tuple[str, int, int]], chosen: tuple[str, ...]):
-            if nverts == 1:
-                out.append(frozenset(chosen))
-                return
-            pick = next((t for t in rem if t[1] != t[2]), None)
-            if pick is None:
-                return
-            eid, a, b = pick
-            contracted = [
-                (i, a if x == b else x, a if y == b else y)
-                for i, x, y in rem
-                if i != eid
-            ]
-            rec(nverts - 1, contracted, chosen + (eid,))
-            deleted = [t for t in rem if t[0] != eid]
-            if still_connected(nverts, deleted):
-                rec(nverts, deleted, chosen)
-
-        # vertices keep their dense indices; contraction reuses index a for
-        # the merged vertex, so DisjointSet(n) stays valid throughout
-        rec(n, edges, ())
-        out.sort(key=lambda t: tuple(sorted(t)))
+        stack: list[tuple[list, tuple[str, ...]]] = [(root, ())]
+        while stack:
+            (eid, take, skip), chosen = stack.pop()
+            if skip is not None:
+                stack.append((skip, chosen))
+            if take is spans:
+                out.append(frozenset(chosen + (eid,)))
+            elif take is not None:
+                stack.append((take, chosen + (eid,)))
         return out
 
     def complexity(self) -> int:

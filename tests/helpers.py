@@ -4,9 +4,10 @@ The oracles are deliberately naive and independent of the library's
 algorithms: spanning trees by subset enumeration, admissible orderings
 by filtering all permutations, the census by per-sector greedy calls,
 contact indices and k values by scanning the object form of a trace.
-Three more are the routes the state sweeps replaced: tree weights
-grouped from every ordered tree, the census over every permutation and
-the census that walks every sector prefix. Then
+Four more are the routes the state sweeps replaced: tree weights
+grouped from every ordered tree, the census over every permutation,
+the census that walks every sector prefix and the contraction-deletion
+recursion that listed the spanning trees. Then
 the positivity check that builds its matrices one point at a time,
 which the stacked build replaced, and the exact and positivity checks
 that build one trace per ordered tree, which the batched kernel
@@ -75,6 +76,54 @@ def brute_force_spanning_trees(g: Multigraph) -> set[frozenset[str]]:
         for combo in itertools.combinations(ids, size)
         if is_tree_subset(g, combo)
     }
+
+
+def contraction_deletion_trees(g: Multigraph) -> list[frozenset[str]]:
+    """All spanning trees as edge-id sets, via contraction-deletion.
+
+    Branching on one non-loop edge e splits the trees into those that
+    contain e (trees of G/e, each extended by e) and those that do not
+    (trees of G-e, explored only while G-e stays connected), so every
+    tree is produced exactly once. Output is sorted for determinism.
+    """
+    if not g.is_connected():
+        raise DisconnectedError("spanning trees require a connected graph")
+    n = len(g.vertices)
+    vi = g._vertex_index
+    edges = [(e.id, vi[e.ends[0]], vi[e.ends[1]]) for e in g.edges]
+    out: list[frozenset[str]] = []
+
+    def still_connected(nverts: int, rem: list[tuple[str, int, int]]) -> bool:
+        ds = DisjointSet(n)
+        groups = nverts
+        for _, a, b in rem:
+            if ds.union(a, b):
+                groups -= 1
+        return groups == 1
+
+    def rec(nverts: int, rem: list[tuple[str, int, int]], chosen: tuple[str, ...]):
+        if nverts == 1:
+            out.append(frozenset(chosen))
+            return
+        pick = next((t for t in rem if t[1] != t[2]), None)
+        if pick is None:
+            return
+        eid, a, b = pick
+        contracted = [
+            (i, a if x == b else x, a if y == b else y)
+            for i, x, y in rem
+            if i != eid
+        ]
+        rec(nverts - 1, contracted, chosen + (eid,))
+        deleted = [t for t in rem if t[0] != eid]
+        if still_connected(nverts, deleted):
+            rec(nverts, deleted, chosen)
+
+    # vertices keep their dense indices; contraction reuses index a for
+    # the merged vertex, so DisjointSet(n) stays valid throughout
+    rec(n, edges, ())
+    out.sort(key=lambda t: tuple(sorted(t)))
+    return out
 
 
 def brute_force_orderings(

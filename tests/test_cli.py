@@ -9,6 +9,8 @@ from treeweights import cli, weights
 from treeweights.cli import RunConfig, parse_graph, parse_partition
 from treeweights.errors import DuplicateVertexError, ParseError
 from treeweights.fixtures import fig1, fig2, fig2_double_rooted
+from treeweights.graph import Multigraph
+from treeweights.sectors import SectorCensus, sector_census
 from treeweights.weights import WeightReport, verify_exact
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -48,6 +50,17 @@ def test_trees_command():
     code, out, err = run_cli(["trees", "--graph", str(FIXTURES / "fig1.json")])
     assert code == 0 and err == ""
     assert out.splitlines()[1:] == ["l1,l2", "l1,l3", "l1,l4", "l2,l3", "l2,l4"]
+
+
+def test_trees_of_many_parallel_edges(tmp_path):
+    # one tree per edge, listed without recursing once per edge
+    g = Multigraph.build(["v1", "v2"], [(f"p{i:04d}", "v1", "v2") for i in range(1500)])
+    assert len(g.spanning_trees()) == g.complexity() == 1500
+    path = tmp_path / "parallel.json"
+    path.write_text(g.to_json())
+    code, out, err = run_cli(["trees", "--graph", str(path), "--format", "csv"])
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1501
 
 
 def test_weights_command_table():
@@ -217,6 +230,22 @@ def test_check_failure_exit_code(monkeypatch):
     )
     assert code == 3
     assert "error[check-failure]" in err
+
+
+def test_symmetric_sum_check_failure(monkeypatch, tmp_path):
+    # a census whose counts miss its total by one fails the sum check; on
+    # one vertex there is no partition route to disagree with it first
+    def miscounted(g, guard):
+        census = sector_census(g, guard)
+        tree, count = next(iter(census.counts.items()))
+        return SectorCensus({**census.counts, tree: count + 1}, census.total)
+
+    loops = Multigraph.build(["v1"], [(f"s{i}", "v1", "v1") for i in range(3)])
+    path = tmp_path / "loops.json"
+    path.write_text(loops.to_json())
+    monkeypatch.setattr(cli, "sector_census", miscounted)
+    code, out, err = run_cli(["symmetric", "--graph", str(path)])
+    assert (code, out, err) == (3, "", "error[check-failure]: weights sum to 7/6, not 1\n")
 
 
 def _off_by_one(f):

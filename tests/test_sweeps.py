@@ -1,11 +1,13 @@
 """The state sweeps against the routes they replaced.
 
-weight_distribution sweeps forests and sector_census sweeps (placed
-edges, greedy forest) states; both must equal, bit for bit, the routes
-kept in helpers: the grouping of every ordered tree, and the census
-that walks every sector prefix and the one over every permutation.
-Printing tree weights must never list an ordering, and the symmetric
-command must print the same bytes with the prefix walk as its census.
+weight_distribution sweeps forests, sector_census sweeps (placed
+edges, greedy forest) states and spanning_trees walks (position,
+forest) states; each must equal, bit for bit, the routes kept in
+helpers: the grouping of every ordered tree, the census that walks
+every sector prefix and the one over every permutation, and the
+contraction-deletion recursion, order included. Printing tree weights
+must never list an ordering, and the symmetric, trees and psd commands
+must print the same bytes with the replaced routes.
 """
 
 import io
@@ -24,6 +26,7 @@ from treeweights.sectors import DEFAULT_GUARD, sector_census
 from treeweights.weights import symmetric_via_partition, weight_distribution
 
 from helpers import (
+    contraction_deletion_trees,
     grouped_weight_distribution,
     nontrivial_partitions,
     permutation_census,
@@ -57,6 +60,16 @@ def sweep_cases():
         (g, part) for g in multigraph_pool() for part in nontrivial_partitions(g, cap=100)
     )
     return cases
+
+
+def run_configs(configs):
+    """Exit code, stdout and stderr of each CLI run."""
+    outputs = []
+    for config in configs:
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(config, out=out, err=err)
+        outputs.append((code, out.getvalue(), err.getvalue()))
+    return outputs
 
 
 def test_forest_sweep_matches_grouped_orderings():
@@ -117,6 +130,44 @@ def test_census_counts_states():
     assert sector_census(edge).states == 1
 
 
+def looped_k5():
+    """K5 plus two parallel edges, and a loop whose id sorts between theirs."""
+    k5 = complete_graph(5, [(0, 1), (2, 3)])
+    edges = [(e.id, *e.ends) for e in k5.edges] + [("m1", "v3", "v3")]
+    return Multigraph.build(k5.vertices, edges)
+
+
+def test_spanning_trees_match_contraction_deletion():
+    graphs = [g for g, _ in kernel_cases()] + list(multigraph_pool())
+    graphs.extend(complete_graph(k) for k in (5, 6, 7))
+    graphs.append(looped_k5())
+    for g in graphs:
+        assert g.spanning_trees() == contraction_deletion_trees(g)
+
+
+def test_trees_and_psd_output_match_contraction_deletion(monkeypatch, tmp_path):
+    paths = [FIG1, FIG2]
+    for name, g in (("k6", complete_graph(6)), ("looped", looped_k5())):
+        path = tmp_path / f"{name}.json"
+        path.write_text(g.to_json())
+        paths.append(str(path))
+    configs = [
+        RunConfig(command="trees", graph_path=path, output_format=fmt)
+        for path in paths
+        for fmt in ("table", "json", "csv")
+    ]
+    # psd seeds each ordered tree's points by its index, so the tree
+    # order reaches its float columns
+    configs.extend(
+        RunConfig(command="psd", graph_path=path, output_format="json", seed=7)
+        for path in (FIG1, FIG2)
+    )
+    walked = run_configs(configs)
+    assert [code for code, _, _ in walked] == [0] * len(configs)
+    monkeypatch.setattr(Multigraph, "spanning_trees", contraction_deletion_trees)
+    assert run_configs(configs) == walked
+
+
 def test_ten_edge_census_at_default_guard():
     k5 = complete_graph(5)
     census = sector_census(k5)
@@ -146,21 +197,12 @@ def test_symmetric_output_matches_prefix_walk(monkeypatch, tmp_path):
         for path in paths
         for fmt in ("table", "json", "csv")
     ]
-
-    def run_all():
-        outputs = []
-        for config in configs:
-            out, err = io.StringIO(), io.StringIO()
-            code = cli.run(config, out=out, err=err)
-            outputs.append((code, out.getvalue(), err.getvalue()))
-        return outputs
-
-    states = run_all()
+    states = run_configs(configs)
     assert [code for code, _, _ in states] == [0] * 9 + [4] * 3
     for _, out, err in states[9:]:
         assert out == "" and err.startswith("error[guard-exceeded]: 12 edges")
     monkeypatch.setattr(cli, "sector_census", prefix_census)
-    assert run_all() == states
+    assert run_configs(configs) == states
 
 
 def test_tree_weights_never_list_orderings(monkeypatch):
