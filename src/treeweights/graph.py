@@ -48,6 +48,10 @@ class DisjointSet:
         return True
 
 
+# the take move of a state whose edge completes a spanning tree
+_TREE = object()
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -189,80 +193,102 @@ class Multigraph:
     def spanning_trees(self) -> list[frozenset[str]]:
         """All spanning trees as edge-id sets, sorted by their sorted ids.
 
-        The non-loop edges are taken in id order. A state is a position
-        in that order together with the forest chosen from the edges
-        before it, carried as canonical component labels (each vertex
-        labeled by the least vertex of its component). How the forest
-        can grow depends only on the state, so a state reached by
-        different choices is built once. A state can take its edge when
-        the ends lie in different components, and can always skip it.
-
-        The states are built position by position, then swept back once
-        to drop the dead ones: those with fewer edges left than the
-        forest needs, or with no live successor. A walk over the live
-        states, taking before skipping, meets every tree exactly once
-        and never enters a branch without one, so no branch needs a
-        connectivity test. Taking first lists the trees in sorted order,
-        so no final sort is needed. The walk keeps its own stack and the
-        build is a loop over positions: nothing recurses, so a graph
-        with thousands of edges lists its trees like any other.
+        The trees are read off the states of `_tree_states` by a walk
+        that keeps its own stack and takes each edge before skipping
+        it. Every state leads to a tree, so the walk never enters a
+        branch without one and no branch needs a connectivity test.
+        Taking first lists the trees in sorted order, so no final sort
+        is needed, and nothing recurses, so a graph with thousands of
+        edges lists its trees like any other.
         """
         if not self.is_connected():
             raise DisconnectedError("spanning trees require a connected graph")
-        n = len(self.vertices)
-        if n == 1:
+        if len(self.vertices) == 1:
             return [frozenset()]
+        out: list[frozenset[str]] = []
+        stack: list[tuple[list, tuple[str, ...]]] = [(self._tree_states(), ())]
+        while stack:
+            (eid, take, skip), chosen = stack.pop()
+            if skip is not None:
+                stack.append((skip, chosen))
+            if take is _TREE:
+                out.append(frozenset(chosen + (eid,)))
+            elif take is not None:
+                stack.append((take, chosen + (eid,)))
+        return out
+
+    def _tree_states(self) -> list:
+        """The root of the state DAG that `spanning_trees` walks.
+
+        The non-loop edges are taken in id order. A state is a position
+        in that order together with the forest chosen from the edges
+        before it, carried as canonical component labels (each vertex
+        labeled by the least vertex of its component), and is stored as
+        [edge id, take, skip]: the states after taking and after
+        skipping its edge, None where the move is not allowed, and take
+        is `_TREE` where taking the edge completes a tree. How the
+        forest can grow depends only on the state, so a state reached by
+        different choices is built once, and only the previous position
+        is kept while building.
+
+        Only states that lead to a tree are built: the forest joined
+        with the components of the edges still to come must connect
+        every vertex (then, by matroid augmentation, those edges extend
+        the forest to a tree). Taking an allowed edge keeps that true,
+        and so does skipping an edge whose ends the forest or the later
+        edges already join; only the other skips are tested. A bridge
+        is never skipped, so the states grow with the trees, not with
+        the ways to leave edges out. The graph must be connected, with
+        at least two vertices.
+        """
+        n = len(self.vertices)
         vi = self._vertex_index
         edges = sorted(
             (e.id, vi[e.ends[0]], vi[e.ends[1]]) for e in self.edges if not e.is_self_loop
         )
         m = len(edges)
-        # a state is [edge id, take, skip]: the states after taking and
-        # after skipping its edge, None when dead; take is `spans` when
-        # taking the edge completes a tree
-        spans: list = []
+        # suffix[p]: a root per vertex for the components of the edges at
+        # positions p and later, None where those edges connect the graph
+        suffix: list[tuple[int, ...] | None] = [None] * (m + 1)
+        ds = DisjointSet(n)
+        for p in range(m, 0, -1):
+            suffix[p] = tuple(ds.find(v) for v in range(n))
+            ds.union(edges[p - 1][1], edges[p - 1][2])
+            if ds.groups == 1:
+                break
+
+        def joined(labels: tuple[int, ...], rest: tuple[int, ...]) -> bool:
+            ds = DisjointSet(n)
+            for v in range(n):
+                ds.union(v, labels[v])
+                ds.union(v, rest[v])
+            return ds.groups == 1
+
         root = [edges[0][0], None, None]
-        # per position: component labels -> (state, edges the tree still needs)
-        levels = [{tuple(range(n)): (root, n - 1)}]
+        # component labels -> (state, edges the tree still needs)
+        level: dict[tuple[int, ...], tuple[list, int]] = {tuple(range(n)): (root, n - 1)}
         for pos, (_, a, b) in enumerate(edges):
-            left = m - pos - 1
+            rest = suffix[pos + 1]
             after: dict[tuple[int, ...], tuple[list, int]] = {}
-            for labels, (state, need) in levels[-1].items():
-                moves = [(2, labels, need)]
+            for labels, (state, need) in level.items():
+                moves = []
                 lo, hi = sorted((labels[a], labels[b]))
                 if lo != hi and need == 1:
-                    state[1] = spans
+                    state[1] = _TREE
                 elif lo != hi:
                     moves.append((1, tuple(lo if c == hi else c for c in labels), need - 1))
-                for side, key, rest in moves:
-                    # rest >= 1, so a built successor has an edge to decide
-                    if left < rest:
-                        continue
+                # an edge within a component of the forest, or one whose
+                # ends the later edges join, can be skipped
+                if lo == hi or rest is None or rest[a] == rest[b] or joined(labels, rest):
+                    moves.append((2, labels, need))
+                # a built successor leads to a tree that needs another
+                # edge, so one is left to decide
+                for side, key, left in moves:
                     if key not in after:
-                        after[key] = ([edges[pos + 1][0], None, None], rest)
+                        after[key] = ([edges[pos + 1][0], None, None], left)
                     state[side] = after[key][0]
-            levels.append(after)
-        # a state with neither successor live is dead; successors lie one
-        # position further, so sweep the positions backwards
-        for level in reversed(levels):
-            for state, _ in level.values():
-                for side in (1, 2):
-                    child = state[side]
-                    if child is None or child is spans:
-                        continue
-                    if child[1] is None and child[2] is None:
-                        state[side] = None
-        out: list[frozenset[str]] = []
-        stack: list[tuple[list, tuple[str, ...]]] = [(root, ())]
-        while stack:
-            (eid, take, skip), chosen = stack.pop()
-            if skip is not None:
-                stack.append((skip, chosen))
-            if take is spans:
-                out.append(frozenset(chosen + (eid,)))
-            elif take is not None:
-                stack.append((take, chosen + (eid,)))
-        return out
+            level = after
+        return root
 
     def complexity(self) -> int:
         """Number of spanning trees, by Kirchhoff's matrix-tree theorem.

@@ -145,6 +145,43 @@ def test_spanning_trees_match_contraction_deletion():
         assert g.spanning_trees() == contraction_deletion_trees(g)
 
 
+def tree_states(g):
+    """The states built for g's tree walk; each is a successor, so all are reachable."""
+    root = g._tree_states()
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for child in stack.pop()[1:]:
+            if isinstance(child, list) and id(child) not in seen:
+                seen[id(child)] = child
+                stack.append(child)
+    return list(seen.values())
+
+
+def bridged_k4(bridges):
+    """A path of bridges b<i> ending at a vertex of K4: 16 spanning trees."""
+    path = [f"u{i:03d}" for i in range(bridges + 1)]
+    k4 = [path[-1], "w1", "w2", "w3"]
+    edges = [(f"b{i:03d}", path[i], path[i + 1]) for i in range(bridges)]
+    edges.extend(
+        (f"k{a}{b}", k4[a], k4[b]) for a in range(4) for b in range(a + 1, 4)
+    )
+    return Multigraph.build(path + k4[1:], edges)
+
+
+def test_tree_states_all_lead_to_trees():
+    # a state is built only if the walk from it reaches a tree
+    assert len(tree_states(complete_graph(6))) == 527
+    assert len(tree_states(complete_graph(7))) == 2569
+    for g in (complete_graph(6), looped_k5(), bridged_k4(3)):
+        assert all(take is not None or skip is not None for _, take, skip in tree_states(g))
+    # no bridge is skipped: one state per bridge, then those of K4 alone
+    k4 = bridged_k4(0)
+    g = bridged_k4(30)
+    assert g.spanning_trees() == contraction_deletion_trees(g)
+    assert len(g.spanning_trees()) == g.complexity() == 16
+    assert len(tree_states(g)) == 30 + len(tree_states(k4))
+
+
 def test_trees_and_psd_output_match_contraction_deletion(monkeypatch, tmp_path):
     paths = [FIG1, FIG2]
     for name, g in (("k6", complete_graph(6)), ("looped", looped_k5())):
