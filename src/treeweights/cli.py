@@ -154,15 +154,11 @@ def _weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
 
 
 def cmd_trees(config: RunConfig, g: Multigraph, out) -> int:
-    trees = g.spanning_trees()
+    trees = [sorted(t) for t in g.spanning_trees()]
     # both outputs are small next to the tree list itself; building them
     # lazily left a higher peak RSS after the K7 listing (heap layout)
-    rows = [[_tree_str(t)] for t in trees]
-    payload = {
-        "command": "trees",
-        "count": len(trees),
-        "trees": [sorted(t) for t in trees],
-    }
+    rows = [[",".join(t)] for t in trees]
+    payload = {"command": "trees", "count": len(trees), "trees": trees}
     _emit(config, lambda: payload, ["tree"], lambda: rows, out)
     return EXIT_OK
 

@@ -10,8 +10,10 @@ different integer labels: the starting block index, then a number fresh
 to the step that first merges the vertex. forest_trace walks one
 ordering on these labels, recording the step at which each vertex pair
 merges; trace_batch walks many complete orderings at once on numpy
-arrays of the same labels; ordered_trees searches every ordering depth
-first. A trace's (graph, partition) pairs are replayed only when read.
+arrays of the same labels; ordered_trees lists every admissible
+ordering in sorted order by walking a table of the forests the
+orderings reach. A trace's (graph, partition) pairs are replayed only
+when read.
 """
 
 from __future__ import annotations
@@ -364,43 +366,109 @@ def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
     return TraceBatch(orders, k, merge, start)
 
 
+def _merged_labels(labels: tuple[int, ...], a: int, b: int, fresh: int) -> tuple[int, ...]:
+    """Labels after joining the components of a and b.
+
+    An untouched vertex is alone in its component whatever its label; a
+    merged component is labeled fresh plus its least vertex.
+    """
+    la, lb = labels[a], labels[b]
+    members = [
+        v for v, lv in enumerate(labels)
+        if v == a or v == b or (lv >= fresh and lv in (la, lb))
+    ]
+    out = list(labels)
+    for v in members:
+        out[v] = fresh + members[0]
+    return tuple(out)
+
+
+def _ordering_states(g: Multigraph, part: Partition) -> list:
+    """The root of the forest-state DAG that ordered_trees walks.
+
+    A state is a forest that an admissible ordering reaches, built once
+    per edge bitmask (bit i for g.edges[i]) level by level, with the
+    canonical labels of weights._forest_sweep: the starting block index
+    while a vertex is untouched, fresh plus the least vertex of its
+    component once merged, so an edge is trans-block exactly when its
+    two labels differ. A state is stored as [k, moves, last]: k counts
+    its trans-block edges and moves holds (edge id, edge index, next)
+    for each of them. On the last level (one edge short of a tree) next
+    is the tree's bitmask and the moves are in id order; elsewhere next
+    is the successor state and the moves are in reverse id order, ready
+    to push. g must be connected with at least two vertices and the
+    partition non-trivial; then every state has a move.
+    """
+    vi = g._vertex_index
+    ends = sorted((e.id, i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges))
+    fresh = len(part.blocks)
+    n = len(g.vertices)
+    root: list = [0, (), False]
+    level = {0: (tuple(part.block_index(v) for v in g.vertices), root)}
+    for depth in range(n - 1):
+        last = depth == n - 2
+        after: dict[int, tuple[tuple[int, ...], list]] = {}
+        for mask, (labels, state) in level.items():
+            moves = []
+            for eid, i, a, b in ends:
+                if labels[a] == labels[b]:
+                    continue
+                key = mask | 1 << i
+                if last:
+                    moves.append((eid, i, key))
+                    continue
+                successor = after.get(key)
+                if successor is None:
+                    successor = after[key] = (
+                        _merged_labels(labels, a, b, fresh), [0, (), False]
+                    )
+                moves.append((eid, i, successor[1]))
+            if not moves:
+                raise InvariantError("an interior contraction state has no trans-block edge")
+            state[:] = len(moves), tuple(moves if last else reversed(moves)), last
+        level = after
+    return root
+
+
+def _ordered_tree_walk(
+    g: Multigraph, part: Partition
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
+    """ordered_trees with each ordering's edge indices and tree bitmask.
+
+    Yields (order, indices into g.edges, tree bitmask, k product) in
+    sorted order. An explicit stack walks the states of
+    _ordering_states, extending the order and indices of a path by one
+    edge per step; nothing recurses and no edge list is rebuilt.
+    """
+    part.require_cover(g)
+    if len(g.vertices) == 1:
+        yield (), (), 0, 1
+        return
+    stack = [(_ordering_states(g, part), (), (), 1)]
+    while stack:
+        (k, moves, last), order, indices, denom = stack.pop()
+        denom *= k
+        if last:
+            for eid, i, mask in moves:
+                yield order + (eid,), indices + (i,), mask, denom
+        else:
+            for eid, i, state in moves:
+                stack.append((state, order + (eid,), indices + (i,), denom))
+
+
 def ordered_trees(g: Multigraph, part: Partition) -> Iterator[tuple[tuple[str, ...], int]]:
     """Every admissible ordered spanning tree of g with its k product.
 
-    Depth-first over contraction states on the integer labels of
-    forest_trace, with contracted edges remapped onto the surviving
-    endpoint: at each state every trans-block edge is a branch, and a
-    completed sequence yields (order, k_0 * ... * k_{|V|-2}). g must be
-    connected and the partition non-trivial; then every interior state
-    has a trans-block edge, so every branch completes. Yields in no
-    particular order.
+    Yields (order, k_0 * ... * k_{|V|-2}) in sorted order, orderings
+    compared by edge id. The orderings are read off a table of forest
+    states (_ordering_states), in which every ordering that contracts
+    the same edge set shares one state; the state holds k and the
+    trans-block edges in id order, and a stack walks it. g must be
+    connected and the partition non-trivial; then every state has a
+    trans-block edge, so every path completes.
     """
-    part.require_cover(g)
-    n = len(g.vertices)
-    vi = g._vertex_index
-    ids = [e.id for e in g.edges]
-    fresh = len(part.blocks)
-    edges0 = [(i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges)]
-    stack = [(edges0, [part.block_index(v) for v in g.vertices], (), 1)]
-    while stack:
-        edges, labels, prefix, denom = stack.pop()
-        depth = len(prefix)
-        if depth == n - 1:
-            yield tuple(ids[i] for i in prefix), denom
-            continue
-        tb = [t for t in edges if labels[t[1]] != labels[t[2]]]
-        k = len(tb)
-        if not k:
-            raise InvariantError("an interior contraction state has no trans-block edge")
-        for ei, a, b in tb:
-            labels2 = labels[:]
-            labels2[a] = fresh + depth
-            edges2 = [
-                (j, a if x == b else x, a if y == b else y)
-                for j, x, y in edges
-                if j != ei
-            ]
-            stack.append((edges2, labels2, prefix + (ei,), denom * k))
+    for order, _, _, denom in _ordered_tree_walk(g, part):
+        yield order, denom
 
 
 def admissible_orderings(
@@ -419,7 +487,7 @@ def admissible_orderings(
     if not g.is_spanning_tree(tree_ids):
         raise NotASpanningTreeError(f"{tree_ids} is not a spanning tree")
     skeleton = Multigraph(g.vertices, tuple(g.edge(eid) for eid in tree_ids))
-    return sorted(order for order, _ in ordered_trees(skeleton, part))
+    return [order for order, _ in ordered_trees(skeleton, part)]
 
 
 def contact_indices(trace: ContractionTrace, v: str, w: str) -> tuple[int, int]:

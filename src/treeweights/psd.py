@@ -186,7 +186,7 @@ def verify_constructive(
     samples, then the two endpoints; eigvalsh runs once per block.
     Separately the tree measure is normalized exactly: over the tree
     alone, the ordered weights of its admissible orderings sum to 1. One
-    search over the tree alone gives both the orderings and those weights.
+    walk over the tree alone gives both the orderings and those weights.
     """
     if part.is_trivial:
         raise TrivialPartitionError("verification needs a non-trivial partition")
@@ -202,7 +202,7 @@ def verify_constructive(
     normalized = True
     for tree in g.spanning_trees():
         skeleton = Multigraph(g.vertices, tuple(g.edge(e) for e in sorted(tree)))
-        walks = sorted(ordered_trees(skeleton, part))
+        walks = list(ordered_trees(skeleton, part))
         if sum((Fraction(1, denom) for _, denom in walks), Fraction(0)) != 1:
             normalized = False
         trees.extend([tuple(sorted(tree))] * len(walks))

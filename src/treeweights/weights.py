@@ -39,11 +39,12 @@ from .partitions import (
     ContractionTrace,
     Partition,
     TraceBatch,
+    _merged_labels,
+    _ordered_tree_walk,
     admissible_orderings,
     batch_contact_indices,
     build_trace,
     contact_indices,
-    ordered_trees,
     trace_batch,
 )
 
@@ -156,45 +157,50 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     route reads k from the labels, the monomial route the merge steps.
     """
     require_weighable(g, part)
-    index = g._edge_index
     rows, cols = np.triu_indices(len(g.vertices), 1)
-    # the search runs to completion before the checks: interleaving it
+    # the walk runs to completion before the checks: interleaving it
     # with the trace work measured slower
-    walks = list(ordered_trees(g, part))
-    denoms = [denom for _, denom in walks]
+    walks = list(_ordered_tree_walk(g, part))
+    denoms = [denom for _, _, _, denom in walks]
     total = sum((Fraction(c, d) for d, c in Counter(denoms).items()), Fraction(0))
     routes = exponents = contacts = True
     for first in range(0, len(walks), BLOCK_ORDERINGS):
         block = walks[first:first + BLOCK_ORDERINGS]
-        batch = trace_batch(g, part, [[index[eid] for eid in order] for order, _ in block])
+        batch = trace_batch(g, part, [indices for _, indices, _, _ in block])
         i, j = batch_contact_indices(batch)
         exps = edge_exponents(g, batch, (i, j))
-        searched = denoms[first:first + len(block)]
-        routes = routes and _row_products(batch.k) == searched == _row_products(exps + 1)
+        walked = denoms[first:first + len(block)]
+        routes = routes and _row_products(batch.k) == walked == _row_products(exps + 1)
         exponents = exponents and np.array_equal(exps, batch.k - 1)
         contacts = contacts and bool(np.all(i[:, rows, cols] < j[:, rows, cols]))
     return ExactReport(len(walks), total, routes, exponents, contacts)
 
 
 class _Listing:
-    """The per-ordering breakdown of one report, from one grouped pass.
+    """The per-ordering breakdown of one report, from one walk.
 
-    The pass runs the ordered_trees search once, the first time any row
-    reads its orderings, and must give each tree as many orderings as
-    the forest sweep counted.
+    partitions._ordered_tree_walk runs once, the first time any row
+    reads its orderings. It yields the orderings in sorted order, so
+    grouping them by tree bitmask keeps each tree's orderings sorted,
+    and every ordered weight 1/d is one shared Fraction per distinct d.
+    Each tree must get as many orderings as the forest sweep counted.
     """
 
-    def __init__(self, g: Multigraph, part: Partition, counts: dict[tuple[str, ...], int]):
+    def __init__(self, g: Multigraph, part: Partition, counts: dict[int, int]):
         self.g, self.part, self.counts = g, part, counts
 
     @cached_property
-    def by_tree(self) -> dict[tuple[str, ...], tuple[tuple[tuple[str, ...], Fraction], ...]]:
-        grouped: dict[tuple[str, ...], list[tuple[tuple[str, ...], Fraction]]] = {}
-        for order, denom in ordered_trees(self.g, self.part):
-            grouped.setdefault(tuple(sorted(order)), []).append((order, Fraction(1, denom)))
-        if {key: len(pairs) for key, pairs in grouped.items()} != self.counts:
+    def by_tree(self) -> dict[int, tuple[tuple[tuple[str, ...], Fraction], ...]]:
+        grouped: dict[int, list[tuple[tuple[str, ...], Fraction]]] = {}
+        shared: dict[int, Fraction] = {}
+        for order, _, mask, denom in _ordered_tree_walk(self.g, self.part):
+            weight = shared.get(denom)
+            if weight is None:
+                weight = shared[denom] = Fraction(1, denom)
+            grouped.setdefault(mask, []).append((order, weight))
+        if {mask: len(pairs) for mask, pairs in grouped.items()} != self.counts:
             raise InvariantError("the ordering search and the forest sweep disagree")
-        return {key: tuple(sorted(pairs)) for key, pairs in grouped.items()}
+        return {mask: tuple(pairs) for mask, pairs in grouped.items()}
 
 
 class Breakdown(Sequence):
@@ -205,13 +211,13 @@ class Breakdown(Sequence):
     first read. Compares equal to any tuple or list of the same pairs.
     """
 
-    __slots__ = ("_count", "_tree", "_listing")
+    __slots__ = ("_count", "_tree", "_mask", "_listing")
 
-    def __init__(self, count: int, tree: tuple[str, ...], listing: _Listing):
-        self._count, self._tree, self._listing = count, tree, listing
+    def __init__(self, count: int, tree: tuple[str, ...], mask: int, listing: _Listing):
+        self._count, self._tree, self._mask, self._listing = count, tree, mask, listing
 
     def _pairs(self) -> tuple[tuple[tuple[str, ...], Fraction], ...]:
-        return self._listing.by_tree[self._tree]
+        return self._listing.by_tree[self._mask]
 
     def __len__(self) -> int:
         return self._count
@@ -264,23 +270,6 @@ class WeightReport:
         return {frozenset(r.tree): r.weight for r in self.rows}
 
 
-def _merged_labels(labels: tuple[int, ...], a: int, b: int, fresh: int) -> tuple[int, ...]:
-    """Labels after joining the components of a and b.
-
-    An untouched vertex is alone in its component whatever its label; a
-    merged component is labeled fresh plus its least vertex.
-    """
-    la, lb = labels[a], labels[b]
-    members = [
-        v for v, lv in enumerate(labels)
-        if v == a or v == b or (lv >= fresh and lv in (la, lb))
-    ]
-    out = list(labels)
-    for v in members:
-        out[v] = fresh + members[0]
-    return tuple(out)
-
-
 def _forest_sweep(g: Multigraph, part: Partition) -> tuple[dict[int, list], int]:
     """Weight numerators and ordering counts of every spanning tree of g.
 
@@ -330,14 +319,14 @@ def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     ids = [e.id for e in g.edges]
     trees, denom = _forest_sweep(g, part)
     found = {
-        tuple(sorted(ids[i] for i in range(len(ids)) if mask >> i & 1)): (num, count)
+        tuple(sorted(ids[i] for i in range(len(ids)) if mask >> i & 1)): (mask, num, count)
         for mask, (_, num, count) in trees.items()
     }
-    listing = _Listing(g, part, {key: count for key, (_, count) in found.items()})
+    listing = _Listing(g, part, {mask: count for mask, (_, _, count) in trees.items()})
     return WeightReport(
         tuple(
-            TreeRow(key, Fraction(num, denom), Breakdown(count, key, listing))
-            for key, (num, count) in sorted(found.items())
+            TreeRow(key, Fraction(num, denom), Breakdown(count, key, mask, listing))
+            for key, (mask, num, count) in sorted(found.items())
         )
     )
 

@@ -4,10 +4,11 @@ The oracles are deliberately naive and independent of the library's
 algorithms: spanning trees by subset enumeration, admissible orderings
 by filtering all permutations, the census by per-sector greedy calls,
 contact indices and k values by scanning the object form of a trace.
-Four more are the routes the state sweeps replaced: tree weights
+Five more are the routes the state sweeps replaced: tree weights
 grouped from every ordered tree, the census over every permutation,
-the census that walks every sector prefix and the contraction-deletion
-recursion that listed the spanning trees. Then
+the census that walks every sector prefix, the contraction-deletion
+recursion that listed the spanning trees and the depth-first search
+that listed the ordered trees. Then
 the positivity check that builds its matrices one point at a time,
 which the stacked build replaced, and the exact and positivity checks
 that build one trace per ordered tree, which the batched kernel
@@ -26,6 +27,7 @@ import numpy as np
 from treeweights.errors import (
     DisconnectedError,
     EnumerationGuardExceededError,
+    InvariantError,
     NotAdmissibleError,
 )
 from treeweights.graph import DisjointSet, Multigraph
@@ -34,7 +36,6 @@ from treeweights.partitions import (
     Partition,
     build_trace,
     contact_indices,
-    ordered_trees,
     trans_block_count,
 )
 from treeweights.psd import (
@@ -126,6 +127,43 @@ def contraction_deletion_trees(g: Multigraph) -> list[frozenset[str]]:
     return out
 
 
+def depth_first_ordered_trees(g: Multigraph, part: Partition):
+    """Every admissible ordered spanning tree with its k product, depth first.
+
+    Searches contraction states on the integer labels of forest_trace,
+    with contracted edges remapped onto the surviving endpoint: at each
+    state every trans-block edge is a branch, and a completed sequence
+    yields (order, k_0 * ... * k_{|V|-2}). g must be connected and the
+    partition non-trivial. Yields in no particular order.
+    """
+    part.require_cover(g)
+    n = len(g.vertices)
+    vi = g._vertex_index
+    ids = [e.id for e in g.edges]
+    fresh = len(part.blocks)
+    edges0 = [(i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges)]
+    stack = [(edges0, [part.block_index(v) for v in g.vertices], (), 1)]
+    while stack:
+        edges, labels, prefix, denom = stack.pop()
+        depth = len(prefix)
+        if depth == n - 1:
+            yield tuple(ids[i] for i in prefix), denom
+            continue
+        tb = [t for t in edges if labels[t[1]] != labels[t[2]]]
+        k = len(tb)
+        if not k:
+            raise InvariantError("an interior contraction state has no trans-block edge")
+        for ei, a, b in tb:
+            labels2 = labels[:]
+            labels2[a] = fresh + depth
+            edges2 = [
+                (j, a if x == b else x, a if y == b else y)
+                for j, x, y in edges
+                if j != ei
+            ]
+            stack.append((edges2, labels2, prefix + (ei,), denom * k))
+
+
 def brute_force_orderings(
     g: Multigraph, part: Partition, tree: frozenset[str]
 ) -> set[tuple[str, ...]]:
@@ -180,7 +218,7 @@ def grouped_weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     """Tree weights summed from every ordered tree, grouped by tree."""
     require_weighable(g, part)
     grouped: dict[tuple[str, ...], list[tuple[tuple[str, ...], Fraction]]] = {}
-    for order, denom in ordered_trees(g, part):
+    for order, denom in depth_first_ordered_trees(g, part):
         grouped.setdefault(tuple(sorted(order)), []).append((order, Fraction(1, denom)))
     rows = []
     for key in sorted(grouped):
@@ -292,7 +330,7 @@ def pointwise_verify_constructive(
     index = 0
     for tree in g.spanning_trees():
         skeleton = Multigraph(g.vertices, tuple(g.edge(e) for e in sorted(tree)))
-        walks = sorted(ordered_trees(skeleton, part))
+        walks = sorted(depth_first_ordered_trees(skeleton, part))
         if sum((Fraction(1, denom) for _, denom in walks), Fraction(0)) != 1:
             normalized = False
         for order, _ in walks:
@@ -356,7 +394,7 @@ def per_tree_verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
     total = Fraction(0)
     routes = exponents = contacts = True
-    walks = list(ordered_trees(g, part))
+    walks = list(depth_first_ordered_trees(g, part))
     for order, denom in walks:
         weight = Fraction(1, denom)
         total += weight
@@ -414,7 +452,7 @@ def per_tree_verify_constructive(
     index = 0
     for tree in g.spanning_trees():
         skeleton = Multigraph(g.vertices, tuple(g.edge(e) for e in sorted(tree)))
-        walks = sorted(ordered_trees(skeleton, part))
+        walks = sorted(depth_first_ordered_trees(skeleton, part))
         if sum((Fraction(1, denom) for _, denom in walks), Fraction(0)) != 1:
             normalized = False
         for order, _ in walks:

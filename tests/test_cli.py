@@ -268,7 +268,7 @@ def _off_by_one(f):
             lambda f: lambda batch: f(batch)[::-1],
             {"dual-route", "exponent-law", "contact-indices"},
         ),
-        ("ordered_trees", lambda f: lambda *args: list(f(*args))[1:], {"normalization"}),
+        ("_ordered_tree_walk", lambda f: lambda *args: list(f(*args))[1:], {"normalization"}),
     ],
     ids=["edge_monomials", "contact_indices", "ordered_trees"],
 )
@@ -383,10 +383,10 @@ def test_symmetric_help_names_the_guard(capsys):
 
 
 def test_internal_fault_exit_code(monkeypatch):
-    # an ordering search that drops a row disagrees with the forest sweep,
+    # an ordering walk that drops a row disagrees with the forest sweep,
     # which the breakdown reports as an InvariantError
-    search = weights.ordered_trees
-    monkeypatch.setattr(weights, "ordered_trees", lambda *args: list(search(*args))[1:])
+    walk = weights._ordered_tree_walk
+    monkeypatch.setattr(weights, "_ordered_tree_walk", lambda *args: list(walk(*args))[1:])
     for fmt in ("table", "json"):
         code, out, err = run_cli(
             [

@@ -1,13 +1,14 @@
 """The state sweeps against the routes they replaced.
 
 weight_distribution sweeps forests, sector_census sweeps (placed
-edges, greedy forest) states and spanning_trees walks (position,
-forest) states; each must equal, bit for bit, the routes kept in
-helpers: the grouping of every ordered tree, the census that walks
-every sector prefix and the one over every permutation, and the
-contraction-deletion recursion, order included. Printing tree weights
-must never list an ordering, and the symmetric, trees and psd commands
-must print the same bytes with the replaced routes.
+edges, greedy forest) states, spanning_trees walks (position, forest)
+states and ordered_trees walks forest states; each must equal, bit for
+bit, the routes kept in helpers: the grouping of every ordered tree,
+the census that walks every sector prefix and the one over every
+permutation, the contraction-deletion recursion and the depth-first
+ordering search, order included. Printing tree weights must never list
+an ordering, and the symmetric, trees and psd commands must print the
+same bytes with the replaced routes.
 """
 
 import io
@@ -21,12 +22,13 @@ from treeweights import cli, partitions, psd, weights
 from treeweights.cli import RunConfig
 from treeweights.fixtures import fig1_root_first, fig1_root_second, fig2_double_rooted
 from treeweights.graph import Multigraph
-from treeweights.partitions import Partition
+from treeweights.partitions import Partition, _ordered_tree_walk, ordered_trees
 from treeweights.sectors import DEFAULT_GUARD, sector_census
 from treeweights.weights import symmetric_via_partition, weight_distribution
 
 from helpers import (
     contraction_deletion_trees,
+    depth_first_ordered_trees,
     grouped_weight_distribution,
     nontrivial_partitions,
     permutation_census,
@@ -143,6 +145,34 @@ def test_spanning_trees_match_contraction_deletion():
     graphs.append(looped_k5())
     for g in graphs:
         assert g.spanning_trees() == contraction_deletion_trees(g)
+
+
+def test_ordered_trees_match_depth_first_search():
+    fig2 = Multigraph.from_json(Path(FIG2).read_text())
+    # edges listed out of id order: the walk must still take them by id
+    shuffled = [
+        Multigraph(fig2.vertices, fig2.edges[::-1]),
+        Multigraph(looped_k5().vertices, looped_k5().edges[::-1]),
+    ]
+    cases = sweep_cases() + [
+        (g, part)
+        for g in shuffled + [complete_graph(5), complete_graph(6)]
+        for part in (Partition.singletons(g.vertices), Partition.of([["v1"], g.vertices[1:]]))
+    ]
+    rows = []
+    for g, part in cases:
+        walked = list(ordered_trees(g, part))
+        assert walked == sorted(depth_first_ordered_trees(g, part))
+        rows.append(len(walked))
+        index = g._edge_index
+        for (order, denom), (order2, indices, mask, denom2) in zip(
+            walked, _ordered_tree_walk(g, part)
+        ):
+            assert (order2, denom2) == (order, denom)
+            assert indices == tuple(index[eid] for eid in order)
+            assert mask == sum(1 << i for i in indices)
+    # K5 and K6, each with singletons and then rooted at v1
+    assert rows[-4:] == [3000, 576, 155520, 14400]
 
 
 def tree_states(g):
@@ -280,8 +310,13 @@ def test_tree_weights_never_list_orderings(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("an ordering was listed")
 
-    for module in (partitions, weights, psd):
-        monkeypatch.setattr(module, "ordered_trees", refuse)
+    for module, name in (
+        (partitions, "ordered_trees"),
+        (partitions, "_ordered_tree_walk"),
+        (weights, "_ordered_tree_walk"),
+        (psd, "ordered_trees"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     assert run_all() == expected
     report = weight_distribution(g, part)
     assert [len(row.orderings) for row in report.rows] == counts
@@ -293,13 +328,13 @@ def test_breakdown_is_listed_once_per_report(monkeypatch):
     g = Multigraph.from_json(Path(FIG2).read_text())
     part = Partition.singletons(g.vertices)
     searches = []
-    original = weights.ordered_trees
+    original = weights._ordered_tree_walk
 
     def counted(*args):
         searches.append(args)
         return original(*args)
 
-    monkeypatch.setattr(weights, "ordered_trees", counted)
+    monkeypatch.setattr(weights, "_ordered_tree_walk", counted)
     report = weight_distribution(g, part)
     assert searches == []
     listed = [list(row.orderings) for row in report.rows]
