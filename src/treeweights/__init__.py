@@ -10,11 +10,8 @@ from .partitions import (
     batch_contact_indices,
     build_trace,
     contact_indices,
-    contract_partition,
     forest_trace,
-    is_trans_block,
     trace_batch,
-    trans_block_count,
 )
 from .psd import (
     PsdReport,
@@ -37,10 +34,7 @@ from .weights import (
     TreeRow,
     WeightReport,
     edge_monomials,
-    monomial_weight,
-    ordered_weight,
     symmetric_via_partition,
-    tree_weight,
     verify_exact,
     weight_distribution,
 )
@@ -69,20 +63,14 @@ __all__ = [
     "contact_indices",
     "contact_matrix_direct",
     "contact_matrix_recursion",
-    "contract_partition",
     "edge_monomials",
     "forest_trace",
     "induced_ordering",
-    "is_trans_block",
     "leading_tree",
-    "monomial_weight",
-    "ordered_weight",
     "sector_census",
     "symmetric_via_partition",
     "symmetric_weight",
     "trace_batch",
-    "trans_block_count",
-    "tree_weight",
     "verify_constructive",
     "verify_exact",
     "weight_distribution",

@@ -128,8 +128,21 @@ def _cells(item: dict) -> list[str]:
 
 
 def _weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
-    """The JSON items of a weight report, or with table=True its table rows."""
+    """The JSON items of a weight report, or with table=True its table rows.
+
+    Each distinct breakdown weight is formatted once, keyed by its
+    numerator and denominator (hashing a Fraction costs a modular inverse).
+    """
     out = []
+    shown: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def formatted(w: Fraction) -> tuple[str, str]:
+        key = (w.numerator, w.denominator)
+        text = shown.get(key)
+        if text is None:
+            text = shown[key] = (str(w), _decimal_str(w))
+        return text
+
     for row in report.rows:
         item = {
             "tree": list(row.tree),
@@ -140,14 +153,14 @@ def _weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
         if table:
             out.append(_cells(item))
             if breakdown:
-                out.extend(
-                    ["  " + ",".join(order), str(w), _decimal_str(w), ""]
-                    for order, w in row.orderings
-                )
+                for order, w in row.orderings:
+                    # a starred list display over-allocates its list
+                    text, decimal = formatted(w)
+                    out.append(["  " + ",".join(order), text, decimal, ""])
             continue
         if breakdown:
             item["breakdown"] = [
-                {"order": list(order), "weight": str(w)} for order, w in row.orderings
+                {"order": list(order), "weight": formatted(w)[0]} for order, w in row.orderings
             ]
         out.append(item)
     return out

@@ -32,10 +32,6 @@ class DisconnectedError(TreeWeightsError):
     code = "disconnected"
 
 
-class SelfLoopContractionError(TreeWeightsError):
-    code = "self-loop-contraction"
-
-
 class UnknownEdgeError(TreeWeightsError):
     code = "unknown-edge"
 
@@ -78,10 +74,6 @@ class MissingVertexError(BadPartitionError):
 
 class TrivialPartitionError(BadPartitionError):
     code = "trivial-partition"
-
-
-class NotTransBlockError(TreeWeightsError):
-    code = "not-trans-block"
 
 
 class NotAdmissibleError(TreeWeightsError):

@@ -1,10 +1,8 @@
-"""Immutable multigraphs with contraction and spanning-tree enumeration.
+"""Immutable multigraphs with spanning-tree enumeration.
 
 Vertices and edges carry opaque string labels. Self-loops and parallel
-edges are first-class: they survive contraction (parallels of a
-contracted edge become self-loops) and are preserved by serialization.
-All operations are pure; contraction returns a new graph plus the
-vertex map, so values can be shared freely across threads.
+edges are first-class and are preserved by serialization. All
+operations are pure, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from .errors import (
     DisconnectedError,
     DuplicateIdError,
     ParseError,
-    SelfLoopContractionError,
     UnknownEdgeError,
 )
 
@@ -159,36 +156,6 @@ class Multigraph:
     def nullity(self) -> int:
         """Number of independent cycles of a connected graph: |E| - |V| + 1."""
         return len(self.edges) - len(self.vertices) + 1
-
-    def contract(self, edge_id: str) -> tuple[Multigraph, dict[str, str]]:
-        """Merge the endpoints of a non-self-loop edge into one fresh vertex.
-
-        The contracted edge disappears; every other edge keeps its id with
-        endpoints remapped, so parallels of the contracted edge become
-        self-loops. Returns the new graph and the old-to-new vertex map.
-        The merged vertex is named by joining the endpoint labels with '+'
-        in sorted order, which keeps contraction sequences reproducible.
-        """
-        e = self.edge(edge_id)
-        if e.is_self_loop:
-            raise SelfLoopContractionError(f"edge {edge_id!r} is a self-loop")
-        a, b = e.ends
-        merged = "+".join(sorted((a, b)))
-        taken = set(self.vertices)
-        while merged in taken:
-            merged += "'"
-        vmap = {v: v for v in self.vertices}
-        vmap[a] = merged
-        vmap[b] = merged
-        new_vertices = tuple(
-            merged if v == a else v for v in self.vertices if v != b
-        )
-        new_edges = tuple(
-            Edge(f.id, (vmap[f.ends[0]], vmap[f.ends[1]]))
-            for f in self.edges
-            if f.id != edge_id
-        )
-        return Multigraph(new_vertices, new_edges), vmap
 
     def spanning_trees(self) -> list[frozenset[str]]:
         """All spanning trees as edge-id sets, sorted by their sorted ids.

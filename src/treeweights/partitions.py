@@ -12,8 +12,7 @@ ordering on these labels, recording the step at which each vertex pair
 merges; trace_batch walks many complete orderings at once on numpy
 arrays of the same labels; ordered_trees lists every admissible
 ordering in sorted order by walking a table of the forests the
-orderings reach. A trace's (graph, partition) pairs are replayed only
-when read.
+orderings reach.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .errors import (
     MissingVertexError,
     NotASpanningTreeError,
     NotAdmissibleError,
-    NotTransBlockError,
     TrivialPartitionError,
     UnknownVertexError,
 )
@@ -84,6 +82,9 @@ class Partition:
             for m in members:
                 if m not in universe:
                     raise UnknownVertexError(f"unknown vertex {m!r} in partition spec")
+            if len(set(members)) != len(members):
+                repeated = next(m for i, m in enumerate(members) if m in members[:i])
+                raise DuplicateVertexError(f"vertex {repeated!r} appears more than once in a block")
             blocks.append(members)
         part = cls.of(blocks)
         missing = universe - part.support
@@ -123,49 +124,8 @@ class Partition:
                 "partition blocks do not cover the graph's vertex set"
             )
 
-    def contract_pair(self, a: str, b: str, merged: str) -> Partition:
-        """Remove both endpoints, drop emptied blocks, append {merged}."""
-        if self.block_index(a) == self.block_index(b):
-            raise NotTransBlockError(
-                f"vertices {a!r} and {b!r} share a block; contraction needs"
-                " endpoints in distinct blocks"
-            )
-        kept = [b2 - {a, b} for b2 in self.blocks]
-        return Partition.of([blk for blk in kept if blk] + [{merged}])
-
     def format(self) -> str:
         return "|".join(",".join(sorted(b)) for b in self.blocks)
-
-
-def is_trans_block(g: Multigraph, part: Partition, edge_id: str) -> bool:
-    """True iff the edge's endpoints lie in distinct blocks.
-
-    A self-loop is never trans-block, whatever the partition.
-    """
-    part.require_cover(g)
-    a, b = g.ends(edge_id)
-    if a == b:
-        return False
-    return part.block_index(a) != part.block_index(b)
-
-
-def trans_block_count(g: Multigraph, part: Partition) -> int:
-    """Number of trans-block edge ids; parallel edges count separately."""
-    part.require_cover(g)
-    bi = part.block_index
-    return sum(
-        1 for e in g.edges
-        if e.ends[0] != e.ends[1] and bi(e.ends[0]) != bi(e.ends[1])
-    )
-
-
-def contract_partition(g: Multigraph, part: Partition, edge_id: str) -> Partition:
-    """The partition after contracting a trans-block edge of g."""
-    if not is_trans_block(g, part, edge_id):
-        raise NotTransBlockError(f"edge {edge_id!r} is not trans-block")
-    a, b = g.ends(edge_id)
-    _, vmap = g.contract(edge_id)
-    return part.contract_pair(a, b, vmap[a])
 
 
 @dataclass(frozen=True)
@@ -180,10 +140,6 @@ class ContractionTrace:
     and its diagonal merge_steps[a][a] the first step at which a merges
     with any vertex. On a partial trace a pair that never merges, or a
     vertex never merged, gets len(order) + 1.
-
-    graphs, partitions and vertex_maps (each original vertex to its
-    image) give every step in object form. They are replayed through
-    Multigraph.contract on first access; no engine route reads them.
     """
 
     graph: Multigraph
@@ -200,22 +156,6 @@ class ContractionTrace:
     @property
     def is_complete(self) -> bool:
         return len(self.order) == len(self.graph.vertices) - 1
-
-    @cached_property
-    def _replay(self) -> tuple[tuple, tuple, tuple]:
-        g, part, vmap = self.graph, self.partition, {v: v for v in self.graph.vertices}
-        steps = [(g, part, vmap)]
-        for eid in self.order:
-            a, b = g.ends(eid)
-            g, step_map = g.contract(eid)
-            part = part.contract_pair(a, b, step_map[a])
-            vmap = {orig: step_map[img] for orig, img in vmap.items()}
-            steps.append((g, part, vmap))
-        return tuple(map(tuple, zip(*steps)))
-
-    graphs = property(lambda self: self._replay[0])
-    partitions = property(lambda self: self._replay[1])
-    vertex_maps = property(lambda self: self._replay[2])
 
     @cached_property
     def batch(self) -> TraceBatch:

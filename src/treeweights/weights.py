@@ -41,9 +41,7 @@ from .partitions import (
     TraceBatch,
     _merged_labels,
     _ordered_tree_walk,
-    admissible_orderings,
     batch_contact_indices,
-    build_trace,
     contact_indices,
     trace_batch,
 )
@@ -76,30 +74,6 @@ def edge_monomials(g: Multigraph, trace: ContractionTrace) -> Monomial:
         for k in range(max(i + 1, 1), upper):
             exps[k - 1] += 1
     return Monomial(tuple(exps))
-
-
-def ordered_weight_from_trace(trace: ContractionTrace) -> Fraction:
-    """Count route: the product of 1/k over the trace steps."""
-    return Fraction(1, math.prod(trace.k_values))
-
-
-def ordered_weight(g: Multigraph, part: Partition, order: Sequence[str]) -> Fraction:
-    """Exact weight of one admissible ordered spanning tree."""
-    return ordered_weight_from_trace(build_trace(g, part, order))
-
-
-def monomial_weight(g: Multigraph, part: Partition, order: Sequence[str]) -> Fraction:
-    """Integration route: closed-form integral of the combined monomial."""
-    return edge_monomials(g, build_trace(g, part, order)).integral()
-
-
-def tree_weight(g: Multigraph, part: Partition, tree: Iterable[str]) -> Fraction:
-    """One tree's weight, summed over its admissible orderings one by one.
-
-    Independent of weight_distribution's forest sweep.
-    """
-    orders = admissible_orderings(g, part, tree)
-    return sum((ordered_weight(g, part, order) for order in orders), Fraction(0))
 
 
 def require_weighable(g: Multigraph, part: Partition) -> None:

@@ -3,12 +3,15 @@
 The oracles are deliberately naive and independent of the library's
 algorithms: spanning trees by subset enumeration, admissible orderings
 by filtering all permutations, the census by per-sector greedy calls,
-contact indices and k values by scanning the object form of a trace.
-Five more are the routes the state sweeps replaced: tree weights
-grouped from every ordered tree, the census over every permutation,
-the census that walks every sector prefix, the contraction-deletion
-recursion that listed the spanning trees and the depth-first search
-that listed the ordered trees. Then
+contact indices and k values by scanning the object form of a trace,
+and a tree's weight by summing 1/k over one trace per admissible
+ordering. The object form is the contraction layer the integer kernel
+replaced: a trace is replayed by contracting a Multigraph and a
+Partition one edge at a time. Five more are the routes the state
+sweeps replaced: tree weights grouped from every ordered tree, the
+census over every permutation, the census that walks every sector
+prefix, the contraction-deletion recursion that listed the spanning
+trees and the depth-first search that listed the ordered trees. Then
 the positivity check that builds its matrices one point at a time,
 which the stacked build replaced, and the exact and positivity checks
 that build one trace per ordered tree, which the batched kernel
@@ -30,13 +33,13 @@ from treeweights.errors import (
     InvariantError,
     NotAdmissibleError,
 )
-from treeweights.graph import DisjointSet, Multigraph
+from treeweights.graph import DisjointSet, Edge, Multigraph
 from treeweights.partitions import (
     ContractionTrace,
     Partition,
+    admissible_orderings,
     build_trace,
     contact_indices,
-    trans_block_count,
 )
 from treeweights.psd import (
     AGREEMENT_TOLERANCE,
@@ -52,7 +55,6 @@ from treeweights.weights import (
     TreeRow,
     WeightReport,
     edge_monomials,
-    ordered_weight_from_trace,
     require_weighable,
 )
 
@@ -178,16 +180,96 @@ def brute_force_orderings(
     return out
 
 
-def scan_contact_indices(trace: ContractionTrace, v: str, w: str) -> tuple[int, int]:
-    """Contact indices by walking the replayed partitions and vertex maps.
+def contract_graph(g: Multigraph, edge_id: str) -> tuple[Multigraph, dict[str, str]]:
+    """Merge the endpoints of a non-self-loop edge into one fresh vertex.
 
-    O(n) per pair: the first step whose blocks split the two images, and
-    the first step at which the images coincide.
+    The contracted edge disappears; every other edge keeps its id with
+    endpoints remapped, so parallels of the contracted edge become
+    self-loops. Returns the new graph and the old-to-new vertex map.
+    The merged vertex is named by joining the endpoint labels with '+'
+    in sorted order, which keeps contraction sequences reproducible.
+    """
+    e = g.edge(edge_id)
+    if e.is_self_loop:
+        raise ValueError(f"edge {edge_id!r} is a self-loop")
+    a, b = e.ends
+    merged = "+".join(sorted((a, b)))
+    taken = set(g.vertices)
+    while merged in taken:
+        merged += "'"
+    vmap = {v: v for v in g.vertices}
+    vmap[a] = merged
+    vmap[b] = merged
+    new_vertices = tuple(merged if v == a else v for v in g.vertices if v != b)
+    new_edges = tuple(
+        Edge(f.id, (vmap[f.ends[0]], vmap[f.ends[1]])) for f in g.edges if f.id != edge_id
+    )
+    return Multigraph(new_vertices, new_edges), vmap
+
+
+def contract_block(part: Partition, a: str, b: str, merged: str) -> Partition:
+    """Remove both endpoints, drop emptied blocks, append {merged}."""
+    if part.block_index(a) == part.block_index(b):
+        raise ValueError(
+            f"vertices {a!r} and {b!r} share a block; contraction needs"
+            " endpoints in distinct blocks"
+        )
+    kept = [blk - {a, b} for blk in part.blocks]
+    return Partition.of([blk for blk in kept if blk] + [{merged}])
+
+
+def replay_trace(trace: ContractionTrace) -> tuple[tuple, tuple, tuple]:
+    """The graphs, partitions and vertex maps of every step of a trace.
+
+    Step p is the state after contracting the first p edges of the
+    order through contract_graph and contract_block; a vertex map takes
+    each original vertex to its image.
+    """
+    g, part, vmap = trace.graph, trace.partition, {v: v for v in trace.graph.vertices}
+    steps = [(g, part, vmap)]
+    for eid in trace.order:
+        a, b = g.ends(eid)
+        g, step_map = contract_graph(g, eid)
+        part = contract_block(part, a, b, step_map[a])
+        vmap = {orig: step_map[img] for orig, img in vmap.items()}
+        steps.append((g, part, vmap))
+    return tuple(map(tuple, zip(*steps)))
+
+
+def trans_block_count(g: Multigraph, part: Partition) -> int:
+    """Number of trans-block edge ids; parallel edges count separately."""
+    part.require_cover(g)
+    bi = part.block_index
+    return sum(
+        1 for e in g.edges
+        if e.ends[0] != e.ends[1] and bi(e.ends[0]) != bi(e.ends[1])
+    )
+
+
+def tree_weight(g: Multigraph, part: Partition, tree) -> Fraction:
+    """One tree's weight, summed over its admissible orderings one by one.
+
+    Independent of weight_distribution's forest sweep.
+    """
+    orders = admissible_orderings(g, part, tree)
+    return sum(
+        (Fraction(1, math.prod(build_trace(g, part, order).k_values)) for order in orders),
+        Fraction(0),
+    )
+
+
+def scan_contact_indices(replay: tuple[tuple, tuple, tuple], v: str, w: str) -> tuple[int, int]:
+    """Contact indices by walking the partitions and vertex maps of a replay.
+
+    replay is what replay_trace returns. O(n) per pair: the first step
+    whose blocks split the two images, and the first step at which the
+    images coincide.
     """
     if v == w:
         return (-1, 0)
+    _, partitions, vertex_maps = replay
     first_split = None
-    for p, (part, vmap) in enumerate(zip(trace.partitions, trace.vertex_maps)):
+    for p, (part, vmap) in enumerate(zip(partitions, vertex_maps)):
         iv, iw = vmap[v], vmap[w]
         if iv == iw:
             return (first_split, p)
@@ -196,12 +278,10 @@ def scan_contact_indices(trace: ContractionTrace, v: str, w: str) -> tuple[int, 
     raise AssertionError(f"trace never merges {v!r} and {w!r}")
 
 
-def replayed_k_values(trace: ContractionTrace) -> tuple[int, ...]:
-    """Trans-block counts of the replayed graph and partition at each step."""
-    return tuple(
-        trans_block_count(trace.graphs[p], trace.partitions[p])
-        for p in range(len(trace.order))
-    )
+def replayed_k_values(replay: tuple[tuple, tuple, tuple]) -> tuple[int, ...]:
+    """Trans-block counts of the replayed graph and partition before each step."""
+    graphs, partitions, _ = replay
+    return tuple(trans_block_count(g, part) for g, part in zip(graphs[:-1], partitions))
 
 
 def census_by_leading_tree(g: Multigraph) -> dict[frozenset[str], int]:
@@ -400,7 +480,7 @@ def per_tree_verify_exact(g: Multigraph, part: Partition) -> ExactReport:
         total += weight
         trace = build_trace(g, part, order)
         mono = edge_monomials(g, trace)
-        routes = routes and ordered_weight_from_trace(trace) == weight == mono.integral()
+        routes = routes and Fraction(1, math.prod(trace.k_values)) == weight == mono.integral()
         exponents = exponents and mono.exponents == tuple(k - 1 for k in trace.k_values)
         contacts = contacts and all(
             i < j for i, j in (contact_indices(trace, v, w) for v, w in pairs)

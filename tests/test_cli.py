@@ -354,6 +354,7 @@ def test_deeply_nested_graph_json_is_parse_error(tmp_path):
         (["trees"], "parse-error"),
         (["nope"], "parse-error"),
         ([], "parse-error"),
+        (["weights", "--graph", "GRAPH", "--partition", "v1,v1|v2,v3"], "duplicate-vertex"),
     ],
 )
 def test_argument_errors_print_one_error_line(capsys, args, code):

@@ -8,12 +8,11 @@ from treeweights.errors import (
     DisconnectedError,
     DuplicateIdError,
     ParseError,
-    SelfLoopContractionError,
 )
 from treeweights.fixtures import fig1, fig2
 from treeweights.graph import Edge, Multigraph
 
-from helpers import brute_force_spanning_trees, random_connected_multigraph
+from helpers import brute_force_spanning_trees, contract_graph, random_connected_multigraph
 
 FIG2_TREES = {
     frozenset(t)
@@ -64,7 +63,7 @@ def test_is_connected():
 
 
 def test_contract_fig1():
-    g, vmap = fig1().contract("l1")
+    g, vmap = contract_graph(fig1(), "l1")
     assert set(g.vertices) == {"v1+v2", "v3"}
     assert vmap == {"v1": "v1+v2", "v2": "v1+v2", "v3": "v3"}
     assert [(e.id, set(e.ends)) for e in g.edges] == [
@@ -75,20 +74,14 @@ def test_contract_fig1():
 
 
 def test_contract_parallel_becomes_self_loop():
-    g, _ = fig2().contract("l3")
+    g, _ = contract_graph(fig2(), "l3")
     assert g.edge("l4").is_self_loop
 
 
 def test_contract_single_edge():
-    g, _ = Multigraph.build(["v1", "v2"], [("l1", "v1", "v2")]).contract("l1")
+    g, _ = contract_graph(Multigraph.build(["v1", "v2"], [("l1", "v1", "v2")]), "l1")
     assert len(g.vertices) == 1
     assert g.edges == ()
-
-
-def test_contract_rejects_self_loop():
-    g = Multigraph.build(["v1"], [("l1", "v1", "v1")])
-    with pytest.raises(SelfLoopContractionError):
-        g.contract("l1")
 
 
 def test_contract_bookkeeping():
@@ -98,7 +91,7 @@ def test_contract_bookkeeping():
         for e in g.edges:
             if e.is_self_loop:
                 continue
-            h, _ = g.contract(e.id)
+            h, _ = contract_graph(g, e.id)
             assert len(h.vertices) == len(g.vertices) - 1
             assert h.nullity() == g.nullity()
 

@@ -1,15 +1,14 @@
 """The integer contraction kernel against the object-level walk it replaced.
 
 The kernel's k values and contact indices must equal, bit for bit, those
-read off the replayed graphs and partitions; the batched kernel must
-equal the single-trace routes row by row, and the checks built on it the
-per-ordering loops they replaced; the engine routes must run without
-contracting a single graph; and no invariant may hide in an `assert`
-that `python -O` strips.
+read off the graphs and partitions that the test oracles replay by
+contracting objects; the batched kernel must equal the single-trace
+routes row by row, and the checks built on it the per-ordering loops
+they replaced; no invariant may hide in an `assert` that `python -O`
+strips; and the package exports exactly the names it defines.
 """
 
 import ast
-import io
 import itertools
 import random
 from functools import lru_cache
@@ -17,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from treeweights import cli, psd, weights
-from treeweights.cli import RunConfig
+import treeweights
+from treeweights import psd, weights
 from treeweights.errors import InvariantError, NotAdmissibleError
 from treeweights.fixtures import fig1, fig1_root_first, fig1_root_second, fig2, fig2_double_rooted
 from treeweights.graph import Multigraph
@@ -40,13 +39,13 @@ from helpers import (
     per_tree_verify_constructive,
     per_tree_verify_exact,
     random_connected_multigraph,
+    replay_trace,
     replayed_k_values,
     scan_contact_indices,
 )
 from test_acceptance import pool_normalization
 
 ROOT = Path(__file__).resolve().parent.parent
-FIG2 = str(ROOT / "fixtures" / "fig2.json")
 
 
 def kernel_cases():
@@ -66,11 +65,12 @@ def test_kernel_matches_replayed_scan():
             for tree in g.spanning_trees():
                 for order in admissible_orderings(g, part, tree):
                     trace = build_trace(g, part, order)
-                    assert trace.k_values == replayed_k_values(trace)
+                    replay = replay_trace(trace)
+                    assert trace.k_values == replayed_k_values(replay)
                     for v in g.vertices:
                         for w in g.vertices:
                             assert contact_indices(trace, v, w) == (
-                                scan_contact_indices(trace, v, w)
+                                scan_contact_indices(replay, v, w)
                             )
                     traces += 1
     assert traces > 1000
@@ -151,35 +151,6 @@ def test_batch_kernel_refuses_like_forest_trace():
     assert err.value.step == min(refused)
 
 
-def test_engine_routes_never_contract(monkeypatch):
-    commands = [
-        ["weights", "v1|v2|v3,v4"],
-        ["weights", "v1|v2|v3|v4"],
-        ["verify", "v1|v2|v3,v4"],
-        ["verify", None],
-        ["psd", "v1|v2|v3,v4"],
-        ["psd", None],
-    ]
-
-    def run_all():
-        outputs = []
-        for command, partition in commands:
-            out, err = io.StringIO(), io.StringIO()
-            config = RunConfig(command=command, graph_path=FIG2, partition=partition)
-            assert cli.run(config, out=out, err=err) == 0, err.getvalue()
-            outputs.append(out.getvalue())
-        return outputs
-
-    expected = run_all()
-
-    def refuse(*args, **kwargs):
-        raise RuntimeError("an engine route contracted an object graph")
-
-    monkeypatch.setattr(Multigraph, "contract", refuse)
-    monkeypatch.setattr(Partition, "contract_pair", refuse)
-    assert run_all() == expected
-
-
 def test_search_invariant_raises_a_real_error():
     # a disconnected graph leaves an interior state without a
     # trans-block edge, which the search reports instead of skipping
@@ -199,3 +170,8 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         )
     assert found == []
+
+
+def test_all_names_are_exported_once():
+    assert len(set(treeweights.__all__)) == len(treeweights.__all__)
+    assert [name for name in treeweights.__all__ if not hasattr(treeweights, name)] == []

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,14 +17,11 @@ from treeweights.partitions import Partition, admissible_orderings, build_trace
 from treeweights.sectors import sector_census
 from treeweights.weights import (
     edge_monomials,
-    monomial_weight,
-    ordered_weight,
     symmetric_via_partition,
-    tree_weight,
     weight_distribution,
 )
 
-from helpers import nontrivial_partitions, random_connected_multigraph, relabel
+from helpers import nontrivial_partitions, random_connected_multigraph, relabel, tree_weight
 
 FIG2_TABLE = {
     ("l1", "l3", "l5"): Fraction(47, 400),
@@ -55,9 +53,10 @@ def test_edge_monomials_examples():
 
 def test_ordered_weight_fig2():
     g, part = fig2(), fig2_double_rooted()
-    assert ordered_weight(g, part, ("l1", "l2", "l5")) == Fraction(1, 40)
+    trace = build_trace(g, part, ("l1", "l2", "l5"))
+    assert Fraction(1, math.prod(trace.k_values)) == Fraction(1, 40)
     others = sorted(
-        ordered_weight(g, part, order)
+        Fraction(1, math.prod(build_trace(g, part, order).k_values))
         for order in admissible_orderings(g, part, {"l1", "l2", "l5"})
         if order != ("l1", "l2", "l5")
     )
@@ -71,8 +70,9 @@ def test_ordered_weight_fig2():
 
 
 def test_ordered_weight_fig1():
-    assert ordered_weight(fig1(), fig1_root_second(), ("l1", "l2")) == Fraction(1, 9)
-    assert ordered_weight(fig1(), fig1_root_second(), ("l3", "l1")) == Fraction(1, 6)
+    g, part = fig1(), fig1_root_second()
+    assert Fraction(1, math.prod(build_trace(g, part, ("l1", "l2")).k_values)) == Fraction(1, 9)
+    assert Fraction(1, math.prod(build_trace(g, part, ("l3", "l1")).k_values)) == Fraction(1, 6)
 
 
 def test_tree_weight_examples():
@@ -145,8 +145,9 @@ def test_dual_route_equality_random():
         for part in nontrivial_partitions(g, rng, cap=3):
             for tree in g.spanning_trees():
                 for order in admissible_orderings(g, part, tree):
-                    assert ordered_weight(g, part, order) == monomial_weight(
-                        g, part, order
+                    trace = build_trace(g, part, order)
+                    assert Fraction(1, math.prod(trace.k_values)) == (
+                        edge_monomials(g, trace).integral()
                     )
 
 
@@ -167,7 +168,7 @@ def test_ordered_weights_positive_bounded():
     for tree in g.spanning_trees():
         for order in admissible_orderings(g, part, tree):
             trace = build_trace(g, part, order)
-            w = ordered_weight(g, part, order)
+            w = Fraction(1, math.prod(trace.k_values))
             assert 0 < w <= 1
             prod = 1
             for k in trace.k_values:
