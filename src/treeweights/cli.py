@@ -10,7 +10,10 @@ Exit codes: 0 success, 2 input error (a bad graph, partition or
 argument), 3 check failure, 4 enumeration guard exceeded, 5 internal
 fault (an invariant of the program failed: a bug, not bad input). Every
 error writes one `error[<code>]: ...` line to stderr. Output is
-deterministic for a fixed config and seed.
+deterministic for a fixed config and seed. JSON output is exactly
+`json.dumps(payload, indent=2)` (ASCII-escaped, strict: no NaN or
+Infinity) plus one newline; a table is left-justified columns joined by
+two spaces, trailing blanks stripped. Either is written in one piece.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
+import math
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     EnumerationGuardExceededError,
@@ -90,14 +95,62 @@ def _tree_str(tree) -> str:
     return ",".join(sorted(tree))
 
 
+_STR = {str}
+_SEQUENCES = {list, tuple}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, allow_nan=False).
+
+    indent is the line break and indent before value's closing bracket.
+    A non-str dict key raises TypeError (in the quoter). Lists of str,
+    and lists of such lists, are quoted without a call per item.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_quote(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if _STR.issuperset(map(type, value)):
+            items = map(_quote, value)
+        elif _SEQUENCES.issuperset(map(type, value)) and _STR.issuperset(
+            map(type, chain.from_iterable(value))
+        ):
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = [
+                "[" + deeper + sep.join(map(_quote, v)) + inner + "]" if v else "[]"
+                for v in value
+            ]
+        else:
+            items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _emit_table(headers: list[str], rows: list[list[str]], out) -> None:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
-    for r in rows:
-        out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    # the cells are format arguments, so braces in them are written as they are
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    out.write("".join([line(*r).rstrip() + "\n" for r in (headers, *rows)]))
 
 
 def _emit_csv(headers: list[str], rows: list[list[str]], out) -> None:
@@ -114,8 +167,7 @@ def _emit(config: RunConfig, payload, headers: list[str], rows, out) -> None:
     payload and rows are callables; only the one written is built.
     """
     if config.output_format == "json":
-        json.dump({"format": FORMAT_VERSION, **payload()}, out, indent=2, allow_nan=False)
-        out.write("\n")
+        out.write(_json_text({"format": FORMAT_VERSION, **payload()}) + "\n")
     elif config.output_format == "csv":
         _emit_csv(headers, rows(), out)
     else:

@@ -15,18 +15,21 @@ trees and the depth-first search that listed the ordered trees. Then
 the positivity check that builds its matrices one point at a time,
 which the stacked build replaced, and the exact and positivity checks
 that build one trace per ordered tree, which the batched kernel
-replaced.
+replaced. Last, the CLI writers that the one-pass writers replaced:
+JSON through json.dump and the table written line by line.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
+from treeweights import cli
 from treeweights.errors import (
     DisconnectedError,
     EnumerationGuardExceededError,
@@ -573,6 +576,29 @@ def per_tree_verify_constructive(
         measure_normalized=normalized,
         passed=normalized and all(c.passed for c in checks),
     )
+
+
+def reference_table(headers: list[str], rows: list[list[str]], out) -> None:
+    """The table writer before the one-pass writer: one write per line."""
+    widths = [
+        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+        for i, h in enumerate(headers)
+    ]
+    out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
+    for r in rows:
+        out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+
+
+def reference_emit(config: cli.RunConfig, payload, headers: list[str], rows, out) -> None:
+    """cli._emit before the one-pass writers: JSON through json.dump, whose
+    indent=2 encoder writes token by token, and the line-by-line table."""
+    if config.output_format == "json":
+        json.dump({"format": cli.FORMAT_VERSION, **payload()}, out, indent=2, allow_nan=False)
+        out.write("\n")
+    elif config.output_format == "csv":
+        cli._emit_csv(headers, rows(), out)
+    else:
+        reference_table(headers, rows(), out)
 
 
 def random_connected_multigraph(
