@@ -1,19 +1,20 @@
 """Command-line front end.
 
     treeweights trees     --graph g.json
-    treeweights symmetric --graph g.json
-    treeweights weights   --graph g.json --partition "v1|v2|v3,v4"
+    treeweights symmetric --graph g.json [--guard N]
+    treeweights weights   --graph g.json --partition "v1|v2|v3,v4" [--breakdown]
     treeweights verify    --graph g.json [--partition SPEC]
-    treeweights psd       --graph g.json [--partition SPEC] [--seed N]
+    treeweights psd       --graph g.json [--partition SPEC] [--seed N] [--samples N] [--tol X]
 
-Exit codes: 0 success, 2 input error (a bad graph, partition or
-argument), 3 check failure, 4 enumeration guard exceeded, 5 internal
-fault (an invariant of the program failed: a bug, not bad input). Every
-error writes one `error[<code>]: ...` line to stderr. Output is
-deterministic for a fixed config and seed. JSON output is exactly
-`json.dumps(payload, indent=2)` (ASCII-escaped, strict: no NaN or
-Infinity) plus one newline; a table is left-justified columns joined by
-two spaces, trailing blanks stripped. Either is written in one piece.
+Every command takes --format table|json|csv and refuses any option it
+does not read. Exit codes: 0 success, 2 input error (a bad graph,
+partition or argument), 3 check failure, 4 enumeration guard exceeded, 5
+internal fault (an invariant of the program failed: a bug, not bad
+input). Every error writes one `error[<code>]: ...` line to stderr.
+Output is deterministic for a fixed config and seed. JSON output is
+exactly `json.dumps(payload, indent=2)` (ASCII-escaped, strict: no NaN
+or Infinity) plus one newline; a table is left-justified columns joined
+by two spaces, trailing blanks stripped. Either is written in one piece.
 """
 
 from __future__ import annotations
@@ -416,53 +417,52 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, declaring only the options it reads,
+    so any other option is a parse error."""
     parser = _Parser(
         prog="treeweights",
         description="Exact probability measures on the spanning trees of multigraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "trees": "list the spanning trees",
-        "symmetric": "symmetric weights by sector census, cross-checked",
-        "weights": "partition weight table",
-        "verify": "exact structural checks for a partition",
-        "psd": "positivity of contact matrices at sampled points",
+    options = {
+        "--partition": dict(help='blocks separated by "|", members by "," (e.g. "v1|v2,v3")'),
+        "--format": dict(choices=["table", "json", "csv"], default="table", dest="output_format"),
+        "--guard": dict(
+            type=int, default=DEFAULT_GUARD,
+            help=f"max edge count for the symmetric census (default {DEFAULT_GUARD})",
+        ),
+        "--seed": dict(type=int, default=0, help="random seed of the sample points"),
+        "--samples": dict(
+            type=int, default=DEFAULT_SAMPLES,
+            help=f"sampled points per ordered tree (default {DEFAULT_SAMPLES})",
+        ),
+        "--tol": dict(
+            type=float, default=DEFAULT_TOLERANCE, dest="tolerance", metavar="TOL",
+            help=f"psd fails an eigenvalue below -TOL (default {DEFAULT_TOLERANCE:g})",
+        ),
+        "--breakdown": dict(
+            action="store_true", help="list each admissible ordering and its weight"
+        ),
     }
-    for name, help_text in specs.items():
+    # each command's options besides --graph and --format
+    specs = {
+        "trees": ("list the spanning trees", []),
+        "symmetric": ("symmetric weights by sector census, cross-checked", ["--guard"]),
+        "weights": ("partition weight table", ["--partition", "--breakdown"]),
+        "verify": ("exact structural checks for a partition", ["--partition"]),
+        "psd": (
+            "positivity of contact matrices at sampled points",
+            ["--partition", "--seed", "--samples", "--tol"],
+        ),
+    }
+    for name, (help_text, flags) in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument(
             "--graph", required=True, dest="graph_path", metavar="GRAPH",
             help="path to a graph JSON file",
         )
-        p.add_argument(
-            "--partition",
-            help='blocks separated by "|", members by "," (e.g. "v1|v2,v3")',
-        )
-        p.add_argument(
-            "--format",
-            choices=["table", "json", "csv"],
-            default="table",
-            dest="output_format",
-        )
-        p.add_argument(
-            "--guard", type=int, default=DEFAULT_GUARD,
-            help=f"max edge count for the symmetric census (default {DEFAULT_GUARD})",
-        )
-        p.add_argument(
-            "--seed", type=int, default=0, help="random seed of the psd sample points"
-        )
-        p.add_argument(
-            "--samples", type=int, default=DEFAULT_SAMPLES,
-            help=f"sampled points per ordered tree for psd (default {DEFAULT_SAMPLES})",
-        )
-        p.add_argument(
-            "--tol", type=float, default=DEFAULT_TOLERANCE, dest="tolerance", metavar="TOL",
-            help=f"psd fails an eigenvalue below -TOL (default {DEFAULT_TOLERANCE:g})",
-        )
-        p.add_argument(
-            "--breakdown", action="store_true",
-            help="weights: list each admissible ordering and its weight",
-        )
+        for flag in ("--format", *flags):
+            p.add_argument(flag, **options[flag])
     return parser
 
 
@@ -472,7 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return EXIT_INPUT
-    # the parser's destinations are the RunConfig fields
+    # the parser's destinations are RunConfig fields; an option a command
+    # does not declare keeps its default
     return run(RunConfig(**vars(args)))
 
 

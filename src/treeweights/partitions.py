@@ -10,13 +10,17 @@ different integer labels: the starting block index, then a number fresh
 to the step that first merges the vertex. forest_trace walks one
 ordering on these labels, recording the step at which each vertex pair
 merges; trace_batch walks many complete orderings at once on numpy
-arrays of the same labels; ordered_trees lists every admissible
-ordering in sorted order by walking a table of the forests the
-orderings reach.
+arrays of the same labels. _ordering_states builds the one table of
+the forests that admissible orderings reach, level by level on the same
+labels: each state holds its k and trans-block edges, and the table
+sums every tree's weight and ordering count as it is built. The
+weights, their per-ordering breakdown, ordered_trees and the psd
+normalization all read that table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -323,68 +327,65 @@ def _merged_labels(labels: tuple[int, ...], a: int, b: int, fresh: int) -> tuple
     return tuple(out)
 
 
-def _ordering_states(g: Multigraph, part: Partition) -> list:
-    """The root of the forest-state DAG that ordered_trees walks.
+def _ordering_states(g: Multigraph, part: Partition) -> tuple[list, dict[int, list], int]:
+    """The forest-state table of (g, part), with every tree's weight.
 
     A state is a forest that an admissible ordering reaches, built once
-    per edge bitmask (bit i for g.edges[i]) level by level, with the
-    canonical labels of weights._forest_sweep: the starting block index
-    while a vertex is untouched, fresh plus the least vertex of its
-    component once merged, so an edge is trans-block exactly when its
-    two labels differ. A state is stored as [k, moves, last]: k counts
-    its trans-block edges and moves holds (edge id, edge index, next)
-    for each of them. On the last level (one edge short of a tree) next
+    per edge bitmask (bit i for g.edges[i]) level by level, on the
+    canonical labels of _merged_labels (block index until merged), so an
+    edge is trans-block exactly when its two labels differ. A state is
+    stored as [k, moves, last]: k counts its trans-block edges and moves
+    holds (edge id, edge index, next) for each. On the last level next
     is the tree's bitmask and the moves are in id order; elsewhere next
     is the successor state and the moves are in reverse id order, ready
-    to push. g must be connected with at least two vertices and the
-    partition non-trivial; then every state has a move.
+    to push. Each forest pushes its weight w/k and ordering count to its
+    successors, as integer numerators over scale**depth, scale =
+    lcm(1..|E|) being a multiple of every k. Returns the root,
+    {tree mask: [numerator, orderings]} and scale**(|V|-1). g must be
+    connected and the partition non-trivial.
     """
     vi = g._vertex_index
     ends = sorted((e.id, i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges))
     fresh = len(part.blocks)
     n = len(g.vertices)
+    scale = math.lcm(*range(1, len(ends) + 1))
     root: list = [0, (), False]
-    level = {0: (tuple(part.block_index(v) for v in g.vertices), root)}
+    # mask -> [labels, state (on the tree level, the mask), numerator, orderings]
+    level = {0: [tuple(part.block_index(v) for v in g.vertices), root, 1, 1]}
     for depth in range(n - 1):
         last = depth == n - 2
-        after: dict[int, tuple[tuple[int, ...], list]] = {}
-        for mask, (labels, state) in level.items():
-            moves = []
+        after: dict[int, list] = {}
+        for mask, (labels, state, num, count) in level.items():
+            moves, successors = [], []
             for eid, i, a, b in ends:
                 if labels[a] == labels[b]:
                     continue
                 key = mask | 1 << i
-                if last:
-                    moves.append((eid, i, key))
-                    continue
                 successor = after.get(key)
                 if successor is None:
                     successor = after[key] = (
-                        _merged_labels(labels, a, b, fresh), [0, (), False]
+                        [None, key, 0, 0] if last
+                        else [_merged_labels(labels, a, b, fresh), [0, (), False], 0, 0]
                     )
+                successors.append(successor)
                 moves.append((eid, i, successor[1]))
             if not moves:
                 raise InvariantError("an interior contraction state has no trans-block edge")
+            share = num * (scale // len(moves))
+            for successor in successors:
+                successor[2] += share
+                successor[3] += count
             state[:] = len(moves), tuple(moves if last else reversed(moves)), last
         level = after
-    return root
+    trees = {mask: [num, count] for mask, (_, _, num, count) in level.items()}
+    return root, trees, scale ** (n - 1)
 
 
-def _ordered_tree_walk(
-    g: Multigraph, part: Partition
-) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
-    """ordered_trees with each ordering's edge indices and tree bitmask.
-
-    Yields (order, indices into g.edges, tree bitmask, k product) in
-    sorted order. An explicit stack walks the states of
-    _ordering_states, extending the order and indices of a path by one
-    edge per step; nothing recurses and no edge list is rebuilt.
-    """
-    part.require_cover(g)
-    if len(g.vertices) == 1:
-        yield (), (), 0, 1
-        return
-    stack = [(_ordering_states(g, part), (), (), 1)]
+def _walk_states(root: list) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
+    """(order, edge indices, tree bitmask, k product) of every path from
+    root, in sorted order. An explicit stack extends a path by one edge
+    per step; nothing recurses and no edge list is rebuilt."""
+    stack = [(root, (), (), 1)]
     while stack:
         (k, moves, last), order, indices, denom = stack.pop()
         denom *= k
@@ -396,12 +397,24 @@ def _ordered_tree_walk(
                 stack.append((state, order + (eid,), indices + (i,), denom))
 
 
+def _ordered_tree_walk(
+    g: Multigraph, part: Partition
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
+    """ordered_trees with each ordering's edge indices and tree bitmask,
+    as _walk_states yields them from a new state table of (g, part)."""
+    part.require_cover(g)
+    if len(g.vertices) == 1:
+        yield (), (), 0, 1
+        return
+    yield from _walk_states(_ordering_states(g, part)[0])
+
+
 def ordered_trees(g: Multigraph, part: Partition) -> Iterator[tuple[tuple[str, ...], int]]:
     """Every admissible ordered spanning tree of g with its k product.
 
     Yields (order, k_0 * ... * k_{|V|-2}) in sorted order, orderings
-    compared by edge id. The orderings are read off a table of forest
-    states (_ordering_states), in which every ordering that contracts
+    compared by edge id. The orderings are read off the forest-state
+    table of _ordering_states, in which every ordering that contracts
     the same edge set shares one state; the state holds k and the
     trans-block edges in id order, and a stack walks it. g must be
     connected and the partition non-trivial; then every state has a

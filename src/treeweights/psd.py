@@ -34,10 +34,11 @@ from .partitions import (
     ContractionTrace,
     Partition,
     TraceBatch,
+    _ordered_tree_walk,
     batch_contact_indices,
-    ordered_trees,
     trace_batch,
 )
+from .weights import _row_products
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_SAMPLES = 20
@@ -166,6 +167,19 @@ class PsdReport:
         return min((c.min_eigenvalue for c in self.checks), default=0.0)
 
 
+def _tree_k(g: Multigraph, batch: TraceBatch) -> np.ndarray:
+    """The k of each row's tree alone, as an (N, |V|-1) array: a tree
+    edge is trans-block at step s exactly when its contact indices
+    satisfy i <= s < j, and k[r, s] counts row r's edges that are."""
+    vi = g._vertex_index
+    ends = (np.array([vi[e.ends[x]] for e in g.edges], dtype=np.intp) for x in (0, 1))
+    a, b = (end[batch.orders] for end in ends)
+    rows = np.arange(len(batch))[:, None]
+    i, j = (c[rows, a, b][..., None] for c in batch_contact_indices(batch))
+    steps = np.arange(batch.orders.shape[1])
+    return np.count_nonzero((i <= steps) & (steps < j), axis=1)
+
+
 def verify_constructive(
     g: Multigraph,
     part: Partition,
@@ -179,14 +193,18 @@ def verify_constructive(
     random points both matrix constructions must agree within tol, the
     diagonal must be exactly one, and the smallest eigenvalue must stay
     above -tol; the endpoint points (all-ones, all-zeros) must give the
-    all-ones matrix and the identity exactly. Each ordered tree keeps its
-    own generator, seeded [seed, index]. The ordered trees go through
-    trace_batch in blocks of at most STACK_ENTRIES matrix entries, and
-    each construction builds one stack per block: per ordered tree the
-    samples, then the two endpoints; eigvalsh runs once per block.
-    Separately the tree measure is normalized exactly: over the tree
-    alone, the ordered weights of its admissible orderings sum to 1. One
-    walk over the tree alone gives both the orderings and those weights.
+    all-ones matrix and the identity exactly. One walk of the
+    forest-state table gives the ordered trees, regrouped tree-major
+    (trees by sorted edge ids, each tree's orderings in walk order,
+    which is sorted); each keeps its own generator, seeded [seed,
+    index]. The ordered trees go through trace_batch in blocks of at
+    most STACK_ENTRIES matrix entries, and each construction builds one
+    stack per block: per ordered tree the samples, then the two
+    endpoints; eigvalsh runs once per block. Separately the tree measure
+    is normalized exactly: every spanning tree (as many as
+    Multigraph.complexity counts) is walked, and over the tree alone,
+    whose edges alone decide admissibility, the ordered weights 1/prod k
+    of its admissible orderings sum to 1, k read off the batch by _tree_k.
     """
     if part.is_trivial:
         raise TrivialPartitionError("verification needs a non-trivial partition")
@@ -196,25 +214,25 @@ def verify_constructive(
         raise OutOfRangeError(f"tol must be >= 0, not {tol}")
     if seed < 0:
         raise OutOfRangeError(f"seed must be >= 0, not {seed}")
+    # Kirchhoff's tree count, which also refuses a disconnected graph
+    spanning = g.complexity()
     n = len(g.vertices)
-    trees: list[tuple[str, ...]] = []
-    orders: list[tuple[str, ...]] = []
-    normalized = True
-    for tree in g.spanning_trees():
-        skeleton = Multigraph(g.vertices, tuple(g.edge(e) for e in sorted(tree)))
-        walks = list(ordered_trees(skeleton, part))
-        if sum((Fraction(1, denom) for _, denom in walks), Fraction(0)) != 1:
-            normalized = False
-        trees.extend([tuple(sorted(tree))] * len(walks))
-        orders.extend(order for order, _ in walks)
-    index = g._edge_index
+    # a stable sort by tree keeps each tree's orderings in walk order
+    walked = _ordered_tree_walk(g, part)
+    walks = sorted(
+        ((tuple(sorted(order)), order, indices) for order, indices, _, _ in walked),
+        key=lambda row: row[0],
+    )
     corners = np.array([np.ones((n, n)), np.eye(n)])
     diag = np.arange(n)
     size = max(1, min(BLOCK_ORDERINGS, STACK_ENTRIES // ((samples + 2) * n * n)))
     checks: list[TraceCheck] = []
-    for first in range(0, len(orders), size):
-        block = orders[first:first + size]
-        batch = trace_batch(g, part, [[index[eid] for eid in order] for order in block])
+    tree_weights: dict[tuple[str, ...], Fraction] = {}
+    for first in range(0, len(walks), size):
+        block = walks[first:first + size]
+        batch = trace_batch(g, part, [indices for _, _, indices in block])
+        for (tree, _, _), denom in zip(block, _row_products(_tree_k(g, batch))):
+            tree_weights[tree] = tree_weights.get(tree, 0) + Fraction(1, denom)
         points = np.empty((len(block), samples + 2, n - 1))
         for row in range(len(block)):
             rng = np.random.default_rng([seed, first + row])
@@ -234,7 +252,7 @@ def verify_constructive(
         passed = (gaps <= AGREEMENT_TOLERANCE) & (lowest >= -tol) & diag_ok & endpoints
         checks.extend(
             TraceCheck(
-                tree=trees[first + row],
+                tree=tree,
                 order=order,
                 min_eigenvalue=float(lowest[row]),
                 max_discrepancy=float(gaps[row]),
@@ -242,8 +260,9 @@ def verify_constructive(
                 unit_diagonal=bool(diag_ok[row]),
                 passed=bool(passed[row]),
             )
-            for row, order in enumerate(block)
+            for row, (tree, order, _) in enumerate(block)
         )
+    normalized = len(tree_weights) == spanning and all(w == 1 for w in tree_weights.values())
     passed = normalized and all(c.passed for c in checks)
     return PsdReport(
         seed=seed,

@@ -13,11 +13,12 @@ tree, together with the exponent law and the order of the contact
 indices, on traces built in blocks by partitions.trace_batch. A tree
 weighs the sum of its ordered weights over its admissible orderings,
 and the weights of all spanning trees of a connected graph sum to
-exactly 1. weight_distribution does not walk
-those orderings: k and admissibility depend only on the set of edges
-contracted so far, so it sweeps forests instead, merging every ordering
-that reaches the same forest. The per-ordering breakdown is listed only
-when read.
+exactly 1. weight_distribution does not walk those orderings: k and
+admissibility depend only on the set of edges contracted so far, so
+the forest-state table of partitions._ordering_states sums every
+tree's weight as it is built, merging every ordering that reaches the
+same forest. The per-ordering breakdown is walked from the same table,
+only when read.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .partitions import (
     ContractionTrace,
     Partition,
     TraceBatch,
-    _merged_labels,
     _ordered_tree_walk,
+    _ordering_states,
+    _walk_states,
     batch_contact_indices,
     contact_indices,
     trace_batch,
@@ -151,36 +153,37 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
 
 
 class _Listing:
-    """The per-ordering breakdown of one report, from one walk.
+    """The per-ordering breakdown of one report, from its state table.
 
-    partitions._ordered_tree_walk runs once, the first time any row
-    reads its orderings. It yields the orderings in sorted order, so
-    grouping them by tree bitmask keeps each tree's orderings sorted,
-    and every ordered weight 1/d is one shared Fraction per distinct d.
-    Each tree must get as many orderings as the forest sweep counted.
+    partitions._walk_states walks the root of the report's table once,
+    the first time any row reads its orderings. It yields the orderings
+    in sorted order, so grouping them by tree bitmask keeps each tree's
+    orderings sorted, and every ordered weight 1/d is one shared
+    Fraction per distinct d. Each tree must get as many orderings as the
+    table counted while it was built.
     """
 
-    def __init__(self, g: Multigraph, part: Partition, counts: dict[int, int]):
-        self.g, self.part, self.counts = g, part, counts
+    def __init__(self, root: list, counts: dict[int, int]):
+        self.root, self.counts = root, counts
 
     @cached_property
     def by_tree(self) -> dict[int, tuple[tuple[tuple[str, ...], Fraction], ...]]:
         grouped: dict[int, list[tuple[tuple[str, ...], Fraction]]] = {}
         shared: dict[int, Fraction] = {}
-        for order, _, mask, denom in _ordered_tree_walk(self.g, self.part):
+        for order, _, mask, denom in _walk_states(self.root):
             weight = shared.get(denom)
             if weight is None:
                 weight = shared[denom] = Fraction(1, denom)
             grouped.setdefault(mask, []).append((order, weight))
         if {mask: len(pairs) for mask, pairs in grouped.items()} != self.counts:
-            raise InvariantError("the ordering search and the forest sweep disagree")
+            raise InvariantError("the ordering walk and the table's ordering counts disagree")
         return {mask: tuple(pairs) for mask, pairs in grouped.items()}
 
 
 class Breakdown(Sequence):
     """One tree's admissible orderings with their ordered weights, sorted.
 
-    The length is the forest sweep's ordering count and costs nothing;
+    The length is the state table's ordering count and costs nothing;
     the orderings are listed, for every tree of the report at once, on
     first read. Compares equal to any tuple or list of the same pairs.
     """
@@ -244,59 +247,21 @@ class WeightReport:
         return {frozenset(r.tree): r.weight for r in self.rows}
 
 
-def _forest_sweep(g: Multigraph, part: Partition) -> tuple[dict[int, list], int]:
-    """Weight numerators and ordering counts of every spanning tree of g.
-
-    Level d holds every forest of d edges that an admissible ordering
-    reaches, keyed by its edge bitmask (bit i for g.edges[i]). A
-    forest's vertex labels are canonical: the starting block index while
-    a vertex is untouched, fresh plus the least vertex of its component
-    once merged, so an edge is trans-block exactly when its two labels
-    differ, as in ordered_trees. Each forest pushes w/k and its ordering
-    count to every successor by one trans-block edge. Weights are kept
-    as integer numerators over scale**d, where scale = lcm(1..|E|) is a
-    multiple of every k. Returns the last level, {tree mask: [labels,
-    numerator, orderings]}, and its denominator scale**(|V|-1). g must
-    be connected and the partition non-trivial.
-    """
-    vi = g._vertex_index
-    ends = [(vi[e.ends[0]], vi[e.ends[1]]) for e in g.edges]
-    fresh = len(part.blocks)
-    scale = math.lcm(*range(1, len(ends) + 1))
-    states = {0: [tuple(part.block_index(v) for v in g.vertices), 1, 1]}
-    for _ in range(len(g.vertices) - 1):
-        successors: dict[int, list] = {}
-        for mask, (labels, num, count) in states.items():
-            tb = [i for i, (a, b) in enumerate(ends) if labels[a] != labels[b]]
-            if not tb:
-                raise InvariantError("an interior forest has no trans-block edge")
-            share = num * (scale // len(tb))
-            for i in tb:
-                key = mask | 1 << i
-                state = successors.get(key)
-                if state is None:
-                    successors[key] = [_merged_labels(labels, *ends[i], fresh), share, count]
-                else:
-                    state[1] += share
-                    state[2] += count
-        states = successors
-    return states, scale ** (len(g.vertices) - 1)
-
-
 def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     """The full probability distribution over the spanning trees of g.
 
-    Tree weights and ordering counts come from _forest_sweep; each row's
-    per-ordering breakdown is listed only when read.
+    Tree weights and ordering counts come from one forest-state table
+    (partitions._ordering_states); each row's per-ordering breakdown is
+    walked from the same table only when read.
     """
     require_weighable(g, part)
     ids = [e.id for e in g.edges]
-    trees, denom = _forest_sweep(g, part)
+    root, trees, denom = _ordering_states(g, part)
     found = {
         tuple(sorted(ids[i] for i in range(len(ids)) if mask >> i & 1)): (mask, num, count)
-        for mask, (_, num, count) in trees.items()
+        for mask, (num, count) in trees.items()
     }
-    listing = _Listing(g, part, {mask: count for mask, (_, _, count) in trees.items()})
+    listing = _Listing(root, {mask: count for mask, (_, count) in trees.items()})
     return WeightReport(
         tuple(
             TreeRow(key, Fraction(num, denom), Breakdown(count, key, mask, listing))

@@ -355,6 +355,12 @@ def test_deeply_nested_graph_json_is_parse_error(tmp_path):
         (["nope"], "parse-error"),
         ([], "parse-error"),
         (["weights", "--graph", "GRAPH", "--partition", "v1,v1|v2,v3"], "duplicate-vertex"),
+        (["symmetric", "--graph", "GRAPH", "--partition", "v1|v2,v3"], "parse-error"),
+        (["trees", "--graph", "GRAPH", "--partition", "v1|v2,v3"], "parse-error"),
+        (["verify", "--graph", "GRAPH", "--seed", "2"], "parse-error"),
+        (["psd", "--graph", "GRAPH", "--breakdown"], "parse-error"),
+        (["weights", "--graph", "GRAPH", "--partition", "v1|v2", "--guard", "3"], "parse-error"),
+        (["trees", "--graph", "GRAPH", "--tol", "1e-9"], "parse-error"),
     ],
 )
 def test_argument_errors_print_one_error_line(capsys, args, code):
@@ -364,6 +370,38 @@ def test_argument_errors_print_one_error_line(capsys, args, code):
     assert captured.out == ""
     assert captured.err.startswith(f"error[{code}]: ")
     assert captured.err.count("\n") == 1
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    values = {
+        "--partition": ["v1|v2,v3"],
+        "--format": ["json"],
+        "--guard": ["3"],
+        "--seed": ["2"],
+        "--samples": ["2"],
+        "--tol": ["1e-9"],
+        "--breakdown": [],
+    }
+    reads = {
+        "trees": set(),
+        "symmetric": {"--guard"},
+        "weights": {"--partition", "--breakdown"},
+        "verify": {"--partition"},
+        "psd": {"--partition", "--seed", "--samples", "--tol"},
+    }
+    parser = cli.build_parser()
+    accepted = 0
+    for command, flags in reads.items():
+        for flag, value in values.items():
+            argv = [command, "--graph", "g.json", flag, *value]
+            if flag == "--format" or flag in flags:
+                parser.parse_args(argv)
+                accepted += 1
+            else:
+                with pytest.raises(ParseError, match="unrecognized arguments"):
+                    parser.parse_args(argv)
+    # with --graph on every command
+    assert accepted + len(reads) == 18
 
 
 @pytest.mark.parametrize("args", [["--help"], ["psd", "--help"]])
@@ -384,10 +422,11 @@ def test_symmetric_help_names_the_guard(capsys):
 
 
 def test_internal_fault_exit_code(monkeypatch):
-    # an ordering walk that drops a row disagrees with the forest sweep,
-    # which the breakdown reports as an InvariantError
-    walk = weights._ordered_tree_walk
-    monkeypatch.setattr(weights, "_ordered_tree_walk", lambda *args: list(walk(*args))[1:])
+    # a walk of the state table that drops a row disagrees with the
+    # ordering counts summed while the table was built, which the
+    # breakdown reports as an InvariantError
+    walk = weights._walk_states
+    monkeypatch.setattr(weights, "_walk_states", lambda *args: list(walk(*args))[1:])
     for fmt in ("table", "json"):
         code, out, err = run_cli(
             [

@@ -1,8 +1,11 @@
+import io
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from treeweights import cli, psd
 from treeweights.errors import (
     BadDimensionError,
     NotSymmetricError,
@@ -189,3 +192,55 @@ def test_verify_constructive_equals_pointwise_loop(samples, seed):
     for g, part in FIXTURE_CASES + multigraph_cases():
         report = verify_constructive(g, part, samples=samples, seed=seed)
         assert report == pointwise_verify_constructive(g, part, samples, 1e-10, seed)
+
+
+def _drop_second_ordering(walk):
+    def dropped(*args):
+        rows = list(walk(*args))
+        return rows[:1] + rows[2:]
+    return dropped
+
+
+def _drop_first_tree(walk):
+    def dropped(*args):
+        rows = list(walk(*args))
+        return [row for row in rows if row[2] != rows[0][2]]
+    return dropped
+
+
+def _first_k_off_by_one(tree_k):
+    def broken(g, batch):
+        k = tree_k(g, batch)
+        k[0, 0] += 1
+        return k
+    return broken
+
+
+# the walk psd reads its ordered trees from, and the tree-only k of the
+# normalization check
+@pytest.mark.parametrize(
+    "name,broken",
+    [
+        ("_ordered_tree_walk", _drop_second_ordering),
+        ("_ordered_tree_walk", _drop_first_tree),
+        ("_tree_k", _first_k_off_by_one),
+    ],
+    ids=["ordering-dropped", "tree-dropped", "k-off-by-one"],
+)
+def test_psd_reports_a_broken_normalization(monkeypatch, name, broken):
+    monkeypatch.setattr(psd, name, broken(getattr(psd, name)))
+    report = verify_constructive(fig2(), fig2_double_rooted(), samples=2, seed=0)
+    assert not report.measure_normalized
+    assert not report.passed
+    assert report.checks and all(c.passed for c in report.checks)
+    graph = str(Path(__file__).resolve().parent.parent / "fixtures" / "fig2.json")
+    for fmt in ("table", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        config = cli.RunConfig(
+            command="psd", graph_path=graph, partition=fig2_double_rooted().format(),
+            samples=2, output_format=fmt,
+        )
+        assert cli.run(config, out=out, err=err) == cli.EXIT_CHECK == 3
+        assert err.getvalue() == "error[check-failure]: positivity verification failed\n"
+        if fmt == "json":
+            assert '"measure_normalized": false' in out.getvalue()

@@ -314,7 +314,8 @@ def test_tree_weights_never_list_orderings(monkeypatch):
         (partitions, "ordered_trees"),
         (partitions, "_ordered_tree_walk"),
         (weights, "_ordered_tree_walk"),
-        (psd, "ordered_trees"),
+        (weights, "_walk_states"),
+        (psd, "_ordered_tree_walk"),
     ):
         monkeypatch.setattr(module, name, refuse)
     assert run_all() == expected
@@ -327,18 +328,26 @@ def test_tree_weights_never_list_orderings(monkeypatch):
 def test_breakdown_is_listed_once_per_report(monkeypatch):
     g = Multigraph.from_json(Path(FIG2).read_text())
     part = Partition.singletons(g.vertices)
-    searches = []
-    original = weights._ordered_tree_walk
+    builds, searches = [], []
+    build, walk = weights._ordering_states, weights._walk_states
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
 
     def counted(*args):
         searches.append(args)
-        return original(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(weights, "_ordered_tree_walk", counted)
+    monkeypatch.setattr(weights, "_ordering_states", counted_build)
+    monkeypatch.setattr(weights, "_walk_states", counted)
     report = weight_distribution(g, part)
+    assert len(builds) == 1
     assert searches == []
     listed = [list(row.orderings) for row in report.rows]
     listed_again = [list(row.orderings) for row in report.rows]
     assert len(searches) == 1
+    # the breakdown walks the table the weights were summed on
+    assert len(builds) == 1
     assert listed == listed_again
     assert list(map(len, listed)) == [len(row.orderings) for row in report.rows]
