@@ -176,15 +176,17 @@ def _emit(config: RunConfig, payload, headers: list[str], rows, out) -> None:
 
 
 def _cells(item: dict) -> list[str]:
-    """A JSON item's values, in key order, as table cells; lists joined by commas."""
-    return [",".join(v) if isinstance(v, list) else str(v) for v in item.values()]
+    """A JSON item's values, in key order, as table cells; lists and
+    tuples joined by commas."""
+    return [",".join(v) if isinstance(v, (list, tuple)) else str(v) for v in item.values()]
 
 
 def _weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
     """The JSON items of a weight report, or with table=True its table rows.
 
-    Each distinct breakdown weight is formatted once, keyed by its
-    numerator and denominator (hashing a Fraction costs a modular inverse).
+    Each distinct weight, of a tree or of an ordering, is formatted
+    once, keyed by its numerator and denominator (hashing a Fraction
+    costs a modular inverse).
     """
     out = []
     shown: dict[tuple[int, int], tuple[str, str]] = {}
@@ -197,30 +199,29 @@ def _weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
         return text
 
     for row in report.rows:
-        item = {
-            "tree": list(row.tree),
-            "weight": str(row.weight),
-            "decimal": _decimal_str(row.weight),
-            "orderings": len(row.orderings),
-        }
+        text, decimal = formatted(row.weight)
         if table:
-            out.append(_cells(item))
+            out.append([",".join(row.tree), text, decimal, str(len(row.orderings))])
             if breakdown:
                 for order, w in row.orderings:
                     # a starred list display over-allocates its list
                     text, decimal = formatted(w)
                     out.append(["  " + ",".join(order), text, decimal, ""])
             continue
+        item = {
+            "tree": row.tree, "weight": text, "decimal": decimal, "orderings": len(row.orderings)
+        }
         if breakdown:
             item["breakdown"] = [
-                {"order": list(order), "weight": formatted(w)[0]} for order, w in row.orderings
+                {"order": order, "weight": formatted(w)[0]} for order, w in row.orderings
             ]
         out.append(item)
     return out
 
 
 def cmd_trees(config: RunConfig, g: Multigraph, out) -> int:
-    trees = [sorted(t) for t in g.spanning_trees()]
+    # the walk's trees come as sorted id tuples, in sorted order
+    trees = g._sorted_trees()
     # both outputs are small next to the tree list itself; building them
     # lazily left a higher peak RSS after the K7 listing (heap layout)
     rows = [[",".join(t)] for t in trees]
@@ -230,32 +231,47 @@ def cmd_trees(config: RunConfig, g: Multigraph, out) -> int:
 
 
 def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
+    """The census weights, checked against the partition route.
+
+    On two or more vertices both routes must give the same trees, and
+    each tree's census count c must equal its partition weight w in
+    integers: c * w.denominator == w.numerator * census.total. The rows
+    follow the report's sorted trees; each distinct count is formatted
+    once.
+    """
     census = sector_census(g, guard=config.guard)
-    census_weights = census.weights()
+    counts, total = census.counts, census.total
     if len(g.vertices) >= 2:
         report = weight_distribution(g, Partition.singletons(g.vertices))
-        if census_weights != report.weights():
+        found = [(row.tree, counts.get(frozenset(row.tree)), row) for row in report.rows]
+        if len(counts) != len(found) or not all(
+            c is not None and c * row.weight.denominator == row.weight.numerator * total
+            for _, c, row in found
+        ):
             raise CheckFailure("sector census and partition route disagree")
-        order_counts = {frozenset(r.tree): len(r.orderings) for r in report.rows}
     else:
-        order_counts = {}
-    items = [
-        {
-            "tree": sorted(tree),
-            "weight": str(w),
-            "decimal": _decimal_str(w),
-            "sectors": census.counts[tree],
-            "orderings": order_counts.get(tree, 0),
-        }
-        for tree, w in sorted(census_weights.items(), key=lambda item: sorted(item[0]))
-    ]
+        found = sorted((tuple(sorted(t)), c, None) for t, c in counts.items())
+    shown: dict[int, tuple[str, str]] = {}
+    items = []
+    for tree, c, row in found:
+        text = shown.get(c)
+        if text is None:
+            w = Fraction(c, total)
+            text = shown[c] = (str(w), _decimal_str(w))
+        items.append({
+            "tree": tree,
+            "weight": text[0],
+            "decimal": text[1],
+            "sectors": c,
+            "orderings": 0 if row is None else len(row.orderings),
+        })
     # every weight is a count over census.total, so the counts must sum to it
-    counted = sum(census.counts.values())
-    if counted != census.total:
-        raise CheckFailure(f"weights sum to {Fraction(counted, census.total)}, not 1")
+    counted = sum(counts.values())
+    if counted != total:
+        raise CheckFailure(f"weights sum to {Fraction(counted, total)}, not 1")
     payload = {
         "command": "symmetric",
-        "sectors_total": census.total,
+        "sectors_total": total,
         "rows": items,
         "sum": "1",
     }

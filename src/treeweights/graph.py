@@ -160,32 +160,40 @@ class Multigraph:
     def spanning_trees(self) -> list[frozenset[str]]:
         """All spanning trees as edge-id sets, sorted by their sorted ids.
 
+        The sets are those of `_sorted_trees`, in its order.
+        """
+        return [frozenset(t) for t in self._sorted_trees()]
+
+    def _sorted_trees(self) -> list[tuple[str, ...]]:
+        """All spanning trees as sorted edge-id tuples, in sorted order.
+
         The trees are read off the states of `_tree_states` by a walk
         that keeps its own stack and takes each edge before skipping
         it. Every state leads to a tree, so the walk never enters a
         branch without one and no branch needs a connectivity test.
-        Taking first lists the trees in sorted order, so no final sort
-        is needed, and nothing recurses, so a graph with thousands of
+        The edges come in id order, so each tree's tuple is built
+        sorted, and taking first lists the trees in sorted order: no
+        sort is needed. Nothing recurses, so a graph with thousands of
         edges lists its trees like any other.
         """
         if not self.is_connected():
             raise DisconnectedError("spanning trees require a connected graph")
         if len(self.vertices) == 1:
-            return [frozenset()]
-        out: list[frozenset[str]] = []
+            return [()]
+        out: list[tuple[str, ...]] = []
         stack: list[tuple[list, tuple[str, ...]]] = [(self._tree_states(), ())]
         while stack:
             (eid, take, skip), chosen = stack.pop()
             if skip is not None:
                 stack.append((skip, chosen))
             if take is _TREE:
-                out.append(frozenset(chosen + (eid,)))
+                out.append(chosen + (eid,))
             elif take is not None:
                 stack.append((take, chosen + (eid,)))
         return out
 
     def _tree_states(self) -> list:
-        """The root of the state DAG that `spanning_trees` walks.
+        """The root of the state DAG that `_sorted_trees` walks.
 
         The non-loop edges are taken in id order. A state is a position
         in that order together with the forest chosen from the edges

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -180,6 +179,13 @@ def _tree_k(g: Multigraph, batch: TraceBatch) -> np.ndarray:
     return np.count_nonzero((i <= steps) & (steps < j), axis=1)
 
 
+def _sums_to_one(denoms: list[int]) -> bool:
+    """True iff the 1/d over denoms sum to exactly 1, checked in
+    integers over the lcm of the denominators."""
+    lcm = math.lcm(*denoms)
+    return sum(lcm // d for d in denoms) == lcm
+
+
 def verify_constructive(
     g: Multigraph,
     part: Partition,
@@ -205,6 +211,8 @@ def verify_constructive(
     Multigraph.complexity counts) is walked, and over the tree alone,
     whose edges alone decide admissibility, the ordered weights 1/prod k
     of its admissible orderings sum to 1, k read off the batch by _tree_k.
+    That sum is taken in integers: the products, over their lcm, must
+    add up to the lcm (_sums_to_one).
     """
     if part.is_trivial:
         raise TrivialPartitionError("verification needs a non-trivial partition")
@@ -227,12 +235,12 @@ def verify_constructive(
     diag = np.arange(n)
     size = max(1, min(BLOCK_ORDERINGS, STACK_ENTRIES // ((samples + 2) * n * n)))
     checks: list[TraceCheck] = []
-    tree_weights: dict[tuple[str, ...], Fraction] = {}
+    tree_denoms: dict[tuple[str, ...], list[int]] = {}
     for first in range(0, len(walks), size):
         block = walks[first:first + size]
         batch = trace_batch(g, part, [indices for _, _, indices in block])
         for (tree, _, _), denom in zip(block, _row_products(_tree_k(g, batch))):
-            tree_weights[tree] = tree_weights.get(tree, 0) + Fraction(1, denom)
+            tree_denoms.setdefault(tree, []).append(denom)
         points = np.empty((len(block), samples + 2, n - 1))
         for row in range(len(block)):
             rng = np.random.default_rng([seed, first + row])
@@ -262,7 +270,7 @@ def verify_constructive(
             )
             for row, (tree, order, _) in enumerate(block)
         )
-    normalized = len(tree_weights) == spanning and all(w == 1 for w in tree_weights.values())
+    normalized = len(tree_denoms) == spanning and all(map(_sums_to_one, tree_denoms.values()))
     passed = normalized and all(c.passed for c in checks)
     return PsdReport(
         seed=seed,

@@ -29,6 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -234,7 +235,11 @@ class WeightReport:
 
     @property
     def total(self) -> Fraction:
-        return sum((r.weight for r in self.rows), Fraction(0))
+        """The sum of the row weights, one Fraction per distinct weight:
+        equal weights are counted by numerator and denominator (hashing
+        a Fraction costs a modular inverse)."""
+        counts = Counter((r.weight.numerator, r.weight.denominator) for r in self.rows)
+        return sum((Fraction(num * c, d) for (num, d), c in counts.items()), Fraction(0))
 
     def weight(self, tree: Iterable[str]) -> Fraction:
         key = tuple(sorted(tree))
@@ -251,21 +256,30 @@ def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     """The full probability distribution over the spanning trees of g.
 
     Tree weights and ordering counts come from one forest-state table
-    (partitions._ordering_states); each row's per-ordering breakdown is
-    walked from the same table only when read.
+    (partitions._ordering_states), as integer numerators over one
+    denominator; each distinct numerator becomes one Fraction, shared
+    by every row of that weight. A row's tree is read off its bitmask
+    with the bits taken in id order, so it is sorted as it is built.
+    Each row's per-ordering breakdown is walked from the same table
+    only when read.
     """
     require_weighable(g, part)
-    ids = [e.id for e in g.edges]
+    # each edge's bit in a tree mask, in id order
+    bits = sorted((e.id, 1 << i) for i, e in enumerate(g.edges))
     root, trees, denom = _ordering_states(g, part)
-    found = {
-        tuple(sorted(ids[i] for i in range(len(ids)) if mask >> i & 1)): (mask, num, count)
-        for mask, (num, count) in trees.items()
-    }
+    shared: dict[int, Fraction] = {}
+    found = []
+    for mask, (num, count) in trees.items():
+        weight = shared.get(num)
+        if weight is None:
+            weight = shared[num] = Fraction(num, denom)
+        found.append((tuple([eid for eid, bit in bits if mask & bit]), weight, mask, count))
+    found.sort(key=itemgetter(0))
     listing = _Listing(root, {mask: count for mask, (_, count) in trees.items()})
     return WeightReport(
         tuple(
-            TreeRow(key, Fraction(num, denom), Breakdown(count, key, mask, listing))
-            for key, (mask, num, count) in sorted(found.items())
+            TreeRow(key, weight, Breakdown(count, key, mask, listing))
+            for key, weight, mask, count in found
         )
     )
 

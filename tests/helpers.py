@@ -15,8 +15,13 @@ trees and the depth-first search that listed the ordered trees. Then
 the positivity check that builds its matrices one point at a time,
 which the stacked build replaced, and the exact and positivity checks
 that build one trace per ordered tree, which the batched kernel
-replaced. Last, the CLI writers that the one-pass writers replaced:
-JSON through json.dump and the table written line by line.
+replaced. Then the CLI writers that the one-pass writers replaced:
+JSON through json.dump and the table written line by line. Last, the
+per-row routes that reading rows straight off the state walks
+replaced: a Fraction reduced for every tree and a Fraction sum for the
+total, every tree row formatted on its own, the census compared with the partition route as dicts of
+Fractions, each tree's normalization summed as Fractions, and the
+spanning trees sorted back from frozensets.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from treeweights import cli
+from treeweights import cli, psd
 from treeweights.errors import (
     DisconnectedError,
     EnumerationGuardExceededError,
@@ -38,11 +43,14 @@ from treeweights.errors import (
 )
 from treeweights.graph import DisjointSet, Edge, Multigraph
 from treeweights.partitions import (
+    BLOCK_ORDERINGS,
     ContractionTrace,
     Partition,
+    _ordering_states,
     admissible_orderings,
     build_trace,
     contact_indices,
+    trace_batch,
 )
 from treeweights.psd import (
     AGREEMENT_TOLERANCE,
@@ -54,9 +62,12 @@ from treeweights.psd import (
 )
 from treeweights.sectors import DEFAULT_GUARD, SectorCensus, leading_tree
 from treeweights.weights import (
+    Breakdown,
     ExactReport,
     TreeRow,
     WeightReport,
+    _Listing,
+    _row_products,
     edge_monomials,
     require_weighable,
 )
@@ -599,6 +610,134 @@ def reference_emit(config: cli.RunConfig, payload, headers: list[str], rows, out
         cli._emit_csv(headers, rows(), out)
     else:
         reference_table(headers, rows(), out)
+
+
+def reference_weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
+    """weight_distribution before equal weights shared one Fraction: a
+    Fraction reduced for every tree, its key sorted from the mask."""
+    require_weighable(g, part)
+    ids = [e.id for e in g.edges]
+    root, trees, denom = _ordering_states(g, part)
+    found = {
+        tuple(sorted(ids[i] for i in range(len(ids)) if mask >> i & 1)): (mask, num, count)
+        for mask, (num, count) in trees.items()
+    }
+    listing = _Listing(root, {mask: count for mask, (_, count) in trees.items()})
+    return WeightReport(
+        tuple(
+            TreeRow(key, Fraction(num, denom), Breakdown(count, key, mask, listing))
+            for key, (mask, num, count) in sorted(found.items())
+        )
+    )
+
+
+def reference_total(report: WeightReport) -> Fraction:
+    """WeightReport.total before it summed one Fraction per distinct
+    weight: one Fraction addition per row."""
+    return sum((r.weight for r in report.rows), Fraction(0))
+
+
+def reference_weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
+    """cli._weight_items before tree rows were formatted once per
+    distinct weight: every row's weight formatted on its own, and its
+    table row made from its JSON item."""
+    out = []
+    shown: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def formatted(w: Fraction) -> tuple[str, str]:
+        key = (w.numerator, w.denominator)
+        text = shown.get(key)
+        if text is None:
+            text = shown[key] = (str(w), cli._decimal_str(w))
+        return text
+
+    for row in report.rows:
+        item = {
+            "tree": list(row.tree),
+            "weight": str(row.weight),
+            "decimal": cli._decimal_str(row.weight),
+            "orderings": len(row.orderings),
+        }
+        if table:
+            out.append(cli._cells(item))
+            if breakdown:
+                for order, w in row.orderings:
+                    text, decimal = formatted(w)
+                    out.append(["  " + ",".join(order), text, decimal, ""])
+            continue
+        if breakdown:
+            item["breakdown"] = [
+                {"order": list(order), "weight": formatted(w)[0]} for order, w in row.orderings
+            ]
+        out.append(item)
+    return out
+
+
+def reference_cmd_trees(config: cli.RunConfig, g: Multigraph, out) -> int:
+    """cmd_trees before the walk's sorted tuples reached it: each
+    frozenset of spanning_trees sorted back into a list."""
+    trees = [sorted(t) for t in g.spanning_trees()]
+    rows = [[",".join(t)] for t in trees]
+    payload = {"command": "trees", "count": len(trees), "trees": trees}
+    cli._emit(config, lambda: payload, ["tree"], lambda: rows, out)
+    return cli.EXIT_OK
+
+
+def reference_cmd_symmetric(config: cli.RunConfig, g: Multigraph, out) -> int:
+    """cmd_symmetric before its integer check: the census and the
+    partition route compared as dicts of Fractions, keyed by frozenset,
+    and every row formatted on its own. It reads sector_census and
+    weight_distribution through cli, so a patch there reaches both."""
+    census = cli.sector_census(g, guard=config.guard)
+    census_weights = census.weights()
+    if len(g.vertices) >= 2:
+        report = cli.weight_distribution(g, Partition.singletons(g.vertices))
+        if census_weights != report.weights():
+            raise cli.CheckFailure("sector census and partition route disagree")
+        order_counts = {frozenset(r.tree): len(r.orderings) for r in report.rows}
+    else:
+        order_counts = {}
+    items = [
+        {
+            "tree": sorted(tree),
+            "weight": str(w),
+            "decimal": cli._decimal_str(w),
+            "sectors": census.counts[tree],
+            "orderings": order_counts.get(tree, 0),
+        }
+        for tree, w in sorted(census_weights.items(), key=lambda item: sorted(item[0]))
+    ]
+    counted = sum(census.counts.values())
+    if counted != census.total:
+        raise cli.CheckFailure(f"weights sum to {Fraction(counted, census.total)}, not 1")
+    payload = {
+        "command": "symmetric",
+        "sectors_total": census.total,
+        "rows": items,
+        "sum": "1",
+    }
+    headers = ["tree", "weight", "decimal", "sectors", "orderings"]
+    cli._emit(config, lambda: payload, headers, lambda: [cli._cells(item) for item in items], out)
+    return cli.EXIT_OK
+
+
+def reference_measure_normalized(g: Multigraph, part: Partition) -> bool:
+    """verify_constructive's normalization before it was checked in
+    integers: each tree's ordered weights summed as Fractions. It reads
+    the walk and _tree_k through psd, so a patch there reaches both."""
+    spanning = g.complexity()
+    walked = psd._ordered_tree_walk(g, part)
+    walks = sorted(
+        ((tuple(sorted(order)), order, indices) for order, indices, _, _ in walked),
+        key=lambda row: row[0],
+    )
+    tree_weights: dict[tuple[str, ...], Fraction] = {}
+    for first in range(0, len(walks), BLOCK_ORDERINGS):
+        block = walks[first:first + BLOCK_ORDERINGS]
+        batch = trace_batch(g, part, [indices for _, _, indices in block])
+        for (tree, _, _), denom in zip(block, _row_products(psd._tree_k(g, batch))):
+            tree_weights[tree] = tree_weights.get(tree, 0) + Fraction(1, denom)
+    return len(tree_weights) == spanning and all(w == 1 for w in tree_weights.values())
 
 
 def random_connected_multigraph(

@@ -13,6 +13,8 @@ from treeweights.graph import Multigraph
 from treeweights.sectors import SectorCensus, sector_census
 from treeweights.weights import WeightReport, verify_exact
 
+from helpers import reference_cmd_symmetric, reference_total
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -455,3 +457,97 @@ def test_emit_builds_only_what_the_format_writes():
     cli._emit(RunConfig(command="trees", graph_path="", output_format="json"),
               lambda: {"count": 1}, ["tree"], refuse, out)
     assert json.loads(out.getvalue()) == {"format": 1, "count": 1}
+
+
+def test_cells_join_tuples_like_lists():
+    item = {"tree": ("e1", "e2"), "listed": ["e3", "e4"], "empty": (), "count": 3, "w": "1/2"}
+    assert cli._cells(item) == ["e1,e2", "e3,e4", "", "3", "1/2"]
+    rows = [cli._cells({"tree": ("e1", "e2")}), cli._cells({"tree": ["e1", "e2"]})]
+    out = io.StringIO()
+    cli._emit_table(["tree"], rows, out)
+    assert out.getvalue() == "tree\ne1,e2\ne1,e2\n"
+
+
+def _census_changed(change):
+    """sector_census with its counts passed through change."""
+    def changed(g, guard):
+        census = sector_census(g, guard)
+        return SectorCensus(change(dict(census.counts)), census.total, census.states)
+    return changed
+
+
+def _first_count_off(delta):
+    def change(counts):
+        tree = next(iter(counts))
+        return {**counts, tree: counts[tree] + delta}
+    return change
+
+
+def _first_tree_dropped(counts):
+    return dict(list(counts.items())[1:])
+
+
+def _first_tree_swapped(counts):
+    # the same number of trees and the same count sum, but one edge set
+    # that is not a spanning tree in place of one that is
+    (tree, count), *rest = counts.items()
+    return {tree | {"absent"}: count, **dict(rest)}
+
+
+def _report_row_dropped(route):
+    def dropped(g, part):
+        return WeightReport(route(g, part).rows[1:])
+    return dropped
+
+
+# the census side: one count off by one either way, or one tree missing
+# from it or traded for an edge set the partition route never gives;
+# the partition side: one tree missing from the report
+@pytest.mark.parametrize(
+    "name,broken",
+    [
+        ("sector_census", lambda f: _census_changed(_first_count_off(1))),
+        ("sector_census", lambda f: _census_changed(_first_count_off(-1))),
+        ("sector_census", lambda f: _census_changed(_first_tree_dropped)),
+        ("sector_census", lambda f: _census_changed(_first_tree_swapped)),
+        ("weight_distribution", _report_row_dropped),
+    ],
+    ids=["count-plus-one", "count-minus-one", "census-tree-missing", "census-tree-swapped",
+         "report-tree-missing"],
+)
+def test_symmetric_reports_a_broken_route(monkeypatch, name, broken):
+    monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
+    expected = (3, "", "error[check-failure]: sector census and partition route disagree\n")
+    for graph in ("fig1.json", "fig2.json"):
+        for fmt in ("table", "json"):
+            args = ["symmetric", "--graph", str(FIXTURES / graph), "--format", fmt]
+            assert run_cli(args) == expected
+            with monkeypatch.context() as old:
+                old.setitem(cli.COMMANDS, "symmetric", reference_cmd_symmetric)
+                assert run_cli(args) == expected
+
+
+def test_weights_reports_a_numerator_off_by_one(monkeypatch):
+    build = weights._ordering_states
+
+    def broken(g, part):
+        root, trees, denom = build(g, part)
+        mask, (num, count) = next(iter(trees.items()))
+        return root, {**trees, mask: [num + 1, count]}, denom
+
+    monkeypatch.setattr(weights, "_ordering_states", broken)
+    g, part = fig2(), fig2_double_rooted()
+    report = weights.weight_distribution(g, part)
+    total = report.total
+    assert total == reference_total(report) != 1
+    for fmt in ("table", "json"):
+        code, out, err = run_cli(
+            [
+                "weights",
+                "--graph", str(FIXTURES / "fig2.json"),
+                "--partition", part.format(),
+                "--format", fmt,
+            ]
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error[check-failure]: weights sum to {total}, not 1\n"

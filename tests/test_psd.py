@@ -37,6 +37,7 @@ from helpers import (
     nontrivial_partitions,
     pointwise_verify_constructive,
     random_connected_multigraph,
+    reference_measure_normalized,
     trace_matrix_direct,
     trace_matrix_recursion,
 )
@@ -231,6 +232,7 @@ def test_psd_reports_a_broken_normalization(monkeypatch, name, broken):
     monkeypatch.setattr(psd, name, broken(getattr(psd, name)))
     report = verify_constructive(fig2(), fig2_double_rooted(), samples=2, seed=0)
     assert not report.measure_normalized
+    assert reference_measure_normalized(fig2(), fig2_double_rooted()) is False
     assert not report.passed
     assert report.checks and all(c.passed for c in report.checks)
     graph = str(Path(__file__).resolve().parent.parent / "fixtures" / "fig2.json")
