@@ -15,6 +15,10 @@ Output is deterministic for a fixed config and seed. JSON output is
 exactly `json.dumps(payload, indent=2)` (ASCII-escaped, strict: no NaN
 or Infinity) plus one newline; a table is left-justified columns joined
 by two spaces, trailing blanks stripped. Either is written in one piece.
+`weights` writes its rows from text shared by every row of one weight:
+each distinct weight is formatted once, and its JSON rows enter the
+payload as `_Verbatim` text, already laid out, which `_json_text`
+writes as it is.
 """
 
 from __future__ import annotations
@@ -96,6 +100,13 @@ def _tree_str(tree) -> str:
     return ",".join(sorted(tree))
 
 
+class _Verbatim(str):
+    """JSON text that _json_text writes as it is, already laid out for
+    its place in the payload."""
+
+    __slots__ = ()
+
+
 _STR = {str}
 _SEQUENCES = {list, tuple}
 
@@ -105,8 +116,12 @@ def _json_text(value, indent: str = "\n") -> str:
 
     indent is the line break and indent before value's closing bracket.
     A non-str dict key raises TypeError (in the quoter). Lists of str,
-    and lists of such lists, are quoted without a call per item.
+    and lists of such lists, are quoted without a call per item. A
+    _Verbatim value is written as it is: its maker lays it out for its
+    place, as _weight_rows_json does the rows of a weights payload.
     """
+    if type(value) is _Verbatim:
+        return value
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -181,42 +196,78 @@ def _cells(item: dict) -> list[str]:
     return [",".join(v) if isinstance(v, (list, tuple)) else str(v) for v in item.values()]
 
 
-def _weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
-    """The JSON items of a weight report, or with table=True its table rows.
+def _weight_rows_json(report: WeightReport, breakdown: bool) -> _Verbatim:
+    """The "rows" of a weights payload, laid out for their place in it.
 
     Each distinct weight, of a tree or of an ordering, is formatted
     once, keyed by its numerator and denominator (hashing a Fraction
-    costs a modular inverse).
+    costs a modular inverse), into the text that follows the edge ids
+    in every row or breakdown item of that weight. Weight texts need no
+    escaping, and no tree or ordering of a weighable graph is empty.
     """
-    out = []
-    shown: dict[tuple[int, int], tuple[str, str]] = {}
-
-    def formatted(w: Fraction) -> tuple[str, str]:
-        key = (w.numerator, w.denominator)
-        text = shown.get(key)
-        if text is None:
-            text = shown[key] = (str(w), _decimal_str(w))
-        return text
-
+    after_tree: dict[tuple[int, int], str] = {}
+    after_order: dict[tuple[int, int], str] = {}
+    rows = []
     for row in report.rows:
-        text, decimal = formatted(row.weight)
-        if table:
-            out.append([",".join(row.tree), text, decimal, str(len(row.orderings))])
-            if breakdown:
-                for order, w in row.orderings:
-                    # a starred list display over-allocates its list
-                    text, decimal = formatted(w)
-                    out.append(["  " + ",".join(order), text, decimal, ""])
-            continue
-        item = {
-            "tree": row.tree, "weight": text, "decimal": decimal, "orderings": len(row.orderings)
-        }
+        w = row.weight
+        key = (w.numerator, w.denominator)
+        shared = after_tree.get(key) or after_tree.setdefault(key, (
+            f'\n      ],\n      "weight": "{w}",\n      "decimal": "{_decimal_str(w)}",'
+            '\n      "orderings": '
+        ))
+        ids = ",\n        ".join(map(_quote, row.tree))
+        text = '{\n      "tree": [\n        ' + ids + shared + str(len(row.orderings))
         if breakdown:
-            item["breakdown"] = [
-                {"order": order, "weight": formatted(w)[0]} for order, w in row.orderings
-            ]
-        out.append(item)
-    return out
+            items = []
+            for order, w in row.orderings:
+                key = (w.numerator, w.denominator)
+                shared = after_order.get(key) or after_order.setdefault(
+                    key, f'\n          ],\n          "weight": "{w}"\n        }}'
+                )
+                items.append(
+                    '{\n          "order": [\n            '
+                    + ",\n            ".join(map(_quote, order)) + shared
+                )
+            text += ',\n      "breakdown": [\n        ' + ",\n        ".join(items) + "\n      ]"
+        rows.append(text + "\n    }")
+    return _Verbatim("[\n    " + ",\n    ".join(rows) + "\n  ]")
+
+
+def _weight_lines(report: WeightReport, breakdown: bool) -> tuple[list, list]:
+    """The lines of a weights table, the header first, and the texts of
+    their weight cells.
+
+    A line is its edge-id cell, the (text, decimal) it shares with every
+    line of its weight, and its ordering count ("" on a breakdown line).
+    Each distinct weight is formatted once, keyed as in _weight_rows_json.
+    """
+    header = ("weight", "decimal")
+    shown: dict[tuple[int, int], tuple[str, str]] = {}
+    lines = [("tree", header, "orderings")]
+    for row in report.rows:
+        w = row.weight
+        key = (w.numerator, w.denominator)
+        text = shown.get(key) or shown.setdefault(key, (str(w), _decimal_str(w)))
+        lines.append((",".join(row.tree), text, str(len(row.orderings))))
+        if breakdown:
+            for order, w in row.orderings:
+                key = (w.numerator, w.denominator)
+                text = shown.get(key) or shown.setdefault(key, (str(w), _decimal_str(w)))
+                lines.append(("  " + ",".join(order), text, ""))
+    return lines, [header, *shown.values()]
+
+
+def _weight_table(lines: list, texts: list) -> str:
+    """_weight_lines as _emit_table writes them. The two middle cells of
+    each distinct weight are padded once; the count is not padded, as
+    the strip would take the padding off."""
+    width = max([len(ids) for ids, _, _ in lines])
+    w1 = max([len(text) for text, _ in texts])
+    w2 = max([len(decimal) for _, decimal in texts])
+    middle = {t: "  " + t[0].ljust(w1) + "  " + t[1].ljust(w2) + "  " for t in texts}
+    return "\n".join(
+        [(ids.ljust(width) + middle[text] + count).rstrip() for ids, text, count in lines]
+    ) + "\n"
 
 
 def cmd_trees(config: RunConfig, g: Multigraph, out) -> int:
@@ -281,6 +332,9 @@ def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
 
 
 def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
+    """The weight report, written from each distinct weight's shared
+    text: the JSON rows as _Verbatim text in the payload, the table and
+    CSV from the same _weight_lines."""
     if config.partition is None:
         raise ParseError("the weights command requires --partition")
     part = parse_partition(config.partition, g)
@@ -288,22 +342,22 @@ def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
     total = report.total
     if total != 1:
         raise CheckFailure(f"weights sum to {total}, not 1")
-
-    def payload():
-        return {
+    if config.output_format == "json":
+        payload = {
+            "format": FORMAT_VERSION,
             "command": "weights",
             "partition": part.format(),
-            "rows": _weight_items(report, config.breakdown, table=False),
+            "rows": _weight_rows_json(report, config.breakdown),
             "sum": str(total),
         }
-
-    _emit(
-        config,
-        payload,
-        ["tree", "weight", "decimal", "orderings"],
-        lambda: _weight_items(report, config.breakdown, table=True),
-        out,
-    )
+        out.write(_json_text(payload) + "\n")
+        return EXIT_OK
+    lines, texts = _weight_lines(report, config.breakdown)
+    if config.output_format == "csv":
+        cells = [(ids, text, decimal, count) for ids, (text, decimal), count in lines]
+        _emit_csv(cells[0], cells[1:], out)
+    else:
+        out.write(_weight_table(lines, texts))
     return EXIT_OK
 
 

@@ -21,7 +21,10 @@ per-row routes that reading rows straight off the state walks
 replaced: a Fraction reduced for every tree and a Fraction sum for the
 total, every tree row formatted on its own, the census compared with the partition route as dicts of
 Fractions, each tree's normalization summed as Fractions, and the
-spanning trees sorted back from frozensets.
+spanning trees sorted back from frozensets. With them, the weights
+command that built its rows as dicts and cell lists and wrote them
+through the reference writer, before it wrote them from each distinct
+weight's shared text.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from treeweights.errors import (
     EnumerationGuardExceededError,
     InvariantError,
     NotAdmissibleError,
+    ParseError,
 )
 from treeweights.graph import DisjointSet, Edge, Multigraph
 from treeweights.partitions import (
@@ -638,9 +642,12 @@ def reference_total(report: WeightReport) -> Fraction:
 
 
 def reference_weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
-    """cli._weight_items before tree rows were formatted once per
-    distinct weight: every row's weight formatted on its own, and its
-    table row made from its JSON item."""
+    """The rows of a weight report as cmd_weights built them before it
+    wrote them from each distinct weight's shared text (the code since
+    deleted, as it stood before tree rows were formatted once per
+    distinct weight): a dict per JSON item, or with table=True a list of
+    cells per table line, every tree row's weight formatted on its own,
+    and its table row made from its JSON item."""
     out = []
     shown: dict[tuple[int, int], tuple[str, str]] = {}
 
@@ -671,6 +678,36 @@ def reference_weight_items(report: WeightReport, breakdown: bool, table: bool) -
             ]
         out.append(item)
     return out
+
+
+def reference_cmd_weights(config: cli.RunConfig, g: Multigraph, out) -> int:
+    """cmd_weights before its rows were written from shared text:
+    reference_weight_distribution's report, its rows built by
+    reference_weight_items and written by reference_emit."""
+    if config.partition is None:
+        raise ParseError("the weights command requires --partition")
+    part = cli.parse_partition(config.partition, g)
+    report = reference_weight_distribution(g, part)
+    total = reference_total(report)
+    if total != 1:
+        raise cli.CheckFailure(f"weights sum to {total}, not 1")
+
+    def payload():
+        return {
+            "command": "weights",
+            "partition": part.format(),
+            "rows": reference_weight_items(report, config.breakdown, table=False),
+            "sum": str(total),
+        }
+
+    reference_emit(
+        config,
+        payload,
+        ["tree", "weight", "decimal", "orderings"],
+        lambda: reference_weight_items(report, config.breakdown, table=True),
+        out,
+    )
+    return cli.EXIT_OK
 
 
 def reference_cmd_trees(config: cli.RunConfig, g: Multigraph, out) -> int:

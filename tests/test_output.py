@@ -3,23 +3,29 @@
 cli._json_text must return exactly json.dumps(value, indent=2,
 allow_nan=False), and cli._emit must write the same bytes as the
 reference writer in tests/helpers.py for every command and format.
+The weights command writes its rows itself, from each distinct
+weight's shared text, escaping its edge ids by hand; its stdout must
+equal that of reference_cmd_weights, which builds the rows as dicts
+and cell lists and writes them through the reference writer.
 """
 
 import io
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treeweights import cli
 from treeweights.cli import RunConfig
 from treeweights.fixtures import fig1, fig2
+from treeweights.graph import Multigraph
 from treeweights.partitions import Partition
 
-from helpers import reference_emit, reference_table
+from helpers import reference_cmd_weights, reference_emit, reference_table
 from test_acceptance import pool_lemma5
 
 characters = st.characters(exclude_categories=()) | st.sampled_from(
@@ -143,28 +149,39 @@ def _stdout(args) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+FORMATS = ("json", "table", "csv")
+
+
+def _reference_stdout(args) -> tuple[int, str, str]:
+    """_stdout with the reference writer and the reference weights command."""
+    with mock.patch.object(cli, "_emit", reference_emit), mock.patch.dict(
+        cli.COMMANDS, weights=reference_cmd_weights
+    ):
+        return _stdout(args)
+
+
 @pytest.mark.parametrize("g", [fig1(), fig2()], ids=["fig1", "fig2"])
-def test_stdout_matches_reference_writer(monkeypatch, tmp_path, g):
+def test_stdout_matches_reference_writer(tmp_path, g):
     path = tmp_path / "g.json"
     path.write_text(g.to_json())
     for line in _command_lines(g):
-        for fmt in ("json", "table", "csv"):
+        for fmt in FORMATS:
             args = [line[0], "--graph", str(path), *line[1:], "--format", fmt]
-            monkeypatch.setattr(cli, "_emit", reference_emit)
-            expected = _stdout(args)
-            monkeypatch.undo()
+            expected = _reference_stdout(args)
             assert expected[0] == 0 and expected[1]
             assert _stdout(args) == expected, args
 
 
 def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
-    """Each command runs once; its _emit call is written in every format by
-    both writers, from the same payload and rows."""
+    """Each command but weights runs once; its _emit call is written in
+    every format by both writers, from the same payload and rows.
+    weights writes its own rows: it runs in every format, against
+    reference_cmd_weights."""
     emit = cli._emit
     written = []
 
     def both(config, payload, headers, rows, out):
-        for fmt in ("json", "table", "csv"):
+        for fmt in FORMATS:
             each = replace(config, output_format=fmt)
             new, old = io.StringIO(), io.StringIO()
             emit(each, payload, headers, rows, new)
@@ -173,11 +190,61 @@ def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
         written.append(config.command)
 
     monkeypatch.setattr(cli, "_emit", both)
+    weights = 0
     for i, g in enumerate(pool_lemma5()):
         path = tmp_path / f"g{i}.json"
         path.write_text(g.to_json())
         for line in _command_lines(g):
-            _stdout([line[0], "--graph", str(path), *line[1:]])
+            args = [line[0], "--graph", str(path), *line[1:]]
+            if line[0] != "weights":
+                _stdout(args)
+                continue
+            for fmt in FORMATS:
+                expected = _reference_stdout([*args, "--format", fmt])
+                assert expected[0] == 0 and expected[1]
+                assert _stdout([*args, "--format", fmt]) == expected, (args, fmt)
+            weights += 1
     assert {c: written.count(c) for c in cli.COMMANDS} == {
-        "trees": 100, "symmetric": 100, "weights": 400, "verify": 300, "psd": 100,
+        "trees": 100, "symmetric": 100, "weights": 0, "verify": 300, "psd": 100,
     }
+    assert weights == 400
+
+
+# Edge ids take any character the JSON quoter must escape, and the
+# braces and comma that table cells and formats treat specially;
+# vertex ids stay plain, as "," and "|" split a partition spec.
+edge_ids = st.text(characters | st.sampled_from(["{", "}", ","]), max_size=4)
+vertex_names = st.lists(
+    st.text("abvw019_", min_size=1, max_size=3), min_size=2, max_size=4, unique=True
+)
+
+
+@st.composite
+def id_graphs(draw):
+    """A connected multigraph on 2-4 plain vertices, its edge ids drawn
+    from edge_ids: a path, then up to three more edges, loops and
+    parallel edges among them."""
+    vertices = draw(vertex_names)
+    ends = list(zip(vertices, vertices[1:]))
+    ends += draw(st.lists(st.tuples(*[st.sampled_from(vertices)] * 2), max_size=3))
+    ids = draw(st.lists(edge_ids, min_size=len(ends), max_size=len(ends), unique=True))
+    edges = [(eid, a, b) for eid, (a, b) in zip(ids, draw(st.permutations(ends)))]
+    return Multigraph.build(vertices, edges)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(id_graphs(), st.booleans())
+def test_weights_escapes_edge_ids_like_reference(tmp_path, g, rooted):
+    path = tmp_path / "g.json"
+    path.write_text(g.to_json())
+    vertices = list(g.vertices)
+    spec = vertices[0] + "|" + ",".join(vertices[1:]) if rooted else "|".join(vertices)
+    for fmt in FORMATS:
+        for breakdown in ([], ["--breakdown"]):
+            args = ["weights", "--graph", str(path), "--partition", spec, "--format", fmt]
+            args += breakdown
+            expected = _reference_stdout(args)
+            assert expected[0] == 0
+            assert _stdout(args) == expected, args

@@ -4,7 +4,9 @@ weight_distribution shares one Fraction per distinct weight and reads
 each tree's key off its mask, WeightReport.total sums one Fraction per
 distinct weight, cmd_symmetric checks census against partition route
 in integers, verify_constructive checks each tree's normalization in
-integers, and cmd_trees prints the tree walk's sorted tuples. Each must
+integers, cmd_trees prints the tree walk's sorted tuples, and
+cmd_weights writes its rows from each distinct weight's shared text.
+Each must
 equal, bit for bit, the route kept in helpers that it replaced: rows,
 weights, totals, verdicts, tree lists and their order, and the bytes,
 stderr and exit code of every command.
@@ -28,10 +30,10 @@ from treeweights.weights import TreeRow, WeightReport, weight_distribution
 from helpers import (
     reference_cmd_symmetric,
     reference_cmd_trees,
+    reference_cmd_weights,
     reference_measure_normalized,
     reference_total,
     reference_weight_distribution,
-    reference_weight_items,
 )
 from test_acceptance import pool_lemma5
 from test_kernel import kernel_cases
@@ -225,6 +227,5 @@ def test_weights_output_matches_per_row_formatting(monkeypatch, tmp_path):
     ]
     walked = outcomes(configs)
     assert {code for code, _, _ in walked} == {0, 2}
-    monkeypatch.setattr(cli, "weight_distribution", reference_weight_distribution)
-    monkeypatch.setattr(cli, "_weight_items", reference_weight_items)
+    monkeypatch.setitem(cli.COMMANDS, "weights", reference_cmd_weights)
     assert outcomes(configs) == walked
