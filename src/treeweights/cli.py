@@ -15,10 +15,9 @@ Output is deterministic for a fixed config and seed. JSON output is
 exactly `json.dumps(payload, indent=2)` (ASCII-escaped, strict: no NaN
 or Infinity) plus one newline; a table is left-justified columns joined
 by two spaces, trailing blanks stripped. Either is written in one piece.
-`weights` writes its rows from text shared by every row of one weight:
-each distinct weight is formatted once, and its JSON rows enter the
-payload as `_Verbatim` text, already laid out, which `_json_text`
-writes as it is.
+`weights` formats each distinct weight once and shares the text among
+the rows of that weight: its JSON rows enter the payload as `_Verbatim`
+text, already laid out, which `_json_text` writes as it is.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
@@ -120,10 +119,8 @@ def _json_text(value, indent: str = "\n") -> str:
     _Verbatim value is written as it is: its maker lays it out for its
     place, as _weight_rows_json does the rows of a weights payload.
     """
-    if type(value) is _Verbatim:
-        return value
     if isinstance(value, str):
-        return _quote(value)
+        return value if type(value) is _Verbatim else _quote(value)
     if value is None:
         return "null"
     if value is True:
@@ -163,10 +160,11 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _emit_table(headers: list[str], rows: list[list[str]], out) -> None:
-    widths = [max(map(len, column)) for column in zip(headers, *rows)]
-    # the cells are format arguments, so braces in them are written as they are
-    line = "  ".join(f"{{:<{w}}}" for w in widths).format
-    out.write("".join([line(*r).rstrip() + "\n" for r in (headers, *rows)]))
+    """Pad each column but the last, whose padding the strip would take
+    off, a column at a time, then join the lines."""
+    *columns, last = zip(headers, *rows)
+    padded = [map(str.ljust, col, repeat(max(map(len, col)))) for col in columns]
+    out.write("\n".join(map(str.rstrip, map("  ".join, zip(*padded, last)))) + "\n")
 
 
 def _emit_csv(headers: list[str], rows: list[list[str]], out) -> None:
@@ -196,78 +194,56 @@ def _cells(item: dict) -> list[str]:
     return [",".join(v) if isinstance(v, (list, tuple)) else str(v) for v in item.values()]
 
 
-def _weight_rows_json(report: WeightReport, breakdown: bool) -> _Verbatim:
-    """The "rows" of a weights payload, laid out for their place in it.
+def _weight_rows_json(report: WeightReport, breakdown: bool, indent: str) -> _Verbatim:
+    """The "rows" of a weights payload, laid out as _json_text lays out
+    a value before whose closing bracket comes indent.
 
-    Each distinct weight, of a tree or of an ordering, is formatted
-    once, keyed by its numerator and denominator (hashing a Fraction
-    costs a modular inverse), into the text that follows the edge ids
-    in every row or breakdown item of that weight. Weight texts need no
-    escaping, and no tree or ordering of a weighable graph is empty.
+    Each distinct tree weight is formatted once, keyed by its numerator
+    and denominator (hashing a Fraction costs a modular inverse), into
+    the text that follows the edge ids in every row of that weight.
+    Weight texts need no escaping, and no tree of a weighable graph is
+    empty.
     """
-    after_tree: dict[tuple[int, int], str] = {}
-    after_order: dict[tuple[int, int], str] = {}
+    row_in = indent + "  "
+    key_in = row_in + "  "
+    id_in = "," + key_in + "  "
+    before = "{" + key_in + '"tree": [' + id_in[1:]
+    after: dict[tuple[int, int], str] = {}
     rows = []
     for row in report.rows:
         w = row.weight
         key = (w.numerator, w.denominator)
-        shared = after_tree.get(key) or after_tree.setdefault(key, (
-            f'\n      ],\n      "weight": "{w}",\n      "decimal": "{_decimal_str(w)}",'
-            '\n      "orderings": '
+        shared = after.get(key) or after.setdefault(key, (
+            f'{key_in}],{key_in}"weight": "{w}",{key_in}"decimal": "{_decimal_str(w)}",'
+            f'{key_in}"orderings": '
         ))
-        ids = ",\n        ".join(map(_quote, row.tree))
-        text = '{\n      "tree": [\n        ' + ids + shared + str(len(row.orderings))
+        text = before + id_in.join(map(_quote, row.tree)) + shared + str(len(row.orderings))
         if breakdown:
-            items = []
-            for order, w in row.orderings:
-                key = (w.numerator, w.denominator)
-                shared = after_order.get(key) or after_order.setdefault(
-                    key, f'\n          ],\n          "weight": "{w}"\n        }}'
-                )
-                items.append(
-                    '{\n          "order": [\n            '
-                    + ",\n            ".join(map(_quote, order)) + shared
-                )
-            text += ',\n      "breakdown": [\n        ' + ",\n        ".join(items) + "\n      ]"
-        rows.append(text + "\n    }")
-    return _Verbatim("[\n    " + ",\n    ".join(rows) + "\n  ]")
+            items = [{"order": order, "weight": str(w)} for order, w in row.orderings]
+            text += "," + key_in + '"breakdown": ' + _json_text(items, key_in)
+        rows.append(text + row_in + "}")
+    return _Verbatim("[" + row_in + ("," + row_in).join(rows) + indent + "]")
 
 
-def _weight_lines(report: WeightReport, breakdown: bool) -> tuple[list, list]:
-    """The lines of a weights table, the header first, and the texts of
-    their weight cells.
-
-    A line is its edge-id cell, the (text, decimal) it shares with every
-    line of its weight, and its ordering count ("" on a breakdown line).
-    Each distinct weight is formatted once, keyed as in _weight_rows_json.
-    """
-    header = ("weight", "decimal")
+def _weight_lines(report: WeightReport, breakdown: bool) -> list[tuple[str, str, str, str]]:
+    """The cells of a weights table, a line per tree and, with
+    breakdown, one under it per ordering: its edge ids, the weight and
+    decimal it shares with every line of its weight, and its ordering
+    count ("" on a breakdown line). Each distinct weight, of a tree or
+    of an ordering, is formatted once, keyed as in _weight_rows_json."""
     shown: dict[tuple[int, int], tuple[str, str]] = {}
-    lines = [("tree", header, "orderings")]
+    lines = []
     for row in report.rows:
         w = row.weight
         key = (w.numerator, w.denominator)
-        text = shown.get(key) or shown.setdefault(key, (str(w), _decimal_str(w)))
-        lines.append((",".join(row.tree), text, str(len(row.orderings))))
+        text, decimal = shown.get(key) or shown.setdefault(key, (str(w), _decimal_str(w)))
+        lines.append((",".join(row.tree), text, decimal, str(len(row.orderings))))
         if breakdown:
             for order, w in row.orderings:
                 key = (w.numerator, w.denominator)
-                text = shown.get(key) or shown.setdefault(key, (str(w), _decimal_str(w)))
-                lines.append(("  " + ",".join(order), text, ""))
-    return lines, [header, *shown.values()]
-
-
-def _weight_table(lines: list, texts: list) -> str:
-    """_weight_lines as _emit_table writes them. The two middle cells of
-    each distinct weight are padded once; the count is not padded, as
-    the strip would take the padding off."""
-    width = max([len(ids) for ids, _, _ in lines])
-    w1 = max([len(text) for text, _ in texts])
-    w2 = max([len(decimal) for _, decimal in texts])
-    middle = {t: "  " + t[0].ljust(w1) + "  " + t[1].ljust(w2) + "  " for t in texts}
-    return "\n".join(
-        [(ids.ljust(width) + middle[text] + count).rstrip() for ids, text, count in lines]
-    ) + "\n"
+                text, decimal = shown.get(key) or shown.setdefault(key, (str(w), _decimal_str(w)))
+                lines.append(("  " + ",".join(order), text, decimal, ""))
+    return lines
 
 
 def cmd_trees(config: RunConfig, g: Multigraph, out) -> int:
@@ -332,9 +308,9 @@ def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
 
 
 def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
-    """The weight report, written from each distinct weight's shared
-    text: the JSON rows as _Verbatim text in the payload, the table and
-    CSV from the same _weight_lines."""
+    """The weight report, its rows written from each distinct weight's
+    shared text: in JSON as _Verbatim text, in a table or CSV as the
+    cells of _weight_lines."""
     if config.partition is None:
         raise ParseError("the weights command requires --partition")
     part = parse_partition(config.partition, g)
@@ -342,22 +318,18 @@ def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
     total = report.total
     if total != 1:
         raise CheckFailure(f"weights sum to {total}, not 1")
-    if config.output_format == "json":
-        payload = {
-            "format": FORMAT_VERSION,
+
+    def payload():
+        return {
             "command": "weights",
             "partition": part.format(),
-            "rows": _weight_rows_json(report, config.breakdown),
+            # _emit writes the payload's keys one level under its top-level dict
+            "rows": _weight_rows_json(report, config.breakdown, "\n  "),
             "sum": str(total),
         }
-        out.write(_json_text(payload) + "\n")
-        return EXIT_OK
-    lines, texts = _weight_lines(report, config.breakdown)
-    if config.output_format == "csv":
-        cells = [(ids, text, decimal, count) for ids, (text, decimal), count in lines]
-        _emit_csv(cells[0], cells[1:], out)
-    else:
-        out.write(_weight_table(lines, texts))
+
+    headers = ["tree", "weight", "decimal", "orderings"]
+    _emit(config, payload, headers, lambda: _weight_lines(report, config.breakdown), out)
     return EXIT_OK
 
 

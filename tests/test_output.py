@@ -3,10 +3,11 @@
 cli._json_text must return exactly json.dumps(value, indent=2,
 allow_nan=False), and cli._emit must write the same bytes as the
 reference writer in tests/helpers.py for every command and format.
-The weights command writes its rows itself, from each distinct
-weight's shared text, escaping its edge ids by hand; its stdout must
-equal that of reference_cmd_weights, which builds the rows as dicts
-and cell lists and writes them through the reference writer.
+The weights command hands _emit rows written from each distinct
+weight's shared text, its JSON rows as laid-out text with edge ids
+escaped by hand, which the reference writer cannot take; its stdout
+must equal that of reference_cmd_weights, which builds the rows as
+dicts and cell lists and writes them through the reference writer.
 """
 
 import io
@@ -175,19 +176,22 @@ def test_stdout_matches_reference_writer(tmp_path, g):
 def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
     """Each command but weights runs once; its _emit call is written in
     every format by both writers, from the same payload and rows.
-    weights writes its own rows: it runs in every format, against
+    weights runs in every format, its whole stdout against
     reference_cmd_weights."""
     emit = cli._emit
     written = []
 
     def both(config, payload, headers, rows, out):
+        written.append(config.command)
+        if config.command == "weights":
+            emit(config, payload, headers, rows, out)
+            return
         for fmt in FORMATS:
             each = replace(config, output_format=fmt)
             new, old = io.StringIO(), io.StringIO()
             emit(each, payload, headers, rows, new)
             reference_emit(each, payload, headers, rows, old)
             assert new.getvalue() == old.getvalue(), (config, fmt)
-        written.append(config.command)
 
     monkeypatch.setattr(cli, "_emit", both)
     weights = 0
@@ -205,7 +209,7 @@ def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
                 assert _stdout([*args, "--format", fmt]) == expected, (args, fmt)
             weights += 1
     assert {c: written.count(c) for c in cli.COMMANDS} == {
-        "trees": 100, "symmetric": 100, "weights": 0, "verify": 300, "psd": 100,
+        "trees": 100, "symmetric": 100, "weights": 1200, "verify": 300, "psd": 100,
     }
     assert weights == 400
 
