@@ -16,18 +16,11 @@ from .partitions import (
 from .psd import (
     PsdReport,
     TraceCheck,
-    check_psd,
     contact_matrix_direct,
     contact_matrix_recursion,
     verify_constructive,
 )
-from .sectors import (
-    SectorCensus,
-    induced_ordering,
-    leading_tree,
-    sector_census,
-    symmetric_weight,
-)
+from .sectors import SectorCensus, sector_census
 from .weights import (
     ExactReport,
     Monomial,
@@ -59,17 +52,13 @@ __all__ = [
     "admissible_orderings",
     "batch_contact_indices",
     "build_trace",
-    "check_psd",
     "contact_indices",
     "contact_matrix_direct",
     "contact_matrix_recursion",
     "edge_monomials",
     "forest_trace",
-    "induced_ordering",
-    "leading_tree",
     "sector_census",
     "symmetric_via_partition",
-    "symmetric_weight",
     "trace_batch",
     "verify_constructive",
     "verify_exact",

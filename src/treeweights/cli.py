@@ -95,10 +95,6 @@ def _decimal_str(x: Fraction) -> str:
     return f"{float(x):.6g}"
 
 
-def _tree_str(tree) -> str:
-    return ",".join(sorted(tree))
-
-
 class _Verbatim(str):
     """JSON text that _json_text writes as it is, already laid out for
     its place in the payload."""
@@ -372,7 +368,7 @@ def cmd_psd(config: RunConfig, g: Multigraph, out) -> int:
     def rows():
         return [
             [
-                _tree_str(c.tree),
+                ",".join(c.tree),
                 ",".join(c.order),
                 f"{c.min_eigenvalue:.3e}",
                 f"{c.max_discrepancy:.3e}",

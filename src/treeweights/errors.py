@@ -46,10 +46,6 @@ class NotASpanningTreeError(TreeWeightsError):
 
 # edge-ordering (sector) errors
 
-class MalformedSectorError(TreeWeightsError):
-    code = "malformed-sector"
-
-
 class EnumerationGuardExceededError(TreeWeightsError):
     code = "guard-exceeded"
 
@@ -94,10 +90,6 @@ class BadDimensionError(TreeWeightsError):
 
 class OutOfRangeError(TreeWeightsError):
     code = "out-of-range"
-
-
-class NotSymmetricError(TreeWeightsError):
-    code = "not-symmetric"
 
 
 # input errors

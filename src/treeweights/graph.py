@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import (
     DanglingEndpointError,
     DisconnectedError,
@@ -93,11 +95,16 @@ class Multigraph:
     def _edge_index(self) -> dict[str, int]:
         return {e.id: i for i, e in enumerate(self.edges)}
 
-    def __contains__(self, vertex: str) -> bool:
-        return vertex in self._vertex_index
-
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._edge_by_id
+    @cached_property
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads): the vertex index of each edge's two ends, in
+        edge order, as read-only intp arrays."""
+        vi = self._vertex_index
+        tails, heads = (
+            np.array([vi[e.ends[x]] for e in self.edges], dtype=np.intp) for x in (0, 1)
+        )
+        tails.flags.writeable = heads.flags.writeable = False
+        return tails, heads
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -149,13 +156,6 @@ class Multigraph:
         for e in self.edges:
             ds.union(vi[e.ends[0]], vi[e.ends[1]])
         return ds.groups == 1
-
-    def self_loops(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges if e.is_self_loop)
-
-    def nullity(self) -> int:
-        """Number of independent cycles of a connected graph: |E| - |V| + 1."""
-        return len(self.edges) - len(self.vertices) + 1
 
     def spanning_trees(self) -> list[frozenset[str]]:
         """All spanning trees as edge-id sets, sorted by their sorted ids.
@@ -303,10 +303,11 @@ class Multigraph:
             return False
         ds = DisjointSet(len(self.vertices))
         vi = self._vertex_index
+        by_id = self._edge_by_id
         for eid in ids:
-            if not self.has_edge(eid):
+            if eid not in by_id:
                 return False
-            a, b = self.ends(eid)
+            a, b = by_id[eid].ends
             if not ds.union(vi[a], vi[b]):
                 return False
         return ds.groups == 1

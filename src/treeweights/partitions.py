@@ -161,19 +161,6 @@ class ContractionTrace:
     def is_complete(self) -> bool:
         return len(self.order) == len(self.graph.vertices) - 1
 
-    @cached_property
-    def batch(self) -> TraceBatch:
-        """This complete trace as a TraceBatch of one row."""
-        if not self.is_complete:
-            raise NotASpanningTreeError("a trace batch needs a complete trace")
-        index = self.graph._edge_index
-        return TraceBatch(
-            np.array([[index[eid] for eid in self.order]], dtype=np.intp),
-            np.array([self.k_values], dtype=np.int64),
-            np.array([self.merge_steps]),
-            np.array(self.start_blocks),
-        )
-
 
 # at most this many orderings go through one trace_batch call
 BLOCK_ORDERINGS = 1 << 13
@@ -272,10 +259,7 @@ def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
     """
     part.require_cover(g)
     n = len(g.vertices)
-    vi = g._vertex_index
-    tails, heads = (
-        np.array([vi[e.ends[x]] for e in g.edges], dtype=np.intp) for x in (0, 1)
-    )
+    tails, heads = g._endpoints
     orders = np.asarray(orders, dtype=np.intp).reshape(len(orders), n - 1)
     count = len(orders)
     rows = np.arange(count)

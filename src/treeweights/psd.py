@@ -21,16 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadDimensionError,
-    NotSymmetricError,
-    OutOfRangeError,
-    TrivialPartitionError,
-)
+from .errors import BadDimensionError, OutOfRangeError, TrivialPartitionError
 from .graph import Multigraph
 from .partitions import (
     BLOCK_ORDERINGS,
-    ContractionTrace,
     Partition,
     TraceBatch,
     _ordered_tree_walk,
@@ -48,39 +42,31 @@ AGREEMENT_TOLERANCE = 1e-12
 STACK_ENTRIES = 1 << 14
 
 
-def _batch_points(
-    trace: ContractionTrace | TraceBatch, u: Sequence[float]
-) -> tuple[TraceBatch, np.ndarray, tuple[int, ...]]:
-    """The batch, its points as (N, m, |V|-1), and the shape of the
-    matrices asked for; a single trace is a batch of one."""
-    single = isinstance(trace, ContractionTrace)
-    batch = trace.batch if single else trace
+def _batch_points(batch: TraceBatch, u: Sequence[float]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The points as (N, m, |V|-1), and the shape of the matrices asked for."""
     point = np.asarray(u, dtype=float)
-    stacked = point[None] if single else point
     steps = batch.merge_steps.shape[1] - 1
-    if stacked.ndim not in (2, 3) or (len(stacked), stacked.shape[-1]) != (len(batch), steps):
-        lead = "" if single else f"{len(batch)}, "
+    if point.ndim not in (2, 3) or (len(point), point.shape[-1]) != (len(batch), steps):
         raise BadDimensionError(
-            f"point has shape {point.shape}, trace needs ({lead}{steps},) or ({lead}m, {steps})"
+            f"point has shape {point.shape}, trace needs ({len(batch)}, {steps},)"
+            f" or ({len(batch)}, m, {steps})"
         )
     # written so that NaN fails the test too
-    if not np.all((stacked >= 0.0) & (stacked <= 1.0)):
+    if not np.all((point >= 0.0) & (point <= 1.0)):
         raise OutOfRangeError("evaluation point must lie in [0, 1]^steps")
-    points = stacked if stacked.ndim == 3 else stacked[:, None]
-    return batch, points, point.shape[:-1] + (steps + 1, steps + 1)
+    points = point if point.ndim == 3 else point[:, None]
+    return points, point.shape[:-1] + (steps + 1, steps + 1)
 
 
-def contact_matrix_direct(
-    trace: ContractionTrace | TraceBatch, u: Sequence[float]
-) -> np.ndarray:
+def contact_matrix_direct(batch: TraceBatch, u: Sequence[float]) -> np.ndarray:
     """Entrywise product of u_k over each pair's contact-index range.
 
-    A trace and a point of shape (|V|-1,) give one matrix, a stack of m
-    points (m, |V|-1) the stack of their m matrices. A TraceBatch of N
-    rows takes (N, |V|-1) or (N, m, |V|-1) points and gives every row's
-    matrices. The factors of an entry multiply in ascending k.
+    A TraceBatch of N rows takes points of shape (N, |V|-1), one per
+    row, or (N, m, |V|-1), m per row, and gives every row's matrices:
+    (N, |V|, |V|) or (N, m, |V|, |V|). The factors of an entry multiply
+    in ascending k.
     """
-    batch, points, shape = _batch_points(trace, u)
+    points, shape = _batch_points(batch, u)
     i, j = batch_contact_indices(batch)
     first = np.maximum(i + 1, 1)
     m = np.ones(points.shape[:-1] + i.shape[1:])
@@ -90,9 +76,7 @@ def contact_matrix_direct(
     return m.reshape(shape)
 
 
-def contact_matrix_recursion(
-    trace: ContractionTrace | TraceBatch, u: Sequence[float]
-) -> np.ndarray:
+def contact_matrix_recursion(batch: TraceBatch, u: Sequence[float]) -> np.ndarray:
     """Barycentric interpolation chain from the all-ones matrix.
 
     Each step mixes the previous matrix with its projection, where the
@@ -100,7 +84,7 @@ def contact_matrix_recursion(
     coincide or share a partition block: both not yet merged, in one
     starting block. Takes points as contact_matrix_direct does.
     """
-    batch, points, shape = _batch_points(trace, u)
+    points, shape = _batch_points(batch, u)
     merge = batch.merge_steps
     start = batch.start_blocks
     n = merge.shape[1]
@@ -121,16 +105,6 @@ def contact_matrix_recursion(
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix, or of any matrix in a stack."""
     return float(np.linalg.eigvalsh(m)[..., 0].min())
-
-
-def check_psd(m: np.ndarray, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """True iff the symmetric matrix has smallest eigenvalue >= -tol."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetricError("matrix must be square")
-    if not np.array_equal(m, m.T):
-        raise NotSymmetricError("matrix must be symmetric")
-    return min_eigenvalue(m) >= -tol
 
 
 @dataclass(frozen=True)
@@ -170,9 +144,7 @@ def _tree_k(g: Multigraph, batch: TraceBatch) -> np.ndarray:
     """The k of each row's tree alone, as an (N, |V|-1) array: a tree
     edge is trans-block at step s exactly when its contact indices
     satisfy i <= s < j, and k[r, s] counts row r's edges that are."""
-    vi = g._vertex_index
-    ends = (np.array([vi[e.ends[x]] for e in g.edges], dtype=np.intp) for x in (0, 1))
-    a, b = (end[batch.orders] for end in ends)
+    a, b = (end[batch.orders] for end in g._endpoints)
     rows = np.arange(len(batch))[:, None]
     i, j = (c[rows, a, b][..., None] for c in batch_contact_indices(batch))
     steps = np.arange(batch.orders.shape[1])

@@ -21,47 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import (
-    DisconnectedError,
-    EnumerationGuardExceededError,
-    MalformedSectorError,
-    NotASpanningTreeError,
-)
-from .graph import DisjointSet, Multigraph
+from .errors import DisconnectedError, EnumerationGuardExceededError
+from .graph import Multigraph
 
 DEFAULT_GUARD = 10
-
-
-def _check_sector(g: Multigraph, sector: Sequence[str]) -> None:
-    if len(sector) != len(g.edges) or set(sector) != {e.id for e in g.edges}:
-        raise MalformedSectorError(
-            "sector must list every edge id exactly once"
-        )
-
-
-def induced_ordering(g: Multigraph, sector: Sequence[str]) -> tuple[str, ...]:
-    """Edges of the leading tree in the order the greedy sweep accepts them."""
-    _check_sector(g, sector)
-    n = len(g.vertices)
-    vi = g._vertex_index
-    ds = DisjointSet(n)
-    accepted: list[str] = []
-    for eid in sector:
-        a, b = g.ends(eid)
-        if ds.union(vi[a], vi[b]):
-            accepted.append(eid)
-            if len(accepted) == n - 1:
-                break
-    if len(accepted) != n - 1:
-        raise DisconnectedError("greedy sweep did not span the graph")
-    return tuple(accepted)
-
-
-def leading_tree(g: Multigraph, sector: Sequence[str]) -> frozenset[str]:
-    """The spanning tree selected by the greedy sweep under the sector."""
-    return frozenset(induced_ordering(g, sector))
 
 
 @dataclass(frozen=True)
@@ -148,12 +113,3 @@ def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
     }
     return SectorCensus(counts, suffixes[m], states)
 
-
-def symmetric_weight(
-    g: Multigraph, tree: Iterable[str], guard: int = DEFAULT_GUARD
-) -> Fraction:
-    """Fraction of sectors whose leading tree is the given tree."""
-    t = frozenset(tree)
-    if not g.is_spanning_tree(t):
-        raise NotASpanningTreeError(f"{sorted(t)} is not a spanning tree")
-    return sector_census(g, guard=guard).weight(t)

@@ -108,8 +108,7 @@ def edge_exponents(
     exponent of u_p counts the edges whose range covers step p: i < p < j
     for a tree edge, i < p <= j for every other edge.
     """
-    vi = g._vertex_index
-    a, b = (np.array([vi[e.ends[x]] for e in g.edges], dtype=np.intp) for x in (0, 1))
+    a, b = g._endpoints
     i, j = (c[:, a, b] for c in contacts)
     in_tree = np.zeros(i.shape, dtype=bool)
     in_tree[np.arange(len(batch))[:, None], batch.orders] = True

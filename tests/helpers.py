@@ -24,7 +24,9 @@ Fractions, each tree's normalization summed as Fractions, and the
 spanning trees sorted back from frozensets. With them, the weights
 command that built its rows as dicts and cell lists and wrote them
 through the reference writer, before it wrote them from each distinct
-weight's shared text.
+weight's shared text. Finally, what the library no longer ships: the
+example graphs of the paper's figures, the one-sector greedy sweep the
+census replaced, and a complete trace as a one-row TraceBatch.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import itertools
 import json
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -43,13 +46,16 @@ from treeweights.errors import (
     EnumerationGuardExceededError,
     InvariantError,
     NotAdmissibleError,
+    NotASpanningTreeError,
     ParseError,
+    TreeWeightsError,
 )
 from treeweights.graph import DisjointSet, Edge, Multigraph
 from treeweights.partitions import (
     BLOCK_ORDERINGS,
     ContractionTrace,
     Partition,
+    TraceBatch,
     _ordering_states,
     admissible_orderings,
     build_trace,
@@ -64,7 +70,7 @@ from treeweights.psd import (
     contact_matrix_recursion,
     min_eigenvalue,
 )
-from treeweights.sectors import DEFAULT_GUARD, SectorCensus, leading_tree
+from treeweights.sectors import DEFAULT_GUARD, SectorCensus
 from treeweights.weights import (
     Breakdown,
     ExactReport,
@@ -75,6 +81,53 @@ from treeweights.weights import (
     edge_monomials,
     require_weighable,
 )
+
+
+# The example graphs of the paper's figures. fig1: three vertices, a
+# triangle with one doubled side (4 edges, 5 spanning trees). fig2: four
+# vertices, six edges including a parallel pair (12 spanning trees).
+# Matching JSON files live in fixtures/ at the repository root for CLI use.
+
+
+def fig1() -> Multigraph:
+    return Multigraph.build(
+        ["v1", "v2", "v3"],
+        [
+            ("l1", "v1", "v2"),
+            ("l2", "v1", "v3"),
+            ("l3", "v2", "v3"),
+            ("l4", "v2", "v3"),
+        ],
+    )
+
+
+def fig1_root_first() -> Partition:
+    """Root at v1: the singleton {v1} against the rest."""
+    return Partition.of([{"v1"}, {"v2", "v3"}])
+
+
+def fig1_root_second() -> Partition:
+    """Root at v2."""
+    return Partition.of([{"v2"}, {"v1", "v3"}])
+
+
+def fig2() -> Multigraph:
+    return Multigraph.build(
+        ["v1", "v2", "v3", "v4"],
+        [
+            ("l1", "v1", "v2"),
+            ("l2", "v2", "v3"),
+            ("l3", "v1", "v3"),
+            ("l4", "v1", "v3"),
+            ("l5", "v1", "v4"),
+            ("l6", "v3", "v4"),
+        ],
+    )
+
+
+def fig2_double_rooted() -> Partition:
+    """Roots at v1 and v2; v3 and v4 share the remaining block."""
+    return Partition.of([{"v1"}, {"v2"}, {"v3", "v4"}])
 
 
 def is_tree_subset(g: Multigraph, ids: tuple[str, ...]) -> bool:
@@ -302,8 +355,42 @@ def replayed_k_values(replay: tuple[tuple, tuple, tuple]) -> tuple[int, ...]:
     return tuple(trans_block_count(g, part) for g, part in zip(graphs[:-1], partitions))
 
 
+class MalformedSectorError(TreeWeightsError):
+    code = "malformed-sector"
+
+
+def _check_sector(g: Multigraph, sector: Sequence[str]) -> None:
+    if len(sector) != len(g.edges) or set(sector) != {e.id for e in g.edges}:
+        raise MalformedSectorError(
+            "sector must list every edge id exactly once"
+        )
+
+
+def induced_ordering(g: Multigraph, sector: Sequence[str]) -> tuple[str, ...]:
+    """Edges of the leading tree in the order the greedy sweep accepts them."""
+    _check_sector(g, sector)
+    n = len(g.vertices)
+    vi = g._vertex_index
+    ds = DisjointSet(n)
+    accepted: list[str] = []
+    for eid in sector:
+        a, b = g.ends(eid)
+        if ds.union(vi[a], vi[b]):
+            accepted.append(eid)
+            if len(accepted) == n - 1:
+                break
+    if len(accepted) != n - 1:
+        raise DisconnectedError("greedy sweep did not span the graph")
+    return tuple(accepted)
+
+
+def leading_tree(g: Multigraph, sector: Sequence[str]) -> frozenset[str]:
+    """The spanning tree selected by the greedy sweep under the sector."""
+    return frozenset(induced_ordering(g, sector))
+
+
 def census_by_leading_tree(g: Multigraph) -> dict[frozenset[str], int]:
-    """Count leading trees one sector at a time via the public greedy."""
+    """Count leading trees one sector at a time via the greedy sweep."""
     ids = sorted(e.id for e in g.edges)
     counts: dict[frozenset[str], int] = {}
     for perm in itertools.permutations(ids):
@@ -432,7 +519,7 @@ def pointwise_verify_constructive(
         if sum((Fraction(1, denom) for _, denom in walks), Fraction(0)) != 1:
             normalized = False
         for order, _ in walks:
-            trace = build_trace(g, part, order)
+            batch = one_row_batch(build_trace(g, part, order))
             rng = np.random.default_rng([seed, index])
             index += 1
             worst_gap = 0.0
@@ -440,8 +527,8 @@ def pointwise_verify_constructive(
             diag_ok = True
             for _ in range(samples):
                 u = rng.uniform(0.0, 1.0, size=n - 1)
-                direct = contact_matrix_direct(trace, u)
-                recursed = contact_matrix_recursion(trace, u)
+                direct = contact_matrix_direct(batch, u[None])[0]
+                recursed = contact_matrix_recursion(batch, u[None])[0]
                 worst_gap = max(worst_gap, float(np.abs(direct - recursed).max()))
                 worst_eig = min(worst_eig, min_eigenvalue(direct))
                 if not (
@@ -449,13 +536,13 @@ def pointwise_verify_constructive(
                     and np.array_equal(np.diag(recursed), np.ones(n))
                 ):
                     diag_ok = False
-            ones = np.ones(n - 1)
-            zeros = np.zeros(n - 1)
+            ones = np.ones((1, n - 1))
+            zeros = np.zeros((1, n - 1))
             endpoints = (
-                np.array_equal(contact_matrix_direct(trace, ones), np.ones((n, n)))
-                and np.array_equal(contact_matrix_recursion(trace, ones), np.ones((n, n)))
-                and np.array_equal(contact_matrix_direct(trace, zeros), np.eye(n))
-                and np.array_equal(contact_matrix_recursion(trace, zeros), np.eye(n))
+                np.array_equal(contact_matrix_direct(batch, ones)[0], np.ones((n, n)))
+                and np.array_equal(contact_matrix_recursion(batch, ones)[0], np.ones((n, n)))
+                and np.array_equal(contact_matrix_direct(batch, zeros)[0], np.eye(n))
+                and np.array_equal(contact_matrix_recursion(batch, zeros)[0], np.eye(n))
             )
             ok = (
                 worst_gap <= AGREEMENT_TOLERANCE
@@ -504,6 +591,19 @@ def per_tree_verify_exact(g: Multigraph, part: Partition) -> ExactReport:
             i < j for i, j in (contact_indices(trace, v, w) for v, w in pairs)
         )
     return ExactReport(len(walks), total, routes, exponents, contacts)
+
+
+def one_row_batch(trace: ContractionTrace) -> TraceBatch:
+    """A complete trace as a TraceBatch of one row."""
+    if not trace.is_complete:
+        raise NotASpanningTreeError("a trace batch needs a complete trace")
+    index = trace.graph._edge_index
+    return TraceBatch(
+        np.array([[index[eid] for eid in trace.order]], dtype=np.intp),
+        np.array([trace.k_values], dtype=np.int64),
+        np.array([trace.merge_steps]),
+        np.array(trace.start_blocks),
+    )
 
 
 def trace_matrix_direct(trace: ContractionTrace, points: np.ndarray) -> np.ndarray:

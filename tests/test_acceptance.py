@@ -13,13 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from treeweights.fixtures import (
-    fig1,
-    fig1_root_first,
-    fig1_root_second,
-    fig2,
-    fig2_double_rooted,
-)
 from treeweights.graph import Multigraph
 from treeweights.partitions import (
     Partition,
@@ -34,7 +27,13 @@ from treeweights.weights import verify_exact, weight_distribution
 from helpers import (
     brute_force_orderings,
     brute_force_spanning_trees,
+    fig1,
+    fig1_root_first,
+    fig1_root_second,
+    fig2,
+    fig2_double_rooted,
     nontrivial_partitions,
+    one_row_batch,
     random_connected_multigraph,
 )
 
@@ -250,23 +249,23 @@ def test_criterion_7_positivity():
             case_index = 0
             for tree in g.spanning_trees():
                 for order in admissible_orderings(g, part, tree):
-                    trace = build_trace(g, part, order)
+                    batch = one_row_batch(build_trace(g, part, order))
                     rng = np.random.default_rng([20260810, case_index])
                     case_index += 1
                     for _ in range(20):
-                        u = rng.uniform(size=n - 1)
-                        direct = contact_matrix_direct(trace, u)
-                        recursed = contact_matrix_recursion(trace, u)
+                        u = rng.uniform(size=(1, n - 1))
+                        direct = contact_matrix_direct(batch, u)[0]
+                        recursed = contact_matrix_recursion(batch, u)[0]
                         assert np.abs(direct - recursed).max() <= 1e-12
                         assert np.array_equal(np.diag(direct), np.ones(n))
                         assert np.array_equal(np.diag(recursed), np.ones(n))
                         assert min_eigenvalue(direct) >= -1e-10
                     for build in (contact_matrix_direct, contact_matrix_recursion):
                         assert np.array_equal(
-                            build(trace, np.ones(n - 1)), np.ones((n, n))
+                            build(batch, np.ones((1, n - 1)))[0], np.ones((n, n))
                         )
                         assert np.array_equal(
-                            build(trace, np.zeros(n - 1)), np.eye(n)
+                            build(batch, np.zeros((1, n - 1)))[0], np.eye(n)
                         )
 
 

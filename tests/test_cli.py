@@ -8,12 +8,11 @@ import pytest
 from treeweights import cli, weights
 from treeweights.cli import RunConfig, parse_graph, parse_partition
 from treeweights.errors import DuplicateVertexError, ParseError
-from treeweights.fixtures import fig1, fig2, fig2_double_rooted
 from treeweights.graph import Multigraph
 from treeweights.sectors import SectorCensus, sector_census
 from treeweights.weights import WeightReport, verify_exact
 
-from helpers import reference_cmd_symmetric, reference_total
+from helpers import fig1, fig2, fig2_double_rooted, reference_cmd_symmetric, reference_total
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -19,7 +19,6 @@ import pytest
 import treeweights
 from treeweights import psd, weights
 from treeweights.errors import InvariantError, NotAdmissibleError
-from treeweights.fixtures import fig1, fig1_root_first, fig1_root_second, fig2, fig2_double_rooted
 from treeweights.graph import Multigraph
 from treeweights.partitions import (
     Partition,
@@ -35,6 +34,11 @@ from treeweights.psd import verify_constructive
 from treeweights.weights import edge_exponents, edge_monomials, verify_exact
 
 from helpers import (
+    fig1,
+    fig1_root_first,
+    fig1_root_second,
+    fig2,
+    fig2_double_rooted,
     nontrivial_partitions,
     per_tree_verify_constructive,
     per_tree_verify_exact,

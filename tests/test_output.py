@@ -22,11 +22,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treeweights import cli
 from treeweights.cli import RunConfig
-from treeweights.fixtures import fig1, fig2
 from treeweights.graph import Multigraph
 from treeweights.partitions import Partition
 
-from helpers import reference_cmd_weights, reference_emit, reference_table
+from helpers import fig1, fig2, reference_cmd_weights, reference_emit, reference_table
 from test_acceptance import pool_lemma5
 
 characters = st.characters(exclude_categories=()) | st.sampled_from(

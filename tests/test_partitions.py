@@ -11,13 +11,6 @@ from treeweights.errors import (
     TrivialPartitionError,
     UnknownVertexError,
 )
-from treeweights.fixtures import (
-    fig1,
-    fig1_root_first,
-    fig1_root_second,
-    fig2,
-    fig2_double_rooted,
-)
 from treeweights.graph import Multigraph
 from treeweights.partitions import (
     Partition,
@@ -31,6 +24,11 @@ from helpers import (
     brute_force_orderings,
     contract_block,
     contract_graph,
+    fig1,
+    fig1_root_first,
+    fig1_root_second,
+    fig2,
+    fig2_double_rooted,
     nontrivial_partitions,
     random_connected_multigraph,
     replay_trace,

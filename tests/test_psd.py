@@ -6,18 +6,7 @@ import numpy as np
 import pytest
 
 from treeweights import cli, psd
-from treeweights.errors import (
-    BadDimensionError,
-    NotSymmetricError,
-    OutOfRangeError,
-)
-from treeweights.fixtures import (
-    fig1,
-    fig1_root_first,
-    fig1_root_second,
-    fig2,
-    fig2_double_rooted,
-)
+from treeweights.errors import BadDimensionError, OutOfRangeError
 from treeweights.partitions import (
     Partition,
     admissible_orderings,
@@ -26,7 +15,6 @@ from treeweights.partitions import (
     trace_batch,
 )
 from treeweights.psd import (
-    check_psd,
     contact_matrix_direct,
     contact_matrix_recursion,
     min_eigenvalue,
@@ -34,7 +22,13 @@ from treeweights.psd import (
 )
 
 from helpers import (
+    fig1,
+    fig1_root_first,
+    fig1_root_second,
+    fig2,
+    fig2_double_rooted,
     nontrivial_partitions,
+    one_row_batch,
     pointwise_verify_constructive,
     random_connected_multigraph,
     reference_measure_normalized,
@@ -61,41 +55,42 @@ def multigraph_cases():
     return cases
 
 
-def all_traces(g, part):
+def all_trace_batches(g, part):
+    """Every ordered tree's trace, each as a one-row batch."""
     for tree in g.spanning_trees():
         for order in admissible_orderings(g, part, tree):
-            yield build_trace(g, part, order)
+            yield one_row_batch(build_trace(g, part, order))
 
 
 def test_direct_entry_examples():
-    trace = build_trace(fig1(), fig1_root_first(), ("l1", "l2"))
-    m = contact_matrix_direct(trace, [0.5, 1 / 3])
+    batch = one_row_batch(build_trace(fig1(), fig1_root_first(), ("l1", "l2")))
+    m = contact_matrix_direct(batch, [[0.5, 1 / 3]])[0]
     assert m[1, 2] == 1 / 3
     assert list(np.diag(m)) == [1.0, 1.0, 1.0]
 
-    trace = build_trace(fig2(), fig2_double_rooted(), ("l1", "l2", "l5"))
-    m = contact_matrix_direct(trace, [1.0, 0.0, 1.0])
+    batch = one_row_batch(build_trace(fig2(), fig2_double_rooted(), ("l1", "l2", "l5")))
+    m = contact_matrix_direct(batch, [[1.0, 0.0, 1.0]])[0]
     assert m[2, 3] == 1.0
 
 
 def test_endpoint_matrices_exact():
     for g, part in FIXTURE_CASES:
         n = len(g.vertices)
-        for trace in all_traces(g, part):
+        for batch in all_trace_batches(g, part):
             for build in (contact_matrix_direct, contact_matrix_recursion):
-                assert np.array_equal(build(trace, np.ones(n - 1)), np.ones((n, n)))
-                assert np.array_equal(build(trace, np.zeros(n - 1)), np.eye(n))
+                assert np.array_equal(build(batch, np.ones((1, n - 1)))[0], np.ones((n, n)))
+                assert np.array_equal(build(batch, np.zeros((1, n - 1)))[0], np.eye(n))
 
 
 def test_constructions_agree_and_stay_in_range():
     rng = np.random.default_rng(99)
     for g, part in FIXTURE_CASES:
         n = len(g.vertices)
-        for trace in all_traces(g, part):
+        for batch in all_trace_batches(g, part):
             for _ in range(50):
-                u = rng.uniform(size=n - 1)
-                direct = contact_matrix_direct(trace, u)
-                recursed = contact_matrix_recursion(trace, u)
+                u = rng.uniform(size=(1, n - 1))
+                direct = contact_matrix_direct(batch, u)[0]
+                recursed = contact_matrix_recursion(batch, u)[0]
                 assert np.abs(direct - recursed).max() <= 1e-12
                 assert np.array_equal(np.diag(direct), np.ones(n))
                 assert direct.min() >= 0.0 and direct.max() <= 1.0
@@ -103,32 +98,32 @@ def test_constructions_agree_and_stay_in_range():
 
 
 def test_point_validation():
-    trace = build_trace(fig1(), fig1_root_first(), ("l1", "l2"))
+    batch = one_row_batch(build_trace(fig1(), fig1_root_first(), ("l1", "l2")))
     with pytest.raises(BadDimensionError):
-        contact_matrix_direct(trace, [0.5])
+        contact_matrix_direct(batch, [[0.5]])
     with pytest.raises(OutOfRangeError):
-        contact_matrix_direct(trace, [0.5, 1.5])
+        contact_matrix_direct(batch, [[0.5, 1.5]])
     with pytest.raises(OutOfRangeError):
-        contact_matrix_recursion(trace, [-0.1, 0.5])
+        contact_matrix_recursion(batch, [[-0.1, 0.5]])
     for build in (contact_matrix_direct, contact_matrix_recursion):
         with pytest.raises(OutOfRangeError):
-            build(trace, [np.nan, 0.5])
+            build(batch, [[np.nan, 0.5]])
         with pytest.raises(OutOfRangeError):
-            build(trace, [[0.5, 0.5], [0.5, np.nan]])
+            build(batch, [[[0.5, 0.5], [0.5, np.nan]]])
         with pytest.raises(BadDimensionError):
-            build(trace, np.full((2, 2, 2), 0.5))
+            build(batch, np.full((1, 2, 2, 2), 0.5))
 
 
 def test_stacked_builds_equal_pointwise_builds():
     rng = np.random.default_rng(17)
     for g, part in FIXTURE_CASES + multigraph_cases():
         n = len(g.vertices)
-        for trace in all_traces(g, part):
+        for batch in all_trace_batches(g, part):
             sampled = rng.uniform(size=(7, n - 1))
             points = np.vstack((sampled, np.ones(n - 1), np.zeros(n - 1)))
             for build in (contact_matrix_direct, contact_matrix_recursion):
-                stack = build(trace, points)
-                assert np.array_equal(stack, np.stack([build(trace, u) for u in points]))
+                stack = build(batch, points[None])[0]
+                assert np.array_equal(stack, np.stack([build(batch, u[None])[0] for u in points]))
                 assert min_eigenvalue(stack) == min(min_eigenvalue(m) for m in stack)
 
 
@@ -152,16 +147,6 @@ def test_batch_builds_equal_per_trace_builds():
                 build(batch, points[1:])
             with pytest.raises(BadDimensionError):
                 build(batch, points[..., 1:])
-
-
-def test_check_psd():
-    assert check_psd(np.eye(3))
-    assert check_psd(np.ones((4, 4)))
-    assert not check_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NotSymmetricError):
-        check_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(NotSymmetricError):
-        check_psd(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize(

@@ -5,21 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from treeweights.errors import (
-    EnumerationGuardExceededError,
-    MalformedSectorError,
-    NotASpanningTreeError,
-)
-from treeweights.fixtures import fig1, fig2
+from treeweights.errors import EnumerationGuardExceededError
 from treeweights.graph import Multigraph
-from treeweights.sectors import (
+from treeweights.sectors import sector_census
+
+from helpers import (
+    MalformedSectorError,
+    census_by_leading_tree,
+    fig1,
+    fig2,
     induced_ordering,
     leading_tree,
-    sector_census,
-    symmetric_weight,
+    random_connected_multigraph,
+    relabel,
 )
-
-from helpers import census_by_leading_tree, random_connected_multigraph, relabel
 
 
 def test_leading_tree_fig1():
@@ -115,16 +114,11 @@ def test_census_chunked_merge_is_exact():
 
 
 def test_symmetric_weight_examples():
-    g = fig2()
-    assert symmetric_weight(g, {"l1", "l5", "l6"}) == Fraction(1, 15)
-    assert symmetric_weight(g, {"l2", "l4", "l6"}) == Fraction(11, 120)
+    census = sector_census(fig2())
+    assert census.weight({"l1", "l5", "l6"}) == Fraction(1, 15)
+    assert census.weight({"l2", "l4", "l6"}) == Fraction(11, 120)
     single = Multigraph.build(["v1", "v2"], [("l1", "v1", "v2")])
-    assert symmetric_weight(single, {"l1"}) == 1
-
-
-def test_symmetric_weight_rejects_non_tree():
-    with pytest.raises(NotASpanningTreeError):
-        symmetric_weight(fig2(), {"l3", "l4", "l5"})
+    assert sector_census(single).weight({"l1"}) == 1
 
 
 def test_leading_tree_ignores_self_loop_position():

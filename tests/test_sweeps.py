@@ -20,7 +20,6 @@ import pytest
 
 from treeweights import cli, partitions, psd, weights
 from treeweights.cli import RunConfig
-from treeweights.fixtures import fig1_root_first, fig1_root_second, fig2_double_rooted
 from treeweights.graph import Multigraph
 from treeweights.partitions import Partition, _ordered_tree_walk, ordered_trees
 from treeweights.sectors import DEFAULT_GUARD, sector_census
@@ -29,6 +28,9 @@ from treeweights.weights import symmetric_via_partition, weight_distribution
 from helpers import (
     contraction_deletion_trees,
     depth_first_ordered_trees,
+    fig1_root_first,
+    fig1_root_second,
+    fig2_double_rooted,
     grouped_weight_distribution,
     nontrivial_partitions,
     permutation_census,

@@ -5,13 +5,6 @@ from fractions import Fraction
 import pytest
 
 from treeweights.errors import TrivialPartitionError
-from treeweights.fixtures import (
-    fig1,
-    fig1_root_first,
-    fig1_root_second,
-    fig2,
-    fig2_double_rooted,
-)
 from treeweights.graph import Multigraph
 from treeweights.partitions import Partition, admissible_orderings, build_trace
 from treeweights.sectors import sector_census
@@ -21,7 +14,17 @@ from treeweights.weights import (
     weight_distribution,
 )
 
-from helpers import nontrivial_partitions, random_connected_multigraph, relabel, tree_weight
+from helpers import (
+    fig1,
+    fig1_root_first,
+    fig1_root_second,
+    fig2,
+    fig2_double_rooted,
+    nontrivial_partitions,
+    random_connected_multigraph,
+    relabel,
+    tree_weight,
+)
 
 FIG2_TABLE = {
     ("l1", "l3", "l5"): Fraction(47, 400),
