@@ -27,7 +27,6 @@ from .weights import (
     TreeRow,
     WeightReport,
     edge_monomials,
-    symmetric_via_partition,
     verify_exact,
     weight_distribution,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "edge_monomials",
     "forest_trace",
     "sector_census",
-    "symmetric_via_partition",
     "trace_batch",
     "verify_constructive",
     "verify_exact",

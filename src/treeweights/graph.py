@@ -8,9 +8,9 @@ operations are pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
 
 import numpy as np
 

@@ -10,12 +10,16 @@ different integer labels: the starting block index, then a number fresh
 to the step that first merges the vertex. forest_trace walks one
 ordering on these labels, recording the step at which each vertex pair
 merges; trace_batch walks many complete orderings at once on numpy
-arrays of the same labels. _ordering_states builds the one table of
-the forests that admissible orderings reach, level by level on the same
-labels: each state holds its k and trans-block edges, and the table
-sums every tree's weight and ordering count as it is built. The
-weights, their per-ordering breakdown, ordered_trees and the psd
-normalization all read that table.
+arrays of the same labels. With merged components labeled canonically,
+the labels of a forest depend only on its components, and so do k and
+the trans-block edges: _Labelings builds each labeling once, with its
+trans-block edges in id order, k, and each move's successor labeling
+when first asked. Two sweeps over the forests that admissible orderings
+reach read it, each built level by level at one dict update per forest
+and trans-block edge. _forest_sums sums every tree's weight and
+ordering count, for the weights. _walk_table keeps each forest's moves
+and no sums, and _walk_states walks its paths in sorted order, for the
+per-ordering breakdown, ordered_trees and the verify and psd checks.
 """
 
 from __future__ import annotations
@@ -311,58 +315,130 @@ def _merged_labels(labels: tuple[int, ...], a: int, b: int, fresh: int) -> tuple
     return tuple(out)
 
 
-def _ordering_states(g: Multigraph, part: Partition) -> tuple[list, dict[int, list], int]:
-    """The forest-state table of (g, part), with every tree's weight.
+class _Labeling:
+    """One canonical labeling of (g, part), with what its forests share.
 
-    A state is a forest that an admissible ordering reaches, built once
-    per edge bitmask (bit i for g.edges[i]) level by level, on the
-    canonical labels of _merged_labels (block index until merged), so an
-    edge is trans-block exactly when its two labels differ. A state is
-    stored as [k, moves, last]: k counts its trans-block edges and moves
-    holds (edge id, edge index, next) for each. On the last level next
-    is the tree's bitmask and the moves are in id order; elsewhere next
-    is the successor state and the moves are in reverse id order, ready
-    to push. Each forest pushes its weight w/k and ordering count to its
-    successors, as integer numerators over scale**depth, scale =
-    lcm(1..|E|) being a multiple of every k. Returns the root,
-    {tree mask: [numerator, orderings]} and scale**(|V|-1). g must be
-    connected and the partition non-trivial.
+    moves holds (edge id, edge index, a, b) for each trans-block edge in
+    id order, bits each one's 1 << index, k their number and share
+    scale // k. after[j] is the labeling that contracting moves[j] leads
+    to, None until _Labelings.successor first computes it.
     """
-    vi = g._vertex_index
-    ends = sorted((e.id, i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges))
-    fresh = len(part.blocks)
+
+    __slots__ = ("labels", "moves", "bits", "k", "share", "after")
+
+    def __init__(self, labels: tuple[int, ...], moves: list, scale: int):
+        if not moves:
+            raise InvariantError("an interior contraction state has no trans-block edge")
+        self.labels, self.moves, self.k = labels, moves, len(moves)
+        self.bits = [1 << i for _, i, _, _ in moves]
+        self.share = scale // self.k
+        self.after: list[_Labeling | None] = [None] * self.k
+
+
+class _Labelings:
+    """The canonical labelings of (g, part), each built once.
+
+    A forest's labels are those of _merged_labels (block index until
+    merged). They depend only on the forest's components, so every
+    forest with the same components shares one _Labeling, and an edge is
+    trans-block exactly when its two labels differ. scale = lcm(1..|E|)
+    is a multiple of every k.
+    """
+
+    def __init__(self, g: Multigraph, part: Partition):
+        vi = g._vertex_index
+        self.ends = sorted((e.id, i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges))
+        self.fresh = len(part.blocks)
+        self.scale = math.lcm(*range(1, len(self.ends) + 1))
+        self.memo: dict[tuple[int, ...], _Labeling] = {}
+        self.root = self.get(tuple(part.block_index(v) for v in g.vertices))
+
+    def get(self, labels: tuple[int, ...]) -> _Labeling:
+        labeling = self.memo.get(labels)
+        if labeling is None:
+            moves = [move for move in self.ends if labels[move[2]] != labels[move[3]]]
+            labeling = self.memo[labels] = _Labeling(labels, moves, self.scale)
+        return labeling
+
+    def successor(self, labeling: _Labeling, j: int) -> _Labeling:
+        _, _, a, b = labeling.moves[j]
+        labeling.after[j] = self.get(_merged_labels(labeling.labels, a, b, self.fresh))
+        return labeling.after[j]
+
+
+def _forest_sums(g: Multigraph, part: Partition) -> tuple[dict[int, list[int]], int]:
+    """Every tree's weight and ordering count, summed over forests.
+
+    A forest is an edge bitmask (bit i for g.edges[i]) that an admissible
+    ordering reaches, built once, level by level, with its labeling. Each
+    forest pushes its weight w/k and ordering count to mask | bit for
+    each trans-block bit, as integer numerators over scale**depth; a
+    successor's labeling is computed only when a move first creates that
+    successor. Returns {tree mask: [numerator, orderings]} and
+    scale**(|V|-1). g must be connected with two or more vertices and
+    the partition non-trivial.
+    """
+    labelings = _Labelings(g, part)
     n = len(g.vertices)
-    scale = math.lcm(*range(1, len(ends) + 1))
-    root: list = [0, (), False]
-    # mask -> [labels, state (on the tree level, the mask), numerator, orderings]
-    level = {0: [tuple(part.block_index(v) for v in g.vertices), root, 1, 1]}
+    # mask -> [labeling (None on the tree level), numerator, orderings]
+    level: dict[int, list] = {0: [labelings.root, 1, 1]}
     for depth in range(n - 1):
         last = depth == n - 2
         after: dict[int, list] = {}
-        for mask, (labels, state, num, count) in level.items():
-            moves, successors = [], []
-            for eid, i, a, b in ends:
-                if labels[a] == labels[b]:
-                    continue
-                key = mask | 1 << i
-                successor = after.get(key)
-                if successor is None:
-                    successor = after[key] = (
-                        [None, key, 0, 0] if last
-                        else [_merged_labels(labels, a, b, fresh), [0, (), False], 0, 0]
-                    )
-                successors.append(successor)
-                moves.append((eid, i, successor[1]))
-            if not moves:
-                raise InvariantError("an interior contraction state has no trans-block edge")
-            share = num * (scale // len(moves))
-            for successor in successors:
-                successor[2] += share
-                successor[3] += count
-            state[:] = len(moves), tuple(moves if last else reversed(moves)), last
+        for mask, (labeling, num, count) in level.items():
+            share = num * labeling.share
+            successors = labeling.after
+            for j, bit in enumerate(labeling.bits):
+                key = mask | bit
+                forest = after.get(key)
+                if forest is not None:
+                    forest[1] += share
+                    forest[2] += count
+                elif last:
+                    after[key] = [None, share, count]
+                else:
+                    after[key] = [successors[j] or labelings.successor(labeling, j), share, count]
         level = after
-    trees = {mask: [num, count] for mask, (_, _, num, count) in level.items()}
-    return root, trees, scale ** (n - 1)
+    trees = {mask: [num, count] for mask, (_, num, count) in level.items()}
+    return trees, labelings.scale ** (n - 1)
+
+
+def _walk_table(g: Multigraph, part: Partition) -> list:
+    """The forest states that _walk_states walks, without sums.
+
+    The forests are those of _forest_sums, built the same way. A state
+    is [k, moves, last], moves holding (edge id, edge index, next) for
+    each trans-block edge. On the last level next is the tree's bitmask
+    and the moves are in id order; elsewhere next is the successor state
+    and the moves are in reverse id order, ready to push. Returns the
+    root state. g must be connected with two or more vertices and the
+    partition non-trivial.
+    """
+    labelings = _Labelings(g, part)
+    n = len(g.vertices)
+    root: list = [0, (), False]
+    # mask -> [labeling, state]
+    level: dict[int, list] = {0: [labelings.root, root]}
+    for depth in range(n - 1):
+        last = depth == n - 2
+        after: dict[int, list] = {}
+        for mask, (labeling, state) in level.items():
+            bits, successors = labeling.bits, labeling.after
+            moves = []
+            for j, (eid, i, _, _) in enumerate(labeling.moves):
+                key = mask | bits[j]
+                if last:
+                    moves.append((eid, i, key))
+                    continue
+                forest = after.get(key)
+                if forest is None:
+                    forest = after[key] = [
+                        successors[j] or labelings.successor(labeling, j), [0, (), False]
+                    ]
+                moves.append((eid, i, forest[1]))
+            state[:] = labeling.k, tuple(moves if last else reversed(moves)), last
+        level = after
+    return root
 
 
 def _walk_states(root: list) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
@@ -385,21 +461,21 @@ def _ordered_tree_walk(
     g: Multigraph, part: Partition
 ) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
     """ordered_trees with each ordering's edge indices and tree bitmask,
-    as _walk_states yields them from a new state table of (g, part)."""
+    as _walk_states yields them from a new walk table of (g, part)."""
     part.require_cover(g)
     if len(g.vertices) == 1:
         yield (), (), 0, 1
         return
-    yield from _walk_states(_ordering_states(g, part)[0])
+    yield from _walk_states(_walk_table(g, part))
 
 
 def ordered_trees(g: Multigraph, part: Partition) -> Iterator[tuple[tuple[str, ...], int]]:
     """Every admissible ordered spanning tree of g with its k product.
 
     Yields (order, k_0 * ... * k_{|V|-2}) in sorted order, orderings
-    compared by edge id. The orderings are read off the forest-state
-    table of _ordering_states, in which every ordering that contracts
-    the same edge set shares one state; the state holds k and the
+    compared by edge id. The orderings are read off the walk table of
+    _walk_table, in which every ordering that contracts the same edge
+    set shares one state; the state holds k and the
     trans-block edges in id order, and a stack walks it. g must be
     connected and the partition non-trivial; then every state has a
     trans-block edge, so every path completes.

@@ -14,11 +14,11 @@ indices, on traces built in blocks by partitions.trace_batch. A tree
 weighs the sum of its ordered weights over its admissible orderings,
 and the weights of all spanning trees of a connected graph sum to
 exactly 1. weight_distribution does not walk those orderings: k and
-admissibility depend only on the set of edges contracted so far, so
-the forest-state table of partitions._ordering_states sums every
-tree's weight as it is built, merging every ordering that reaches the
-same forest. The per-ordering breakdown is walked from the same table,
-only when read.
+admissibility depend only on the components of the forest contracted
+so far, so partitions._forest_sums sums every tree's weight over the
+forests, merging every ordering that reaches the same forest. The
+per-ordering breakdown is walked, only when read, from a walk table
+(partitions._walk_table) that holds moves and no sums.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ from .partitions import (
     ContractionTrace,
     Partition,
     TraceBatch,
+    _forest_sums,
     _ordered_tree_walk,
-    _ordering_states,
     _walk_states,
+    _walk_table,
     batch_contact_indices,
     contact_indices,
     trace_batch,
@@ -153,37 +154,37 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
 
 
 class _Listing:
-    """The per-ordering breakdown of one report, from its state table.
+    """The per-ordering breakdown of one report, from a walk table.
 
-    partitions._walk_states walks the root of the report's table once,
-    the first time any row reads its orderings. It yields the orderings
-    in sorted order, so grouping them by tree bitmask keeps each tree's
-    orderings sorted, and every ordered weight 1/d is one shared
-    Fraction per distinct d. Each tree must get as many orderings as the
-    table counted while it was built.
+    The walk table of (g, part) is built and walked once, the first time
+    any row reads its orderings. The walk yields the orderings in sorted
+    order, so grouping them by tree bitmask keeps each tree's orderings
+    sorted, and every ordered weight 1/d is one shared Fraction per
+    distinct d. Each tree must get as many orderings as the sums sweep
+    counted.
     """
 
-    def __init__(self, root: list, counts: dict[int, int]):
-        self.root, self.counts = root, counts
+    def __init__(self, g: Multigraph, part: Partition, counts: dict[int, int]):
+        self.g, self.part, self.counts = g, part, counts
 
     @cached_property
     def by_tree(self) -> dict[int, tuple[tuple[tuple[str, ...], Fraction], ...]]:
         grouped: dict[int, list[tuple[tuple[str, ...], Fraction]]] = {}
         shared: dict[int, Fraction] = {}
-        for order, _, mask, denom in _walk_states(self.root):
+        for order, _, mask, denom in _walk_states(_walk_table(self.g, self.part)):
             weight = shared.get(denom)
             if weight is None:
                 weight = shared[denom] = Fraction(1, denom)
             grouped.setdefault(mask, []).append((order, weight))
         if {mask: len(pairs) for mask, pairs in grouped.items()} != self.counts:
-            raise InvariantError("the ordering walk and the table's ordering counts disagree")
+            raise InvariantError("the ordering walk and the summed ordering counts disagree")
         return {mask: tuple(pairs) for mask, pairs in grouped.items()}
 
 
 class Breakdown(Sequence):
     """One tree's admissible orderings with their ordered weights, sorted.
 
-    The length is the state table's ordering count and costs nothing;
+    The length is the sums sweep's ordering count and costs nothing;
     the orderings are listed, for every tree of the report at once, on
     first read. Compares equal to any tuple or list of the same pairs.
     """
@@ -254,18 +255,18 @@ class WeightReport:
 def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     """The full probability distribution over the spanning trees of g.
 
-    Tree weights and ordering counts come from one forest-state table
-    (partitions._ordering_states), as integer numerators over one
+    Tree weights and ordering counts come from one sweep over forests
+    (partitions._forest_sums), as integer numerators over one
     denominator; each distinct numerator becomes one Fraction, shared
     by every row of that weight. A row's tree is read off its bitmask
     with the bits taken in id order, so it is sorted as it is built.
-    Each row's per-ordering breakdown is walked from the same table
+    The per-ordering breakdown is walked from a walk table of (g, part)
     only when read.
     """
     require_weighable(g, part)
     # each edge's bit in a tree mask, in id order
     bits = sorted((e.id, 1 << i) for i, e in enumerate(g.edges))
-    root, trees, denom = _ordering_states(g, part)
+    trees, denom = _forest_sums(g, part)
     shared: dict[int, Fraction] = {}
     found = []
     for mask, (num, count) in trees.items():
@@ -274,7 +275,7 @@ def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
             weight = shared[num] = Fraction(num, denom)
         found.append((tuple([eid for eid, bit in bits if mask & bit]), weight, mask, count))
     found.sort(key=itemgetter(0))
-    listing = _Listing(root, {mask: count for mask, (_, count) in trees.items()})
+    listing = _Listing(g, part, {mask: count for mask, (_, count) in trees.items()})
     return WeightReport(
         tuple(
             TreeRow(key, weight, Breakdown(count, key, mask, listing))
@@ -282,12 +283,3 @@ def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
         )
     )
 
-
-def symmetric_via_partition(g: Multigraph) -> WeightReport:
-    """Tree weights for the all-singletons partition.
-
-    These coincide bit-exactly with the sector-census weights; the
-    census route in sectors.py stays independent so the two can be
-    checked against each other.
-    """
-    return weight_distribution(g, Partition.singletons(g.vertices))

@@ -24,9 +24,13 @@ Fractions, each tree's normalization summed as Fractions, and the
 spanning trees sorted back from frozensets. With them, the weights
 command that built its rows as dicts and cell lists and wrote them
 through the reference writer, before it wrote them from each distinct
-weight's shared text. Finally, what the library no longer ships: the
-example graphs of the paper's figures, the one-sector greedy sweep the
-census replaced, and a complete trace as a one-row TraceBatch.
+weight's shared text. With them, the one forest-state table that both
+summed the tree weights and held the moves the breakdown walked,
+before the sums sweep and the walk table split it. Finally, what the
+library no longer ships: the example graphs of the paper's figures,
+the one-sector greedy sweep the census replaced, a complete trace as a
+one-row TraceBatch, and the partition route for the all-singletons
+partition.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import math
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +61,8 @@ from treeweights.partitions import (
     ContractionTrace,
     Partition,
     TraceBatch,
-    _ordering_states,
+    _merged_labels,
+    _walk_states,
     admissible_orderings,
     build_trace,
     contact_indices,
@@ -76,10 +82,10 @@ from treeweights.weights import (
     ExactReport,
     TreeRow,
     WeightReport,
-    _Listing,
     _row_products,
     edge_monomials,
     require_weighable,
+    weight_distribution,
 )
 
 
@@ -606,6 +612,13 @@ def one_row_batch(trace: ContractionTrace) -> TraceBatch:
     )
 
 
+def symmetric_via_partition(g: Multigraph) -> WeightReport:
+    """Tree weights for the all-singletons partition, the call
+    cmd_symmetric makes. They coincide bit-exactly with the sector-census
+    weights."""
+    return weight_distribution(g, Partition.singletons(g.vertices))
+
+
 def trace_matrix_direct(trace: ContractionTrace, points: np.ndarray) -> np.ndarray:
     """The direct contact matrices of one trace at a stack of points,
     one contact_indices call per vertex pair."""
@@ -716,17 +729,95 @@ def reference_emit(config: cli.RunConfig, payload, headers: list[str], rows, out
         reference_table(headers, rows(), out)
 
 
+def reference_ordering_states(g: Multigraph, part: Partition) -> tuple[list, dict[int, list], int]:
+    """The forest-state table of (g, part), with every tree's weight.
+
+    A state is a forest that an admissible ordering reaches, built once
+    per edge bitmask (bit i for g.edges[i]) level by level, on the
+    canonical labels of _merged_labels (block index until merged), so an
+    edge is trans-block exactly when its two labels differ. A state is
+    stored as [k, moves, last]: k counts its trans-block edges and moves
+    holds (edge id, edge index, next) for each. On the last level next
+    is the tree's bitmask and the moves are in id order; elsewhere next
+    is the successor state and the moves are in reverse id order, ready
+    to push. Each forest pushes its weight w/k and ordering count to its
+    successors, as integer numerators over scale**depth, scale =
+    lcm(1..|E|) being a multiple of every k. Returns the root,
+    {tree mask: [numerator, orderings]} and scale**(|V|-1). g must be
+    connected and the partition non-trivial.
+    """
+    vi = g._vertex_index
+    ends = sorted((e.id, i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges))
+    fresh = len(part.blocks)
+    n = len(g.vertices)
+    scale = math.lcm(*range(1, len(ends) + 1))
+    root: list = [0, (), False]
+    # mask -> [labels, state (on the tree level, the mask), numerator, orderings]
+    level = {0: [tuple(part.block_index(v) for v in g.vertices), root, 1, 1]}
+    for depth in range(n - 1):
+        last = depth == n - 2
+        after: dict[int, list] = {}
+        for mask, (labels, state, num, count) in level.items():
+            moves, successors = [], []
+            for eid, i, a, b in ends:
+                if labels[a] == labels[b]:
+                    continue
+                key = mask | 1 << i
+                successor = after.get(key)
+                if successor is None:
+                    successor = after[key] = (
+                        [None, key, 0, 0] if last
+                        else [_merged_labels(labels, a, b, fresh), [0, (), False], 0, 0]
+                    )
+                successors.append(successor)
+                moves.append((eid, i, successor[1]))
+            if not moves:
+                raise InvariantError("an interior contraction state has no trans-block edge")
+            share = num * (scale // len(moves))
+            for successor in successors:
+                successor[2] += share
+                successor[3] += count
+            state[:] = len(moves), tuple(moves if last else reversed(moves)), last
+        level = after
+    trees = {mask: [num, count] for mask, (_, _, num, count) in level.items()}
+    return root, trees, scale ** (n - 1)
+
+
+class ReferenceListing:
+    """The per-ordering breakdown of one report, walked by _walk_states
+    from the root of its reference_ordering_states table on first read,
+    checked against the ordering counts the table summed."""
+
+    def __init__(self, root: list, counts: dict[int, int]):
+        self.root, self.counts = root, counts
+
+    @cached_property
+    def by_tree(self) -> dict[int, tuple[tuple[tuple[str, ...], Fraction], ...]]:
+        grouped: dict[int, list[tuple[tuple[str, ...], Fraction]]] = {}
+        shared: dict[int, Fraction] = {}
+        for order, _, mask, denom in _walk_states(self.root):
+            weight = shared.get(denom)
+            if weight is None:
+                weight = shared[denom] = Fraction(1, denom)
+            grouped.setdefault(mask, []).append((order, weight))
+        if {mask: len(pairs) for mask, pairs in grouped.items()} != self.counts:
+            raise InvariantError("the ordering walk and the table's ordering counts disagree")
+        return {mask: tuple(pairs) for mask, pairs in grouped.items()}
+
+
 def reference_weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
-    """weight_distribution before equal weights shared one Fraction: a
-    Fraction reduced for every tree, its key sorted from the mask."""
+    """weight_distribution before equal weights shared one Fraction and
+    before the sums and the walk were swept apart: a Fraction reduced
+    for every tree, its key sorted from the mask, and the breakdown
+    walked from the one table that summed the weights."""
     require_weighable(g, part)
     ids = [e.id for e in g.edges]
-    root, trees, denom = _ordering_states(g, part)
+    root, trees, denom = reference_ordering_states(g, part)
     found = {
         tuple(sorted(ids[i] for i in range(len(ids)) if mask >> i & 1)): (mask, num, count)
         for mask, (num, count) in trees.items()
     }
-    listing = _Listing(root, {mask: count for mask, (_, count) in trees.items()})
+    listing = ReferenceListing(root, {mask: count for mask, (_, count) in trees.items()})
     return WeightReport(
         tuple(
             TreeRow(key, Fraction(num, denom), Breakdown(count, key, mask, listing))

@@ -423,9 +423,9 @@ def test_symmetric_help_names_the_guard(capsys):
 
 
 def test_internal_fault_exit_code(monkeypatch):
-    # a walk of the state table that drops a row disagrees with the
-    # ordering counts summed while the table was built, which the
-    # breakdown reports as an InvariantError
+    # a walk of the walk table that drops a row disagrees with the
+    # ordering counts of the sums sweep, which the breakdown reports as
+    # an InvariantError
     walk = weights._walk_states
     monkeypatch.setattr(weights, "_walk_states", lambda *args: list(walk(*args))[1:])
     for fmt in ("table", "json"):
@@ -527,14 +527,14 @@ def test_symmetric_reports_a_broken_route(monkeypatch, name, broken):
 
 
 def test_weights_reports_a_numerator_off_by_one(monkeypatch):
-    build = weights._ordering_states
+    build = weights._forest_sums
 
     def broken(g, part):
-        root, trees, denom = build(g, part)
+        trees, denom = build(g, part)
         mask, (num, count) = next(iter(trees.items()))
-        return root, {**trees, mask: [num + 1, count]}, denom
+        return {**trees, mask: [num + 1, count]}, denom
 
-    monkeypatch.setattr(weights, "_ordering_states", broken)
+    monkeypatch.setattr(weights, "_forest_sums", broken)
     g, part = fig2(), fig2_double_rooted()
     report = weights.weight_distribution(g, part)
     total = report.total

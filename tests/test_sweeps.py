@@ -2,18 +2,21 @@
 
 weight_distribution sweeps forests, sector_census sweeps (placed
 edges, greedy forest) states, spanning_trees walks (position, forest)
-states and ordered_trees walks forest states; each must equal, bit for
-bit, the routes kept in helpers: the grouping of every ordered tree,
-the census that walks every sector prefix and the one over every
-permutation, the contraction-deletion recursion and the depth-first
-ordering search, order included. Printing tree weights must never list
-an ordering, and the symmetric, trees and psd commands must print the
-same bytes with the replaced routes.
+states and ordered_trees walks one state per forest labeling; each
+must equal, bit for bit, the routes kept in helpers: the grouping of
+every ordered tree, the census that walks every sector prefix and the
+one over every permutation, the contraction-deletion recursion and the
+depth-first ordering search, order included. The sums sweep and the
+walk table must equal the one forest-state table they split. Printing
+tree weights must never list an ordering or build a walk table, verify
+and psd must never build the sums, and the symmetric, trees and psd
+commands must print the same bytes with the replaced routes.
 """
 
 import io
 import random
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -21,22 +24,34 @@ import pytest
 from treeweights import cli, partitions, psd, weights
 from treeweights.cli import RunConfig
 from treeweights.graph import Multigraph
-from treeweights.partitions import Partition, _ordered_tree_walk, ordered_trees
+from treeweights.partitions import (
+    Partition,
+    _forest_sums,
+    _ordered_tree_walk,
+    _walk_states,
+    _walk_table,
+    ordered_trees,
+)
 from treeweights.sectors import DEFAULT_GUARD, sector_census
-from treeweights.weights import symmetric_via_partition, weight_distribution
+from treeweights.weights import weight_distribution
 
 from helpers import (
     contraction_deletion_trees,
     depth_first_ordered_trees,
+    fig1,
     fig1_root_first,
     fig1_root_second,
+    fig2,
     fig2_double_rooted,
     grouped_weight_distribution,
     nontrivial_partitions,
     permutation_census,
     prefix_census,
     random_connected_multigraph,
+    reference_ordering_states,
+    symmetric_via_partition,
 )
+from test_acceptance import pool_lemma5
 from test_kernel import kernel_cases
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -175,6 +190,73 @@ def test_ordered_trees_match_depth_first_search():
             assert mask == sum(1 << i for i in indices)
     # K5 and K6, each with singletons and then rooted at v1
     assert rows[-4:] == [3000, 576, 155520, 14400]
+
+
+def one_table_cases():
+    """fig1 and fig2 with every non-trivial partition; the two seeded
+    pools, K6 and K7 with singletons, consecutive pairs and the first
+    vertex against the rest."""
+    cases = [(g, part) for g in (fig1(), fig2()) for part in nontrivial_partitions(g)]
+    for g in (*multigraph_pool(), *pool_lemma5(), complete_graph(6), complete_graph(7)):
+        v = list(g.vertices)
+        shapes = [
+            Partition.singletons(v),
+            Partition.of([v[i:i + 2] for i in range(0, len(v), 2)]),
+            Partition.of([v[:1], v[1:]]),
+        ]
+        cases.extend((g, part) for part in shapes if not part.is_trivial)
+    return cases
+
+
+def test_sums_sweep_matches_one_table():
+    for g, part in one_table_cases():
+        trees, denom = _forest_sums(g, part)
+        _, expected, expected_denom = reference_ordering_states(g, part)
+        # numerators and ordering counts, tree by tree and in the same order
+        assert list(trees.items()) == list(expected.items())
+        assert denom == expected_denom
+
+
+def tables_alike(root, reference_root) -> int:
+    """Compare a walk table with a reference_ordering_states table state
+    by state: the same k, the same moves (edge id, edge index) in the
+    same order, each successor paired with one reference state, and the
+    same tree bitmasks. Returns the states compared."""
+    stack, paired = [(root, reference_root)], {id(root): reference_root}
+    while stack:
+        (k, moves, last), (reference_k, reference_moves, reference_last) = stack.pop()
+        assert (k, last, len(moves)) == (reference_k, reference_last, len(reference_moves))
+        for (eid, i, successor), (reference_eid, reference_i, expected) in zip(
+            moves, reference_moves
+        ):
+            assert (eid, i) == (reference_eid, reference_i)
+            if last:
+                assert successor == expected
+            elif id(successor) in paired:
+                assert paired[id(successor)] is expected
+            else:
+                paired[id(successor)] = expected
+                stack.append((successor, expected))
+    return len(paired)
+
+
+def test_walk_sweep_matches_one_table():
+    orderings = states = 0
+    for g, part in one_table_cases():
+        root, trees, _ = reference_ordering_states(g, part)
+        table = _walk_table(g, part)
+        states += tables_alike(table, root)
+        walked = _walk_states(table)
+        expected = _walk_states(root)
+        if sum(count for _, count in trees.values()) > 2 * 10**5:
+            # K7: the states above, and a prefix of the walk
+            walked, expected = islice(walked, 10**5), islice(expected, 10**5)
+        # orderings in walk order, edge indices, tree bitmasks and k products
+        for row, reference_row in zip(walked, expected, strict=True):
+            assert row == reference_row
+            orderings += 1
+    assert orderings > 5 * 10**5
+    assert states > 5 * 10**4
 
 
 def tree_states(g):
@@ -320,7 +402,9 @@ def test_tree_weights_never_list_orderings(monkeypatch):
     for module, name in (
         (partitions, "ordered_trees"),
         (partitions, "_ordered_tree_walk"),
+        (partitions, "_walk_table"),
         (weights, "_ordered_tree_walk"),
+        (weights, "_walk_table"),
         (weights, "_walk_states"),
         (psd, "_ordered_tree_walk"),
     ):
@@ -332,29 +416,85 @@ def test_tree_weights_never_list_orderings(monkeypatch):
         list(report.rows[0].orderings)
 
 
+def test_each_route_builds_only_the_sweep_it_reads(monkeypatch, tmp_path):
+    k6 = tmp_path / "k6.json"
+    k6.write_text(complete_graph(6).to_json())
+    v = complete_graph(6).vertices
+    k6_parts = [
+        Partition.singletons(v).format(),
+        Partition.of([v[i:i + 2] for i in range(0, 6, 2)]).format(),
+        Partition.of([v[:1], v[1:]]).format(),
+    ]
+    fixture_parts = [
+        (FIG1, fig1_root_first().format()),
+        (FIG1, fig1_root_second().format()),
+        (FIG2, fig2_double_rooted().format()),
+        (FIG2, "v1|v2|v3|v4"),
+    ]
+    formats = ("table", "json", "csv")
+    # plain weights and symmetric read the sums sweep alone
+    sums_only = [
+        RunConfig(command="weights", graph_path=path, partition=spec, output_format=fmt)
+        for path, spec in fixture_parts + [(str(k6), spec) for spec in k6_parts]
+        for fmt in formats
+    ]
+    sums_only.extend(
+        RunConfig(command="symmetric", graph_path=path, output_format=fmt, guard=15)
+        for path in (FIG1, FIG2, str(k6))
+        for fmt in formats
+    )
+    # verify and psd read the walk alone
+    walk_only = [
+        RunConfig(command=command, graph_path=path, partition=spec, output_format=fmt)
+        for command in ("verify", "psd")
+        for path, spec in fixture_parts
+        for fmt in formats
+    ]
+    walk_only.extend(
+        RunConfig(command="verify", graph_path=str(k6), partition=k6_parts[2], output_format=fmt)
+        for fmt in formats
+    )
+    walk_only.append(
+        RunConfig(command="psd", graph_path=str(k6), partition=k6_parts[2],
+                  output_format="json", samples=1)
+    )
+
+    def refuse(*args):
+        raise RuntimeError("a sweep the route does not read was built")
+
+    # a refused sweep would exit 5 with an internal-fault line
+    with monkeypatch.context() as patched:
+        for module in (partitions, weights):
+            patched.setattr(module, "_walk_table", refuse)
+        assert {(code, err) for code, _, err in run_configs(sums_only)} == {(0, "")}
+    with monkeypatch.context() as patched:
+        for module in (partitions, weights):
+            patched.setattr(module, "_forest_sums", refuse)
+        assert {(code, err) for code, _, err in run_configs(walk_only)} == {(0, "")}
+
+
 def test_breakdown_is_listed_once_per_report(monkeypatch):
     g = Multigraph.from_json(Path(FIG2).read_text())
     part = Partition.singletons(g.vertices)
-    builds, searches = [], []
-    build, walk = weights._ordering_states, weights._walk_states
+    calls: dict[str, list] = {"_forest_sums": [], "_walk_table": [], "_walk_states": []}
 
-    def counted_build(*args):
-        builds.append(args)
-        return build(*args)
+    def counted(name):
+        route = getattr(weights, name)
 
-    def counted(*args):
-        searches.append(args)
-        return walk(*args)
+        def run(*args):
+            calls[name].append(args)
+            return route(*args)
+        return run
 
-    monkeypatch.setattr(weights, "_ordering_states", counted_build)
-    monkeypatch.setattr(weights, "_walk_states", counted)
+    for name in calls:
+        monkeypatch.setattr(weights, name, counted(name))
     report = weight_distribution(g, part)
-    assert len(builds) == 1
-    assert searches == []
+    # one sums sweep, and no walk table until a breakdown is read
+    assert [len(made) for made in calls.values()] == [1, 0, 0]
     listed = [list(row.orderings) for row in report.rows]
+    # then one walk table, walked once, for every row
+    assert [len(made) for made in calls.values()] == [1, 1, 1]
     listed_again = [list(row.orderings) for row in report.rows]
-    assert len(searches) == 1
-    # the breakdown walks the table the weights were summed on
-    assert len(builds) == 1
+    assert [len(made) for made in calls.values()] == [1, 1, 1]
     assert listed == listed_again
     assert list(map(len, listed)) == [len(row.orderings) for row in report.rows]

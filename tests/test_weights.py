@@ -8,11 +8,7 @@ from treeweights.errors import TrivialPartitionError
 from treeweights.graph import Multigraph
 from treeweights.partitions import Partition, admissible_orderings, build_trace
 from treeweights.sectors import sector_census
-from treeweights.weights import (
-    edge_monomials,
-    symmetric_via_partition,
-    weight_distribution,
-)
+from treeweights.weights import edge_monomials, weight_distribution
 
 from helpers import (
     fig1,
@@ -23,6 +19,7 @@ from helpers import (
     nontrivial_partitions,
     random_connected_multigraph,
     relabel,
+    symmetric_via_partition,
     tree_weight,
 )
 
