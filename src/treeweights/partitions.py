@@ -14,12 +14,13 @@ arrays of the same labels. With merged components labeled canonically,
 the labels of a forest depend only on its components, and so do k and
 the trans-block edges: _Labelings builds each labeling once, with its
 trans-block edges in id order, k, and each move's successor labeling
-when first asked. Two sweeps over the forests that admissible orderings
-reach read it, each built level by level at one dict update per forest
-and trans-block edge. _forest_sums sums every tree's weight and
-ordering count, for the weights. _walk_table keeps each forest's moves
-and no sums, and _walk_states walks its paths in sorted order, for the
-per-ordering breakdown, ordered_trees and the verify and psd checks.
+when first asked. Two routes read it. _forest_sums sweeps the forests
+that admissible orderings reach, level by level at one dict update per
+forest and trans-block edge, and sums every tree's weight and ordering
+count, for the weights. _ordered_tree_walk walks the labelings
+themselves, one stack entry per ordering prefix, and yields every
+admissible ordering in sorted order, for the per-ordering breakdown,
+ordered_trees and the verify and psd checks.
 """
 
 from __future__ import annotations
@@ -403,82 +404,52 @@ def _forest_sums(g: Multigraph, part: Partition) -> tuple[dict[int, list[int]], 
     return trees, labelings.scale ** (n - 1)
 
 
-def _walk_table(g: Multigraph, part: Partition) -> list:
-    """The forest states that _walk_states walks, without sums.
-
-    The forests are those of _forest_sums, built the same way. A state
-    is [k, moves, last], moves holding (edge id, edge index, next) for
-    each trans-block edge. On the last level next is the tree's bitmask
-    and the moves are in id order; elsewhere next is the successor state
-    and the moves are in reverse id order, ready to push. Returns the
-    root state. g must be connected with two or more vertices and the
-    partition non-trivial.
-    """
-    labelings = _Labelings(g, part)
-    n = len(g.vertices)
-    root: list = [0, (), False]
-    # mask -> [labeling, state]
-    level: dict[int, list] = {0: [labelings.root, root]}
-    for depth in range(n - 1):
-        last = depth == n - 2
-        after: dict[int, list] = {}
-        for mask, (labeling, state) in level.items():
-            bits, successors = labeling.bits, labeling.after
-            moves = []
-            for j, (eid, i, _, _) in enumerate(labeling.moves):
-                key = mask | bits[j]
-                if last:
-                    moves.append((eid, i, key))
-                    continue
-                forest = after.get(key)
-                if forest is None:
-                    forest = after[key] = [
-                        successors[j] or labelings.successor(labeling, j), [0, (), False]
-                    ]
-                moves.append((eid, i, forest[1]))
-            state[:] = labeling.k, tuple(moves if last else reversed(moves)), last
-        level = after
-    return root
-
-
-def _walk_states(root: list) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
-    """(order, edge indices, tree bitmask, k product) of every path from
-    root, in sorted order. An explicit stack extends a path by one edge
-    per step; nothing recurses and no edge list is rebuilt."""
-    stack = [(root, (), (), 1)]
-    while stack:
-        (k, moves, last), order, indices, denom = stack.pop()
-        denom *= k
-        if last:
-            for eid, i, mask in moves:
-                yield order + (eid,), indices + (i,), mask, denom
-        else:
-            for eid, i, state in moves:
-                stack.append((state, order + (eid,), indices + (i,), denom))
-
-
 def _ordered_tree_walk(
     g: Multigraph, part: Partition
 ) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
-    """ordered_trees with each ordering's edge indices and tree bitmask,
-    as _walk_states yields them from a new walk table of (g, part)."""
+    """(order, edge indices, tree bitmask, k product) of every admissible
+    ordering of (g, part), in sorted order, walked on its _Labelings.
+
+    An explicit stack of (labeling, mask, order, indices, denom) extends
+    an ordering by one edge per step; each labeling's moves are pushed
+    in reverse id order, so they pop in id order, and a successor
+    labeling is computed when a move first reaches it. Nothing recurses
+    and no per-forest state is built.
+    """
     part.require_cover(g)
-    if len(g.vertices) == 1:
+    n = len(g.vertices)
+    if n == 1:
         yield (), (), 0, 1
         return
-    yield from _walk_states(_walk_table(g, part))
+    labelings = _Labelings(g, part)
+    stack = [(labelings.root, 0, (), (), 1)]
+    while stack:
+        labeling, mask, order, indices, denom = stack.pop()
+        denom *= labeling.k
+        moves, bits = labeling.moves, labeling.bits
+        if len(order) == n - 2:
+            for (eid, i, _, _), bit in zip(moves, bits):
+                yield order + (eid,), indices + (i,), mask | bit, denom
+            continue
+        successors = labeling.after
+        for j in reversed(range(labeling.k)):
+            eid, i, _, _ = moves[j]
+            stack.append((
+                successors[j] or labelings.successor(labeling, j),
+                mask | bits[j], order + (eid,), indices + (i,), denom,
+            ))
 
 
 def ordered_trees(g: Multigraph, part: Partition) -> Iterator[tuple[tuple[str, ...], int]]:
     """Every admissible ordered spanning tree of g with its k product.
 
     Yields (order, k_0 * ... * k_{|V|-2}) in sorted order, orderings
-    compared by edge id. The orderings are read off the walk table of
-    _walk_table, in which every ordering that contracts the same edge
-    set shares one state; the state holds k and the
-    trans-block edges in id order, and a stack walks it. g must be
-    connected and the partition non-trivial; then every state has a
-    trans-block edge, so every path completes.
+    compared by edge id. _ordered_tree_walk reads them off the
+    canonical labelings of (g, part), each shared by every forest with
+    the same components and holding k and the trans-block edges in id
+    order. g must be connected and the partition non-trivial; then
+    every labeling short of a tree has a trans-block edge, so every
+    path completes.
     """
     for order, _, _, denom in _ordered_tree_walk(g, part):
         yield order, denom

@@ -171,8 +171,8 @@ def verify_constructive(
     random points both matrix constructions must agree within tol, the
     diagonal must be exactly one, and the smallest eigenvalue must stay
     above -tol; the endpoint points (all-ones, all-zeros) must give the
-    all-ones matrix and the identity exactly. One walk of the
-    forest-state table gives the ordered trees, regrouped tree-major
+    all-ones matrix and the identity exactly. One _ordered_tree_walk of
+    (g, part) gives the ordered trees, regrouped tree-major
     (trees by sorted edge ids, each tree's orderings in walk order,
     which is sorted); each keeps its own generator, seeded [seed,
     index]. The ordered trees go through trace_batch in blocks of at

@@ -44,9 +44,6 @@ class SectorCensus:
     def weight(self, tree: Iterable[str]) -> Fraction:
         return Fraction(self.counts.get(frozenset(tree), 0), self.total)
 
-    def weights(self) -> dict[frozenset[str], Fraction]:
-        return {t: Fraction(c, self.total) for t, c in self.counts.items()}
-
 
 def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
     """Count leading trees over every sector, by sweeping prefix states.

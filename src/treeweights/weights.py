@@ -17,8 +17,8 @@ exactly 1. weight_distribution does not walk those orderings: k and
 admissibility depend only on the components of the forest contracted
 so far, so partitions._forest_sums sums every tree's weight over the
 forests, merging every ordering that reaches the same forest. The
-per-ordering breakdown is walked, only when read, from a walk table
-(partitions._walk_table) that holds moves and no sums.
+per-ordering breakdown is walked, only when read, by
+partitions._ordered_tree_walk on the canonical labelings of the forests.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from .partitions import (
     TraceBatch,
     _forest_sums,
     _ordered_tree_walk,
-    _walk_states,
-    _walk_table,
     batch_contact_indices,
     contact_indices,
     trace_batch,
@@ -154,14 +152,14 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
 
 
 class _Listing:
-    """The per-ordering breakdown of one report, from a walk table.
+    """The per-ordering breakdown of one report, from one ordering walk.
 
-    The walk table of (g, part) is built and walked once, the first time
-    any row reads its orderings. The walk yields the orderings in sorted
-    order, so grouping them by tree bitmask keeps each tree's orderings
-    sorted, and every ordered weight 1/d is one shared Fraction per
-    distinct d. Each tree must get as many orderings as the sums sweep
-    counted.
+    The orderings of (g, part) are walked once, by _ordered_tree_walk,
+    the first time any row reads its orderings. The walk yields them in
+    sorted order, so grouping them by tree bitmask keeps each tree's
+    orderings sorted, and every ordered weight 1/d is one shared
+    Fraction per distinct d. Each tree must get as many orderings as the
+    sums sweep counted.
     """
 
     def __init__(self, g: Multigraph, part: Partition, counts: dict[int, int]):
@@ -171,7 +169,7 @@ class _Listing:
     def by_tree(self) -> dict[int, tuple[tuple[tuple[str, ...], Fraction], ...]]:
         grouped: dict[int, list[tuple[tuple[str, ...], Fraction]]] = {}
         shared: dict[int, Fraction] = {}
-        for order, _, mask, denom in _walk_states(_walk_table(self.g, self.part)):
+        for order, _, mask, denom in _ordered_tree_walk(self.g, self.part):
             weight = shared.get(denom)
             if weight is None:
                 weight = shared[denom] = Fraction(1, denom)
@@ -248,9 +246,6 @@ class WeightReport:
                 return row.weight
         return Fraction(0)
 
-    def weights(self) -> dict[frozenset[str], Fraction]:
-        return {frozenset(r.tree): r.weight for r in self.rows}
-
 
 def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     """The full probability distribution over the spanning trees of g.
@@ -260,8 +255,8 @@ def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     denominator; each distinct numerator becomes one Fraction, shared
     by every row of that weight. A row's tree is read off its bitmask
     with the bits taken in id order, so it is sorted as it is built.
-    The per-ordering breakdown is walked from a walk table of (g, part)
-    only when read.
+    The per-ordering breakdown is walked by _ordered_tree_walk only when
+    read.
     """
     require_weighable(g, part)
     # each edge's bit in a tree mask, in id order

@@ -25,8 +25,9 @@ spanning trees sorted back from frozensets. With them, the weights
 command that built its rows as dicts and cell lists and wrote them
 through the reference writer, before it wrote them from each distinct
 weight's shared text. With them, the one forest-state table that both
-summed the tree weights and held the moves the breakdown walked,
-before the sums sweep and the walk table split it. Finally, what the
+summed the tree weights and held the moves the breakdown walked, and
+its walker, before the sums sweep and the walk of the canonical
+labelings replaced it. Finally, what the
 library no longer ships: the example graphs of the paper's figures,
 the one-sector greedy sweep the census replaced, a complete trace as a
 one-row TraceBatch, and the partition route for the all-singletons
@@ -39,7 +40,7 @@ import itertools
 import json
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -62,7 +63,6 @@ from treeweights.partitions import (
     Partition,
     TraceBatch,
     _merged_labels,
-    _walk_states,
     admissible_orderings,
     build_trace,
     contact_indices,
@@ -612,6 +612,16 @@ def one_row_batch(trace: ContractionTrace) -> TraceBatch:
     )
 
 
+def census_weights(census: SectorCensus) -> dict[frozenset[str], Fraction]:
+    """Each counted tree's symmetric weight, count / total, as a Fraction."""
+    return {t: Fraction(c, census.total) for t, c in census.counts.items()}
+
+
+def report_weights(report: WeightReport) -> dict[frozenset[str], Fraction]:
+    """A report's rows as {tree: weight}, keyed like census_weights."""
+    return {frozenset(r.tree): r.weight for r in report.rows}
+
+
 def symmetric_via_partition(g: Multigraph) -> WeightReport:
     """Tree weights for the all-singletons partition, the call
     cmd_symmetric makes. They coincide bit-exactly with the sector-census
@@ -783,10 +793,30 @@ def reference_ordering_states(g: Multigraph, part: Partition) -> tuple[list, dic
     return root, trees, scale ** (n - 1)
 
 
+def walk_ordering_states(
+    root: list,
+) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
+    """(order, edge indices, tree bitmask, k product) of every path from
+    the root of a reference_ordering_states table, in sorted order. An
+    explicit stack extends a path by one edge per step; nothing recurses
+    and no edge list is rebuilt."""
+    stack = [(root, (), (), 1)]
+    while stack:
+        (k, moves, last), order, indices, denom = stack.pop()
+        denom *= k
+        if last:
+            for eid, i, mask in moves:
+                yield order + (eid,), indices + (i,), mask, denom
+        else:
+            for eid, i, state in moves:
+                stack.append((state, order + (eid,), indices + (i,), denom))
+
+
 class ReferenceListing:
-    """The per-ordering breakdown of one report, walked by _walk_states
-    from the root of its reference_ordering_states table on first read,
-    checked against the ordering counts the table summed."""
+    """The per-ordering breakdown of one report, walked by
+    walk_ordering_states from the root of its reference_ordering_states
+    table on first read, checked against the ordering counts the table
+    summed."""
 
     def __init__(self, root: list, counts: dict[int, int]):
         self.root, self.counts = root, counts
@@ -795,7 +825,7 @@ class ReferenceListing:
     def by_tree(self) -> dict[int, tuple[tuple[tuple[str, ...], Fraction], ...]]:
         grouped: dict[int, list[tuple[tuple[str, ...], Fraction]]] = {}
         shared: dict[int, Fraction] = {}
-        for order, _, mask, denom in _walk_states(self.root):
+        for order, _, mask, denom in walk_ordering_states(self.root):
             weight = shared.get(denom)
             if weight is None:
                 weight = shared[denom] = Fraction(1, denom)
@@ -917,10 +947,10 @@ def reference_cmd_symmetric(config: cli.RunConfig, g: Multigraph, out) -> int:
     and every row formatted on its own. It reads sector_census and
     weight_distribution through cli, so a patch there reaches both."""
     census = cli.sector_census(g, guard=config.guard)
-    census_weights = census.weights()
+    weights = census_weights(census)
     if len(g.vertices) >= 2:
         report = cli.weight_distribution(g, Partition.singletons(g.vertices))
-        if census_weights != report.weights():
+        if weights != report_weights(report):
             raise cli.CheckFailure("sector census and partition route disagree")
         order_counts = {frozenset(r.tree): len(r.orderings) for r in report.rows}
     else:
@@ -933,7 +963,7 @@ def reference_cmd_symmetric(config: cli.RunConfig, g: Multigraph, out) -> int:
             "sectors": census.counts[tree],
             "orderings": order_counts.get(tree, 0),
         }
-        for tree, w in sorted(census_weights.items(), key=lambda item: sorted(item[0]))
+        for tree, w in sorted(weights.items(), key=lambda item: sorted(item[0]))
     ]
     counted = sum(census.counts.values())
     if counted != census.total:

@@ -7,14 +7,17 @@ must equal, bit for bit, the routes kept in helpers: the grouping of
 every ordered tree, the census that walks every sector prefix and the
 one over every permutation, the contraction-deletion recursion and the
 depth-first ordering search, order included. The sums sweep and the
-walk table must equal the one forest-state table they split. Printing
-tree weights must never list an ordering or build a walk table, verify
-and psd must never build the sums, and the symmetric, trees and psd
+walk of the labelings must equal the one forest-state table they
+replaced, and the walk must build labelings only, a few hundred bytes
+of them. Printing tree weights must never list an ordering, verify and
+psd must never build the sums, and the symmetric, trees and psd
 commands must print the same bytes with the replaced routes.
 """
 
 import io
 import random
+import tracemalloc
+from collections import deque
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
@@ -28,14 +31,13 @@ from treeweights.partitions import (
     Partition,
     _forest_sums,
     _ordered_tree_walk,
-    _walk_states,
-    _walk_table,
     ordered_trees,
 )
 from treeweights.sectors import DEFAULT_GUARD, sector_census
 from treeweights.weights import weight_distribution
 
 from helpers import (
+    census_weights,
     contraction_deletion_trees,
     depth_first_ordered_trees,
     fig1,
@@ -49,7 +51,9 @@ from helpers import (
     prefix_census,
     random_connected_multigraph,
     reference_ordering_states,
+    report_weights,
     symmetric_via_partition,
+    walk_ordering_states,
 )
 from test_acceptance import pool_lemma5
 from test_kernel import kernel_cases
@@ -217,46 +221,49 @@ def test_sums_sweep_matches_one_table():
         assert denom == expected_denom
 
 
-def tables_alike(root, reference_root) -> int:
-    """Compare a walk table with a reference_ordering_states table state
-    by state: the same k, the same moves (edge id, edge index) in the
-    same order, each successor paired with one reference state, and the
-    same tree bitmasks. Returns the states compared."""
-    stack, paired = [(root, reference_root)], {id(root): reference_root}
-    while stack:
-        (k, moves, last), (reference_k, reference_moves, reference_last) = stack.pop()
-        assert (k, last, len(moves)) == (reference_k, reference_last, len(reference_moves))
-        for (eid, i, successor), (reference_eid, reference_i, expected) in zip(
-            moves, reference_moves
-        ):
-            assert (eid, i) == (reference_eid, reference_i)
-            if last:
-                assert successor == expected
-            elif id(successor) in paired:
-                assert paired[id(successor)] is expected
-            else:
-                paired[id(successor)] = expected
-                stack.append((successor, expected))
-    return len(paired)
-
-
 def test_walk_sweep_matches_one_table():
-    orderings = states = 0
+    orderings = 0
     for g, part in one_table_cases():
         root, trees, _ = reference_ordering_states(g, part)
-        table = _walk_table(g, part)
-        states += tables_alike(table, root)
-        walked = _walk_states(table)
-        expected = _walk_states(root)
+        walked = _ordered_tree_walk(g, part)
+        expected = walk_ordering_states(root)
         if sum(count for _, count in trees.values()) > 2 * 10**5:
-            # K7: the states above, and a prefix of the walk
+            # K7: a prefix of the walk
             walked, expected = islice(walked, 10**5), islice(expected, 10**5)
         # orderings in walk order, edge indices, tree bitmasks and k products
         for row, reference_row in zip(walked, expected, strict=True):
             assert row == reference_row
             orderings += 1
     assert orderings > 5 * 10**5
-    assert states > 5 * 10**4
+
+
+def test_walk_builds_labelings_only(monkeypatch):
+    k6 = complete_graph(6)
+    v = k6.vertices
+    rooted = Partition.of([v[:1], v[1:]])
+    # a first walk fills the graph's cached indexes, so the traced one
+    # measures the walk alone; a deque of length 0 drops each row
+    deque(_ordered_tree_walk(k6, rooted), maxlen=0)
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in _ordered_tree_walk(k6, rooted)) == 14400
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the walk holds its labelings and one stack of prefixes, no forest states
+    assert peak < 0.1 * 2**20
+    built = []
+    labeling = partitions._Labeling
+
+    def counted(*args):
+        built.append(args[0])
+        return labeling(*args)
+
+    monkeypatch.setattr(partitions, "_Labeling", counted)
+    for part, labelings in ((Partition.singletons(v), 202), (rooted, 31)):
+        built.clear()
+        deque(_ordered_tree_walk(k6, part), maxlen=0)
+        assert len(built) == len(set(built)) == labelings
 
 
 def tree_states(g):
@@ -329,7 +336,7 @@ def test_ten_edge_census_at_default_guard():
     census = sector_census(k5)
     assert census.total == 3628800
     assert len(census.counts) == 125
-    assert census.weights() == symmetric_via_partition(k5).weights()
+    assert census_weights(census) == report_weights(symmetric_via_partition(k5))
 
 
 def test_symmetric_output_matches_prefix_walk(monkeypatch, tmp_path):
@@ -402,10 +409,7 @@ def test_tree_weights_never_list_orderings(monkeypatch):
     for module, name in (
         (partitions, "ordered_trees"),
         (partitions, "_ordered_tree_walk"),
-        (partitions, "_walk_table"),
         (weights, "_ordered_tree_walk"),
-        (weights, "_walk_table"),
-        (weights, "_walk_states"),
         (psd, "_ordered_tree_walk"),
     ):
         monkeypatch.setattr(module, name, refuse)
@@ -464,8 +468,8 @@ def test_each_route_builds_only_the_sweep_it_reads(monkeypatch, tmp_path):
 
     # a refused sweep would exit 5 with an internal-fault line
     with monkeypatch.context() as patched:
-        for module in (partitions, weights):
-            patched.setattr(module, "_walk_table", refuse)
+        for module in (partitions, weights, psd):
+            patched.setattr(module, "_ordered_tree_walk", refuse)
         assert {(code, err) for code, _, err in run_configs(sums_only)} == {(0, "")}
     with monkeypatch.context() as patched:
         for module in (partitions, weights):
@@ -476,7 +480,7 @@ def test_each_route_builds_only_the_sweep_it_reads(monkeypatch, tmp_path):
 def test_breakdown_is_listed_once_per_report(monkeypatch):
     g = Multigraph.from_json(Path(FIG2).read_text())
     part = Partition.singletons(g.vertices)
-    calls: dict[str, list] = {"_forest_sums": [], "_walk_table": [], "_walk_states": []}
+    calls: dict[str, list] = {"_forest_sums": [], "_ordered_tree_walk": []}
 
     def counted(name):
         route = getattr(weights, name)
@@ -489,12 +493,12 @@ def test_breakdown_is_listed_once_per_report(monkeypatch):
     for name in calls:
         monkeypatch.setattr(weights, name, counted(name))
     report = weight_distribution(g, part)
-    # one sums sweep, and no walk table until a breakdown is read
-    assert [len(made) for made in calls.values()] == [1, 0, 0]
+    # one sums sweep, and no walk until a breakdown is read
+    assert [len(made) for made in calls.values()] == [1, 0]
     listed = [list(row.orderings) for row in report.rows]
-    # then one walk table, walked once, for every row
-    assert [len(made) for made in calls.values()] == [1, 1, 1]
+    # then one walk for every row
+    assert [len(made) for made in calls.values()] == [1, 1]
     listed_again = [list(row.orderings) for row in report.rows]
-    assert [len(made) for made in calls.values()] == [1, 1, 1]
+    assert [len(made) for made in calls.values()] == [1, 1]
     assert listed == listed_again
     assert list(map(len, listed)) == [len(row.orderings) for row in report.rows]
