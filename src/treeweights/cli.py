@@ -75,7 +75,7 @@ def parse_graph(path: str) -> Multigraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return Multigraph.from_json(text)
 

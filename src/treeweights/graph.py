@@ -92,10 +92,6 @@ class Multigraph:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def _edge_index(self) -> dict[str, int]:
-        return {e.id: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads): the vertex index of each edge's two ends, in
         edge order, as read-only intp arrays."""
@@ -314,15 +310,6 @@ class Multigraph:
 
     # JSON wire format:
     #   {"vertices": ["v1", ...], "edges": [{"id": "l1", "ends": ["v1", "v2"]}, ...]}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [{"id": e.id, "ends": list(e.ends)} for e in self.edges],
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
     @classmethod
     def from_json_dict(cls, data: object) -> Multigraph:

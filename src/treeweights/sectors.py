@@ -6,14 +6,15 @@ walks the sector, keeping each edge that does not close a cycle
 minimum total rank: the Kruskal tree, so a tree's symmetric weight is
 its chance of being the minimum spanning tree under iid uniform edge
 weights. The census counts the sectors leading to each tree exactly,
-without listing the |E|! sectors one by one. How a sector prefix can go
-on depends only on the set of edges it placed and the greedy forest
-they built, so the census sweeps these states level by level, each with
-the number of prefixes that reach it, and the leading tree is fixed as
-soon as the forest spans: a state whose next edge makes a spanning tree
-after d placed edges credits that tree with its multiplicity times the
-(|E| - d - 1)! ways to order the rest. The weight of a tree is
-count/|E|!. Counting is in integers throughout.
+without listing the |E|! sectors one by one. An edge inside a component
+of the greedy forest can only ever close a cycle, as the forest only
+grows, so how a sector prefix can go on depends only on the forest it
+built and on how many edges it placed. The census sweeps these forests
+level by level, each with the number of prefixes that reach it, and the
+leading tree is fixed as soon as the forest spans: a state whose next
+edge makes a spanning tree after d placed edges credits that tree with
+its multiplicity times the (|E| - d - 1)! ways to order the rest. The
+weight of a tree is count/|E|!. Counting is in integers throughout.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ DEFAULT_GUARD = 10
 class SectorCensus:
     """Leading-tree counts over all |E|! sectors of one graph.
 
-    states is the number of non-spanning (placed edges, forest) states
-    the census swept, the empty root included.
+    states counts the non-spanning forest states the census swept, over
+    all its levels (one per count of placed edges), the root included.
     """
 
     counts: Mapping[frozenset[str], int]
@@ -46,14 +47,15 @@ class SectorCensus:
 
 
 def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
-    """Count leading trees over every sector, by sweeping prefix states.
+    """Count leading trees over every sector, by sweeping forest states.
 
-    A state is the set U of edges placed so far with the greedy forest F
-    they built, carried as F's component labels and the number of
-    ordered prefixes that reach it. Level d holds the states with
-    |U| = d; each unused edge e moves a state to (U + e, F) when e
-    closes a cycle in F, credits the multiplicity times (|E| - d - 1)!
-    to the tree F + e when that spans, and moves it to (U + e, F + e)
+    Level d holds the greedy forests F built by prefixes of d edges,
+    each carried as F's component labels and the number of ordered
+    prefixes that reach it. The d placed edges all lie inside components
+    of F, so the edges inside them that are still unplaced, the dead
+    ones, number inside(F) - d; placing one keeps F. Each edge e that
+    joins two components credits the multiplicity times (|E| - d - 1)!
+    to the tree F + e when that spans, and moves the state to F + e
     otherwise. Refuses graphs with more than ``guard`` edges before any
     work: the census is exhaustive, never sampled.
     """
@@ -71,7 +73,7 @@ def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
     suffixes = [math.factorial(k) for k in range(m + 1)]
     raw: dict[int, int] = {}
     states = 0
-    # state key: placed edges | forest edges << m; value: [labels, multiplicity]
+    # state key: forest edges; value: [labels, multiplicity]
     level: dict[int, list] = {}
     if n == 1:
         raw[0] = suffixes[m]
@@ -82,27 +84,23 @@ def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
         # sectors extending a prefix of placed + 1 edges
         credit = suffixes[m - placed - 1]
         after: dict[int, list] = {}
-        for key, (comp, mult) in level.items():
-            spans = (key >> m).bit_count() + 2 == n
+        for forest, (comp, mult) in level.items():
+            spans = forest.bit_count() + 2 == n
+            inside = 0
             for bit, a, b in edges:
-                if key & bit:
-                    continue
                 ca, cb = comp[a], comp[b]
+                step = forest | bit
                 if ca == cb:
-                    step = key | bit
+                    inside += 1
                 elif spans:
-                    tree = key >> m | bit
-                    raw[tree] = raw.get(tree, 0) + mult * credit
-                    continue
-                else:
-                    step = key | bit | bit << m
-                state = after.get(step)
-                if state is not None:
-                    state[1] += mult
-                elif ca == cb:
-                    after[step] = [comp, mult]
+                    raw[step] = raw.get(step, 0) + mult * credit
+                elif step in after:
+                    after[step][1] += mult
                 else:
                     after[step] = [tuple(ca if c == cb else c for c in comp), mult]
+            # the placed edges all lie inside components; the rest are dead
+            if inside > placed:
+                after.setdefault(forest, [comp, 0])[1] += mult * (inside - placed)
         level = after
     counts = {
         frozenset(ids[i] for i in range(m) if key >> i & 1): c

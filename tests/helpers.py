@@ -29,9 +29,9 @@ summed the tree weights and held the moves the breakdown walked, and
 its walker, before the sums sweep and the walk of the canonical
 labelings replaced it. Finally, what the
 library no longer ships: the example graphs of the paper's figures,
-the one-sector greedy sweep the census replaced, a complete trace as a
-one-row TraceBatch, and the partition route for the all-singletons
-partition.
+the one-sector greedy sweep the census replaced, a graph's JSON text,
+the index of each edge id, a complete trace as a one-row TraceBatch,
+and the partition route for the all-singletons partition.
 """
 
 from __future__ import annotations
@@ -599,11 +599,28 @@ def per_tree_verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     return ExactReport(len(walks), total, routes, exponents, contacts)
 
 
+def to_json_dict(g: Multigraph) -> dict:
+    """The graph in the JSON wire format that Multigraph.from_json_dict reads."""
+    return {
+        "vertices": list(g.vertices),
+        "edges": [{"id": e.id, "ends": list(e.ends)} for e in g.edges],
+    }
+
+
+def to_json(g: Multigraph, indent: int | None = 2) -> str:
+    return json.dumps(to_json_dict(g), indent=indent)
+
+
+def edge_index(g: Multigraph) -> dict[str, int]:
+    """Each edge id's position in g.edges, the index trace batches use."""
+    return {e.id: i for i, e in enumerate(g.edges)}
+
+
 def one_row_batch(trace: ContractionTrace) -> TraceBatch:
     """A complete trace as a TraceBatch of one row."""
     if not trace.is_complete:
         raise NotASpanningTreeError("a trace batch needs a complete trace")
-    index = trace.graph._edge_index
+    index = edge_index(trace.graph)
     return TraceBatch(
         np.array([[index[eid] for eid in trace.order]], dtype=np.intp),
         np.array([trace.k_values], dtype=np.int64),

@@ -12,7 +12,14 @@ from treeweights.graph import Multigraph
 from treeweights.sectors import SectorCensus, sector_census
 from treeweights.weights import WeightReport, verify_exact
 
-from helpers import fig1, fig2, fig2_double_rooted, reference_cmd_symmetric, reference_total
+from helpers import (
+    fig1,
+    fig2,
+    fig2_double_rooted,
+    reference_cmd_symmetric,
+    reference_total,
+    to_json,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -58,7 +65,7 @@ def test_trees_of_many_parallel_edges(tmp_path):
     g = Multigraph.build(["v1", "v2"], [(f"p{i:04d}", "v1", "v2") for i in range(1500)])
     assert len(g.spanning_trees()) == g.complexity() == 1500
     path = tmp_path / "parallel.json"
-    path.write_text(g.to_json())
+    path.write_text(to_json(g))
     code, out, err = run_cli(["trees", "--graph", str(path), "--format", "csv"])
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 1501
@@ -187,6 +194,16 @@ def test_invalid_graph_file(tmp_path):
     assert "error[dangling-endpoint]" in err
 
 
+def test_graph_file_not_utf8_is_parse_error(tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run_cli(["trees", "--graph", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error[parse-error]: cannot read ")
+
+
 def test_csv_format():
     code, out, _ = run_cli(
         [
@@ -243,7 +260,7 @@ def test_symmetric_sum_check_failure(monkeypatch, tmp_path):
 
     loops = Multigraph.build(["v1"], [(f"s{i}", "v1", "v1") for i in range(3)])
     path = tmp_path / "loops.json"
-    path.write_text(loops.to_json())
+    path.write_text(to_json(loops))
     monkeypatch.setattr(cli, "sector_census", miscounted)
     code, out, err = run_cli(["symmetric", "--graph", str(path)])
     assert (code, out, err) == (3, "", "error[check-failure]: weights sum to 7/6, not 1\n")

@@ -34,6 +34,7 @@ from treeweights.psd import verify_constructive
 from treeweights.weights import edge_exponents, edge_monomials, verify_exact
 
 from helpers import (
+    edge_index,
     fig1,
     fig1_root_first,
     fig1_root_second,
@@ -95,7 +96,7 @@ def test_batch_kernel_matches_single_traces():
     rows = 0
     for g, part in batch_cases():
         walks = list(ordered_trees(g, part))
-        index = g._edge_index
+        index = edge_index(g)
         batch = trace_batch(g, part, [[index[eid] for eid in order] for order, _ in walks])
         i, j = batch_contact_indices(batch)
         exps = edge_exponents(g, batch, (i, j))
@@ -134,7 +135,7 @@ def test_batched_checks_equal_per_tree_loops(monkeypatch, block):
 
 def test_batch_kernel_refuses_like_forest_trace():
     g, part = fig2(), fig2_double_rooted()
-    index = g._edge_index
+    index = edge_index(g)
     rows, refused = [], []
     for tree in g.spanning_trees():
         for order in itertools.permutations(sorted(tree)):

@@ -25,7 +25,7 @@ from treeweights.cli import RunConfig
 from treeweights.graph import Multigraph
 from treeweights.partitions import Partition
 
-from helpers import fig1, fig2, reference_cmd_weights, reference_emit, reference_table
+from helpers import fig1, fig2, reference_cmd_weights, reference_emit, reference_table, to_json
 from test_acceptance import pool_lemma5
 
 characters = st.characters(exclude_categories=()) | st.sampled_from(
@@ -163,7 +163,7 @@ def _reference_stdout(args) -> tuple[int, str, str]:
 @pytest.mark.parametrize("g", [fig1(), fig2()], ids=["fig1", "fig2"])
 def test_stdout_matches_reference_writer(tmp_path, g):
     path = tmp_path / "g.json"
-    path.write_text(g.to_json())
+    path.write_text(to_json(g))
     for line in _command_lines(g):
         for fmt in FORMATS:
             args = [line[0], "--graph", str(path), *line[1:], "--format", fmt]
@@ -196,7 +196,7 @@ def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
     weights = 0
     for i, g in enumerate(pool_lemma5()):
         path = tmp_path / f"g{i}.json"
-        path.write_text(g.to_json())
+        path.write_text(to_json(g))
         for line in _command_lines(g):
             args = [line[0], "--graph", str(path), *line[1:]]
             if line[0] != "weights":
@@ -241,7 +241,7 @@ def id_graphs(draw):
 @given(id_graphs(), st.booleans())
 def test_weights_escapes_edge_ids_like_reference(tmp_path, g, rooted):
     path = tmp_path / "g.json"
-    path.write_text(g.to_json())
+    path.write_text(to_json(g))
     vertices = list(g.vertices)
     spec = vertices[0] + "|" + ",".join(vertices[1:]) if rooted else "|".join(vertices)
     for fmt in FORMATS:

@@ -22,6 +22,7 @@ from treeweights.psd import (
 )
 
 from helpers import (
+    edge_index,
     fig1,
     fig1_root_first,
     fig1_root_second,
@@ -132,7 +133,7 @@ def test_batch_builds_equal_per_trace_builds():
     for g, part in FIXTURE_CASES + multigraph_cases():
         n = len(g.vertices)
         orders = [order for order, _ in ordered_trees(g, part)]
-        index = g._edge_index
+        index = edge_index(g)
         batch = trace_batch(g, part, [[index[eid] for eid in order] for order in orders])
         points = rng.uniform(size=(len(orders), 4, n - 1))
         traces = [build_trace(g, part, order) for order in orders]

@@ -34,6 +34,7 @@ from helpers import (
     reference_measure_normalized,
     reference_total,
     reference_weight_distribution,
+    to_json,
 )
 from test_acceptance import pool_lemma5
 from test_kernel import kernel_cases
@@ -154,7 +155,7 @@ def graph_paths(tmp_path, graphs):
     paths = []
     for index, g in enumerate(graphs):
         path = tmp_path / f"g{index}.json"
-        path.write_text(g.to_json())
+        path.write_text(to_json(g))
         paths.append(str(path))
     return paths
 

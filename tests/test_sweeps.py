@@ -1,17 +1,18 @@
 """The state sweeps against the routes they replaced.
 
-weight_distribution sweeps forests, sector_census sweeps (placed
-edges, greedy forest) states, spanning_trees walks (position, forest)
-states and ordered_trees walks one state per forest labeling; each
-must equal, bit for bit, the routes kept in helpers: the grouping of
-every ordered tree, the census that walks every sector prefix and the
-one over every permutation, the contraction-deletion recursion and the
-depth-first ordering search, order included. The sums sweep and the
-walk of the labelings must equal the one forest-state table they
-replaced, and the walk must build labelings only, a few hundred bytes
-of them. Printing tree weights must never list an ordering, verify and
-psd must never build the sums, and the symmetric, trees and psd
-commands must print the same bytes with the replaced routes.
+weight_distribution sweeps forests, sector_census sweeps the greedy
+forests of each count of placed edges, spanning_trees walks (position,
+forest) states and ordered_trees walks one state per forest labeling;
+each must equal, bit for bit, the routes kept in helpers: the grouping
+of every ordered tree, the census that walks every sector prefix and
+the one over every permutation, the contraction-deletion recursion and
+the depth-first ordering search, order included. Beyond the guard, on
+K6 and K7, the census must equal the partition route. The sums sweep
+and the walk of the labelings must equal the one forest-state table
+they replaced, and the walk must build labelings only, a few hundred
+bytes of them. Printing tree weights must never list an ordering,
+verify and psd must never build the sums, and the symmetric, trees and
+psd commands must print the same bytes with the replaced routes.
 """
 
 import io
@@ -40,6 +41,7 @@ from helpers import (
     census_weights,
     contraction_deletion_trees,
     depth_first_ordered_trees,
+    edge_index,
     fig1,
     fig1_root_first,
     fig1_root_second,
@@ -53,6 +55,7 @@ from helpers import (
     reference_ordering_states,
     report_weights,
     symmetric_via_partition,
+    to_json,
     walk_ordering_states,
 )
 from test_acceptance import pool_lemma5
@@ -123,6 +126,13 @@ def complete_graph(k, parallel=()):
     return Multigraph.build(vertices, edges)
 
 
+def looped_triangle():
+    """A triangle with seven loops, spread over its three vertices."""
+    triangle = [("l1", "v1", "v2"), ("l2", "v2", "v3"), ("l3", "v1", "v3")]
+    loops = [(f"s{i}", f"v{i % 3 + 1}", f"v{i % 3 + 1}") for i in range(7)]
+    return Multigraph.build(["v1", "v2", "v3"], triangle + loops)
+
+
 def test_state_census_matches_prefix_walk_and_permutations():
     graphs = [g for g, _ in kernel_cases()] + list(multigraph_pool())
     for g in graphs:
@@ -130,12 +140,10 @@ def test_state_census_matches_prefix_walk_and_permutations():
         for oracle in (prefix_census(g), permutation_census(g)):
             assert dict(census.counts) == dict(oracle.counts)
             assert census.total == oracle.total
-    triangle = [("l1", "v1", "v2"), ("l2", "v2", "v3"), ("l3", "v1", "v3")]
-    loops = [(f"s{i}", f"v{i % 3 + 1}", f"v{i % 3 + 1}") for i in range(7)]
     larger = [
         (complete_graph(5), DEFAULT_GUARD),
         (complete_graph(5, [(0, 1), (2, 3)]), 12),
-        (Multigraph.build(["v1", "v2", "v3"], triangle + loops), DEFAULT_GUARD),
+        (looped_triangle(), DEFAULT_GUARD),
         (Multigraph.build(["v1"], [("s1", "v1", "v1"), ("s2", "v1", "v1")]), DEFAULT_GUARD),
     ]
     for g, guard in larger:
@@ -145,12 +153,21 @@ def test_state_census_matches_prefix_walk_and_permutations():
 
 
 def test_census_counts_states():
-    assert sector_census(complete_graph(5)).states == 786
-    assert sector_census(complete_graph(5, [(0, 1), (2, 3)]), guard=12).states == 3155
+    assert sector_census(complete_graph(5)).states == 466
+    assert sector_census(complete_graph(5, [(0, 1), (2, 3)]), guard=12).states == 1029
+    # the loops are dead from the start: the empty forest on levels 0-7
+    # and each one-edge forest on levels 1-8
+    assert sector_census(looped_triangle()).states == 32
     single = Multigraph.build(["v1"], [("s1", "v1", "v1")])
     assert sector_census(single).states == 0
     edge = Multigraph.build(["v1", "v2"], [("l1", "v1", "v2")])
     assert sector_census(edge).states == 1
+
+
+def test_census_matches_partition_route_beyond_the_guard():
+    for g in (complete_graph(6), complete_graph(6, [(0, 1)]), complete_graph(7)):
+        census = sector_census(g, guard=len(g.edges))
+        assert census_weights(census) == report_weights(symmetric_via_partition(g))
 
 
 def looped_k5():
@@ -185,7 +202,7 @@ def test_ordered_trees_match_depth_first_search():
         walked = list(ordered_trees(g, part))
         assert walked == sorted(depth_first_ordered_trees(g, part))
         rows.append(len(walked))
-        index = g._edge_index
+        index = edge_index(g)
         for (order, denom), (order2, indices, mask, denom2) in zip(
             walked, _ordered_tree_walk(g, part)
         ):
@@ -307,7 +324,7 @@ def test_trees_and_psd_output_match_contraction_deletion(monkeypatch, tmp_path):
     paths = [FIG1, FIG2]
     for name, g in (("k6", complete_graph(6)), ("looped", looped_k5())):
         path = tmp_path / f"{name}.json"
-        path.write_text(g.to_json())
+        path.write_text(to_json(g))
         paths.append(str(path))
     configs = [
         RunConfig(command="trees", graph_path=path, output_format=fmt)
@@ -353,7 +370,7 @@ def test_symmetric_output_matches_prefix_walk(monkeypatch, tmp_path):
     paths = [FIG1, FIG2]
     for name, g in (("k5", complete_graph(5)), ("cube", cube)):
         path = tmp_path / f"{name}.json"
-        path.write_text(g.to_json())
+        path.write_text(to_json(g))
         paths.append(str(path))
     configs = [
         RunConfig(command="symmetric", graph_path=path, output_format=fmt)
@@ -422,7 +439,7 @@ def test_tree_weights_never_list_orderings(monkeypatch):
 
 def test_each_route_builds_only_the_sweep_it_reads(monkeypatch, tmp_path):
     k6 = tmp_path / "k6.json"
-    k6.write_text(complete_graph(6).to_json())
+    k6.write_text(to_json(complete_graph(6)))
     v = complete_graph(6).vertices
     k6_parts = [
         Partition.singletons(v).format(),
