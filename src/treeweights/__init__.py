@@ -5,29 +5,29 @@ from .graph import Edge, GraphAudit, Multigraph
 from .partitions import (
     ContractionTrace,
     Partition,
-    TraceBatch,
     admissible_orderings,
-    batch_contact_indices,
     build_trace,
     contact_indices,
     forest_trace,
-    trace_batch,
 )
 from .psd import (
+    ExactReport,
     PsdReport,
+    TraceBatch,
     TraceCheck,
+    batch_contact_indices,
     contact_matrix_direct,
     contact_matrix_recursion,
+    trace_batch,
     verify_constructive,
+    verify_exact,
 )
 from .sectors import SectorCensus, sector_census
 from .weights import (
-    ExactReport,
     Monomial,
     TreeRow,
     WeightReport,
     edge_monomials,
-    verify_exact,
     weight_distribution,
 )
 

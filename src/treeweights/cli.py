@@ -41,9 +41,9 @@ from .errors import (
 )
 from .graph import Multigraph
 from .partitions import Partition
-from .psd import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, verify_constructive
+from .psd import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, verify_constructive, verify_exact
 from .sectors import DEFAULT_GUARD, sector_census
-from .weights import WeightReport, verify_exact, weight_distribution
+from .weights import WeightReport, weight_distribution
 
 EXIT_OK = 0
 EXIT_INPUT = 2

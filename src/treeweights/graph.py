@@ -12,8 +12,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     DanglingEndpointError,
     DisconnectedError,
@@ -92,9 +90,11 @@ class Multigraph:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+    def _endpoints(self) -> tuple:
         """(tails, heads): the vertex index of each edge's two ends, in
         edge order, as read-only intp arrays."""
+        import numpy as np
+
         vi = self._vertex_index
         tails, heads = (
             np.array([vi[e.ends[x]] for e in self.edges], dtype=np.intp) for x in (0, 1)

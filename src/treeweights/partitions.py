@@ -9,8 +9,8 @@ merged, and an edge is trans-block exactly when its endpoints carry
 different integer labels: the starting block index, then a number fresh
 to the step that first merges the vertex. forest_trace walks one
 ordering on these labels, recording the step at which each vertex pair
-merges; trace_batch walks many complete orderings at once on numpy
-arrays of the same labels. With merged components labeled canonically,
+merges; psd.trace_batch walks many complete orderings at once on
+numpy arrays of the same labels. With merged components labeled canonically,
 the labels of a forest depend only on its components, and so do k and
 the trans-block edges: _Labelings builds each labeling once, with its
 trans-block edges in id order, k, and each move's successor labeling
@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import (
     DuplicateVertexError,
@@ -167,29 +165,6 @@ class ContractionTrace:
         return len(self.order) == len(self.graph.vertices) - 1
 
 
-# at most this many orderings go through one trace_batch call
-BLOCK_ORDERINGS = 1 << 13
-
-
-@dataclass(frozen=True, eq=False)
-class TraceBatch:
-    """The integer traces of N complete orderings, one row each.
-
-    orders[r] holds the edge indices (into graph.edges) of ordering r;
-    k[r], merge_steps[r] and start_blocks are what its ContractionTrace
-    holds as k_values, merge_steps and start_blocks. Shapes: orders and
-    k (N, |V|-1), merge_steps (N, |V|, |V|), start_blocks (|V|,).
-    """
-
-    orders: np.ndarray
-    k: np.ndarray
-    merge_steps: np.ndarray
-    start_blocks: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.orders)
-
-
 def forest_trace(
     g: Multigraph, part: Partition, edges: Sequence[str]
 ) -> ContractionTrace:
@@ -248,55 +223,6 @@ def build_trace(
     if max(trace.merge_steps[0]) > len(trace.order):
         raise InvariantError("a spanning-tree trace must merge every vertex pair")
     return trace
-
-
-def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
-    """build_trace of many complete orderings at once, as arrays.
-
-    orders is an (N, |V|-1) array of indices into g.edges. Every row
-    takes its steps on the integer labels of forest_trace, all rows
-    together: k counts the edges whose two labels differ, and the pairs
-    across the two joined components (kept as per-row component masks)
-    get the step in merge_steps. Labels and steps are stored as int8
-    (int16 from 64 vertices on). Raises NotAdmissibleError at the first
-    step where some row's edge is not trans-block, and InvariantError if
-    a row leaves a vertex pair unmerged.
-    """
-    part.require_cover(g)
-    n = len(g.vertices)
-    tails, heads = g._endpoints
-    orders = np.asarray(orders, dtype=np.intp).reshape(len(orders), n - 1)
-    count = len(orders)
-    rows = np.arange(count)
-    # labels stay below 2|V| and steps run to |V|
-    small = np.int8 if n < 64 else np.int16
-    start = np.array([part.block_index(v) for v in g.vertices], dtype=small)
-    labels = np.repeat(start[None], count, axis=0)
-    component = np.repeat(np.arange(n, dtype=small)[None], count, axis=0)
-    merge = np.full((count, n, n), n, dtype=small)
-    touched = np.full((count, n), n, dtype=small)
-    k = np.empty((count, n - 1), dtype=np.int64)
-    for step in range(n - 1):
-        a, b = tails[orders[:, step]], heads[orders[:, step]]
-        stuck = labels[rows, a] == labels[rows, b]
-        if stuck.any():
-            eid = g.edges[orders[stuck.argmax(), step]].id
-            raise NotAdmissibleError(
-                f"edge {eid!r} is not trans-block at step {step}", step=step
-            )
-        k[:, step] = np.count_nonzero(labels[:, tails] != labels[:, heads], axis=1)
-        root = component[rows, a][:, None]
-        in_a = component == root
-        in_b = component == component[rows, b][:, None]
-        across = in_a[:, :, None] & in_b[:, None, :]
-        merge[across | across.transpose(0, 2, 1)] = step + 1
-        joined = in_a | in_b
-        touched[joined & (touched == n)] = step + 1
-        component = np.where(joined, root, component)
-        labels = np.where(joined, len(part.blocks) + step, labels)
-    diag = np.arange(n)
-    merge[:, diag, diag] = touched
-    return TraceBatch(orders, k, merge, start)
 
 
 def _merged_labels(labels: tuple[int, ...], a: int, b: int, fresh: int) -> tuple[int, ...]:
@@ -496,22 +422,3 @@ def contact_indices(trace: ContractionTrace, v: str, w: str) -> tuple[int, int]:
     if trace.start_blocks[a] != trace.start_blocks[b]:
         return (0, merge[a][b])
     return (min(merge[a][a], merge[b][b]), merge[a][b])
-
-
-def batch_contact_indices(batch: TraceBatch) -> tuple[np.ndarray, np.ndarray]:
-    """contact_indices of every vertex pair of every row of a batch.
-
-    Returns (i, j), each of shape (N, |V|, |V|), with (-1, 0) on the
-    diagonal by the same convention.
-    """
-    merge = batch.merge_steps
-    touch = merge.diagonal(axis1=1, axis2=2)
-    start = batch.start_blocks
-    i = np.where(
-        start[:, None] == start[None, :], np.minimum(touch[:, :, None], touch[:, None, :]), 0
-    )
-    j = merge.copy()
-    diag = np.arange(merge.shape[1])
-    i[:, diag, diag] = -1
-    j[:, diag, diag] = 0
-    return i, j

@@ -1,4 +1,17 @@
-"""Contact matrices and constructive-positivity verification.
+"""Trace arrays, the exact array check and constructive positivity.
+
+This is the only module of the package that imports numpy; the rest
+computes exact integers and fractions in pure Python. (The one
+exception, Multigraph._endpoints, imports numpy when first read, and
+only the kernel here reads it.) It holds the array form of a trace and
+the two checks that read it, one per command:
+
+* verify: verify_exact checks, on every ordered tree, that the count
+  route and the monomial route give the same weight, the exponent law
+  and the order of the contact indices, all in integers, on traces that
+  trace_batch builds for many ordered trees at once, in bounded blocks;
+* psd: verify_constructive checks that the contact matrices are
+  positive semidefinite.
 
 The contact matrix of an ordered tree at a point u in the unit cube has
 entry (v, w) equal to the product of u_k over the contact-index range of
@@ -8,38 +21,194 @@ barycentric combinations (which is what makes it positive
 semidefinite). Verification samples seeded random points per ordered
 tree, compares the two constructions, checks eigenvalues, and confirms
 the exact normalization of the tree measure; the traces and matrices of
-many ordered trees are built together, in bounded blocks. This is the
-only module that touches floating point; every weight elsewhere is an
-exact fraction.
+many ordered trees are built together, in bounded blocks. The matrices
+are the only floating point in the package; every weight is an exact
+fraction.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadDimensionError, OutOfRangeError, TrivialPartitionError
-from .graph import Multigraph
-from .partitions import (
-    BLOCK_ORDERINGS,
-    Partition,
-    TraceBatch,
-    _ordered_tree_walk,
-    batch_contact_indices,
-    trace_batch,
+from .errors import (
+    BadDimensionError,
+    NotAdmissibleError,
+    OutOfRangeError,
+    TrivialPartitionError,
 )
-from .weights import _row_products
+from .graph import Multigraph
+from .partitions import Partition, _ordered_tree_walk
+from .weights import require_weighable
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_SAMPLES = 20
 # the two matrix constructions are algebraically identical; their
 # floating-point realizations must match this tightly
 AGREEMENT_TOLERANCE = 1e-12
+# at most this many orderings go through one trace_batch call
+BLOCK_ORDERINGS = 1 << 13
 # at most this many float64 entries in one stack of contact matrices
 STACK_ENTRIES = 1 << 14
+# at most this many float64 entries in the samples + 2 matrices of one
+# ordered tree, which one construction stacks at once (32 MiB)
+MAX_TREE_ENTRIES = 1 << 22
+
+
+@dataclass(frozen=True, eq=False)
+class TraceBatch:
+    """The integer traces of N complete orderings, one row each.
+
+    orders[r] holds the edge indices (into graph.edges) of ordering r;
+    k[r], merge_steps[r] and start_blocks are what its ContractionTrace
+    holds as k_values, merge_steps and start_blocks. Shapes: orders and
+    k (N, |V|-1), merge_steps (N, |V|, |V|), start_blocks (|V|,).
+    """
+
+    orders: np.ndarray
+    k: np.ndarray
+    merge_steps: np.ndarray
+    start_blocks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+
+def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
+    """build_trace of many complete orderings at once, as arrays.
+
+    orders is an (N, |V|-1) array of indices into g.edges. Every row
+    takes its steps on the integer labels of forest_trace, all rows
+    together: k counts the edges whose two labels differ, and the pairs
+    across the two joined components (kept as per-row component masks)
+    get the step in merge_steps. Labels and steps are stored as int8
+    (int16 from 64 vertices on). Raises NotAdmissibleError at the first
+    step where some row's edge is not trans-block, and InvariantError if
+    a row leaves a vertex pair unmerged.
+    """
+    part.require_cover(g)
+    n = len(g.vertices)
+    tails, heads = g._endpoints
+    orders = np.asarray(orders, dtype=np.intp).reshape(len(orders), n - 1)
+    count = len(orders)
+    rows = np.arange(count)
+    # labels stay below 2|V| and steps run to |V|
+    small = np.int8 if n < 64 else np.int16
+    start = np.array([part.block_index(v) for v in g.vertices], dtype=small)
+    labels = np.repeat(start[None], count, axis=0)
+    component = np.repeat(np.arange(n, dtype=small)[None], count, axis=0)
+    merge = np.full((count, n, n), n, dtype=small)
+    touched = np.full((count, n), n, dtype=small)
+    k = np.empty((count, n - 1), dtype=np.int64)
+    for step in range(n - 1):
+        a, b = tails[orders[:, step]], heads[orders[:, step]]
+        stuck = labels[rows, a] == labels[rows, b]
+        if stuck.any():
+            eid = g.edges[orders[stuck.argmax(), step]].id
+            raise NotAdmissibleError(
+                f"edge {eid!r} is not trans-block at step {step}", step=step
+            )
+        k[:, step] = np.count_nonzero(labels[:, tails] != labels[:, heads], axis=1)
+        root = component[rows, a][:, None]
+        in_a = component == root
+        in_b = component == component[rows, b][:, None]
+        across = in_a[:, :, None] & in_b[:, None, :]
+        merge[across | across.transpose(0, 2, 1)] = step + 1
+        joined = in_a | in_b
+        touched[joined & (touched == n)] = step + 1
+        component = np.where(joined, root, component)
+        labels = np.where(joined, len(part.blocks) + step, labels)
+    diag = np.arange(n)
+    merge[:, diag, diag] = touched
+    return TraceBatch(orders, k, merge, start)
+
+
+def batch_contact_indices(batch: TraceBatch) -> tuple[np.ndarray, np.ndarray]:
+    """contact_indices of every vertex pair of every row of a batch.
+
+    Returns (i, j), each of shape (N, |V|, |V|), with (-1, 0) on the
+    diagonal by the same convention.
+    """
+    merge = batch.merge_steps
+    touch = merge.diagonal(axis1=1, axis2=2)
+    start = batch.start_blocks
+    i = np.where(
+        start[:, None] == start[None, :], np.minimum(touch[:, :, None], touch[:, None, :]), 0
+    )
+    j = merge.copy()
+    diag = np.arange(merge.shape[1])
+    i[:, diag, diag] = -1
+    j[:, diag, diag] = 0
+    return i, j
+
+
+@dataclass(frozen=True)
+class ExactReport:
+    """The ordered trees, their summed weight, and one verdict per check."""
+
+    ordered: int
+    total: Fraction
+    routes_agree: bool
+    exponent_law: bool
+    contact_order: bool
+
+
+def edge_exponents(
+    g: Multigraph, batch: TraceBatch, contacts: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """edge_monomials of every row of a batch, as an (N, |V|-1) array.
+
+    contacts is the batch's (i, j) from batch_contact_indices. The
+    exponent of u_p counts the edges whose range covers step p: i < p < j
+    for a tree edge, i < p <= j for every other edge.
+    """
+    a, b = g._endpoints
+    i, j = (c[:, a, b] for c in contacts)
+    in_tree = np.zeros(i.shape, dtype=bool)
+    in_tree[np.arange(len(batch))[:, None], batch.orders] = True
+    steps = np.arange(1, len(g.vertices))
+    covered = (i[..., None] < steps) & (steps < (j + ~in_tree)[..., None])
+    return np.count_nonzero(covered, axis=1)
+
+
+def _row_products(a: np.ndarray) -> list[int]:
+    """The exact product of each row, in Python ints past the int64 range."""
+    if a.size and int(np.abs(a).max()) ** a.shape[1] >= 2**63:
+        a = a.astype(object)
+    return a.prod(axis=1).tolist()
+
+
+def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
+    """The exact checks on every ordered tree of a partition.
+
+    prod 1/k equals the integral of the edge monomial, whose exponents
+    equal k - 1, and distinct vertices get contact indices i < j. The
+    traces are built BLOCK_ORDERINGS orderings at a time; the count
+    route reads k from the labels, the monomial route the merge steps.
+    """
+    require_weighable(g, part)
+    rows, cols = np.triu_indices(len(g.vertices), 1)
+    # the walk runs to completion before the checks: interleaving it
+    # with the trace work measured slower
+    walks = list(_ordered_tree_walk(g, part))
+    denoms = [denom for _, _, _, denom in walks]
+    total = sum((Fraction(c, d) for d, c in Counter(denoms).items()), Fraction(0))
+    routes = exponents = contacts = True
+    for first in range(0, len(walks), BLOCK_ORDERINGS):
+        block = walks[first:first + BLOCK_ORDERINGS]
+        batch = trace_batch(g, part, [indices for _, indices, _, _ in block])
+        i, j = batch_contact_indices(batch)
+        exps = edge_exponents(g, batch, (i, j))
+        walked = denoms[first:first + len(block)]
+        routes = routes and _row_products(batch.k) == walked == _row_products(exps + 1)
+        exponents = exponents and np.array_equal(exps, batch.k - 1)
+        contacts = contacts and bool(np.all(i[:, rows, cols] < j[:, rows, cols]))
+    return ExactReport(len(walks), total, routes, exponents, contacts)
 
 
 def _batch_points(batch: TraceBatch, u: Sequence[float]) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -176,9 +345,11 @@ def verify_constructive(
     (trees by sorted edge ids, each tree's orderings in walk order,
     which is sorted); each keeps its own generator, seeded [seed,
     index]. The ordered trees go through trace_batch in blocks of at
-    most STACK_ENTRIES matrix entries, and each construction builds one
-    stack per block: per ordered tree the samples, then the two
-    endpoints; eigvalsh runs once per block. Separately the tree measure
+    most STACK_ENTRIES matrix entries, or of one ordered tree when its
+    own matrices are more, and each construction builds one stack per
+    block: per ordered tree the samples, then the two endpoints; eigvalsh
+    runs once per block. Samples that would give one ordered tree more
+    than MAX_TREE_ENTRIES entries are refused before any work. Separately the tree measure
     is normalized exactly: every spanning tree (as many as
     Multigraph.complexity counts) is walked, and over the tree alone,
     whose edges alone decide admissibility, the ordered weights 1/prod k
@@ -194,9 +365,14 @@ def verify_constructive(
         raise OutOfRangeError(f"tol must be >= 0, not {tol}")
     if seed < 0:
         raise OutOfRangeError(f"seed must be >= 0, not {seed}")
+    n = len(g.vertices)
+    if (samples + 2) * n * n > MAX_TREE_ENTRIES:
+        raise OutOfRangeError(
+            f"samples must keep (samples + 2) * |V|**2 <= {MAX_TREE_ENTRIES},"
+            f" not {samples} on {n} vertices"
+        )
     # Kirchhoff's tree count, which also refuses a disconnected graph
     spanning = g.complexity()
-    n = len(g.vertices)
     # a stable sort by tree keeps each tree's orderings in walk order
     walked = _ordered_tree_walk(g, part)
     walks = sorted(

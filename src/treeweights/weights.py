@@ -8,9 +8,11 @@ Two independent routes compute the weight of an ordered tree:
   the product of interpolation variables the ordered tree integrates,
   and evaluates the integral in closed form as prod 1/(exponent + 1).
 
-Both must agree bit-exactly; verify_exact checks this on every ordered
-tree, together with the exponent law and the order of the contact
-indices, on traces built in blocks by partitions.trace_batch. A tree
+Both must agree bit-exactly; psd.verify_exact checks this on every
+ordered tree, together with the exponent law and the order of the
+contact indices, on numpy traces built in blocks by psd.trace_batch.
+This module imports no numpy: its weights are Python integers and
+Fractions. A tree
 weighs the sum of its ordered weights over its admissible orderings,
 and the weights of all spanning trees of a connected graph sum to
 exactly 1. weight_distribution does not walk those orderings: k and
@@ -32,20 +34,14 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable
 
-import numpy as np
-
 from .errors import DisconnectedError, InvariantError, TrivialPartitionError
 from .graph import Multigraph
 from .partitions import (
-    BLOCK_ORDERINGS,
     ContractionTrace,
     Partition,
-    TraceBatch,
     _forest_sums,
     _ordered_tree_walk,
-    batch_contact_indices,
     contact_indices,
-    trace_batch,
 )
 
 
@@ -85,70 +81,6 @@ def require_weighable(g: Multigraph, part: Partition) -> None:
     part.require_cover(g)
     if not g.is_connected():
         raise DisconnectedError("weights require a connected graph")
-
-
-@dataclass(frozen=True)
-class ExactReport:
-    """The ordered trees, their summed weight, and one verdict per check."""
-
-    ordered: int
-    total: Fraction
-    routes_agree: bool
-    exponent_law: bool
-    contact_order: bool
-
-
-def edge_exponents(
-    g: Multigraph, batch: TraceBatch, contacts: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """edge_monomials of every row of a batch, as an (N, |V|-1) array.
-
-    contacts is the batch's (i, j) from batch_contact_indices. The
-    exponent of u_p counts the edges whose range covers step p: i < p < j
-    for a tree edge, i < p <= j for every other edge.
-    """
-    a, b = g._endpoints
-    i, j = (c[:, a, b] for c in contacts)
-    in_tree = np.zeros(i.shape, dtype=bool)
-    in_tree[np.arange(len(batch))[:, None], batch.orders] = True
-    steps = np.arange(1, len(g.vertices))
-    covered = (i[..., None] < steps) & (steps < (j + ~in_tree)[..., None])
-    return np.count_nonzero(covered, axis=1)
-
-
-def _row_products(a: np.ndarray) -> list[int]:
-    """The exact product of each row, in Python ints past the int64 range."""
-    if a.size and int(np.abs(a).max()) ** a.shape[1] >= 2**63:
-        a = a.astype(object)
-    return a.prod(axis=1).tolist()
-
-
-def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
-    """The exact checks on every ordered tree of a partition.
-
-    prod 1/k equals the integral of the edge monomial, whose exponents
-    equal k - 1, and distinct vertices get contact indices i < j. The
-    traces are built BLOCK_ORDERINGS orderings at a time; the count
-    route reads k from the labels, the monomial route the merge steps.
-    """
-    require_weighable(g, part)
-    rows, cols = np.triu_indices(len(g.vertices), 1)
-    # the walk runs to completion before the checks: interleaving it
-    # with the trace work measured slower
-    walks = list(_ordered_tree_walk(g, part))
-    denoms = [denom for _, _, _, denom in walks]
-    total = sum((Fraction(c, d) for d, c in Counter(denoms).items()), Fraction(0))
-    routes = exponents = contacts = True
-    for first in range(0, len(walks), BLOCK_ORDERINGS):
-        block = walks[first:first + BLOCK_ORDERINGS]
-        batch = trace_batch(g, part, [indices for _, indices, _, _ in block])
-        i, j = batch_contact_indices(batch)
-        exps = edge_exponents(g, batch, (i, j))
-        walked = denoms[first:first + len(block)]
-        routes = routes and _row_products(batch.k) == walked == _row_products(exps + 1)
-        exponents = exponents and np.array_equal(exps, batch.k - 1)
-        contacts = contacts and bool(np.all(i[:, rows, cols] < j[:, rows, cols]))
-    return ExactReport(len(walks), total, routes, exponents, contacts)
 
 
 class _Listing:

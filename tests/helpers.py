@@ -58,31 +58,31 @@ from treeweights.errors import (
 )
 from treeweights.graph import DisjointSet, Edge, Multigraph
 from treeweights.partitions import (
-    BLOCK_ORDERINGS,
     ContractionTrace,
     Partition,
-    TraceBatch,
     _merged_labels,
     admissible_orderings,
     build_trace,
     contact_indices,
-    trace_batch,
 )
 from treeweights.psd import (
     AGREEMENT_TOLERANCE,
+    BLOCK_ORDERINGS,
+    ExactReport,
     PsdReport,
+    TraceBatch,
     TraceCheck,
+    _row_products,
     contact_matrix_direct,
     contact_matrix_recursion,
     min_eigenvalue,
+    trace_batch,
 )
 from treeweights.sectors import DEFAULT_GUARD, SectorCensus
 from treeweights.weights import (
     Breakdown,
-    ExactReport,
     TreeRow,
     WeightReport,
-    _row_products,
     edge_monomials,
     require_weighable,
     weight_distribution,

@@ -20,9 +20,14 @@ from treeweights.partitions import (
     build_trace,
     contact_indices,
 )
-from treeweights.psd import contact_matrix_direct, contact_matrix_recursion, min_eigenvalue
+from treeweights.psd import (
+    contact_matrix_direct,
+    contact_matrix_recursion,
+    min_eigenvalue,
+    verify_exact,
+)
 from treeweights.sectors import sector_census
-from treeweights.weights import verify_exact, weight_distribution
+from treeweights.weights import weight_distribution
 
 from helpers import (
     brute_force_orderings,

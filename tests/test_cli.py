@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from treeweights import cli, weights
+from treeweights import cli, psd, weights
 from treeweights.cli import RunConfig, parse_graph, parse_partition
 from treeweights.errors import DuplicateVertexError, ParseError
 from treeweights.graph import Multigraph
+from treeweights.psd import verify_exact
 from treeweights.sectors import SectorCensus, sector_census
-from treeweights.weights import WeightReport, verify_exact
+from treeweights.weights import WeightReport
 
 from helpers import (
     fig1,
@@ -291,7 +292,7 @@ def _off_by_one(f):
     ids=["edge_monomials", "contact_indices", "ordered_trees"],
 )
 def test_verify_reports_a_broken_route(monkeypatch, name, broken, failing):
-    monkeypatch.setattr(weights, name, broken(getattr(weights, name)))
+    monkeypatch.setattr(psd, name, broken(getattr(psd, name)))
     report = verify_exact(fig2(), fig2_double_rooted())
     checks = ("normalization", "dual-route", "exponent-law", "contact-indices")
     flags = (report.total == 1, report.routes_agree, report.exponent_law, report.contact_order)
@@ -333,6 +334,18 @@ def test_psd_rejects_vacuous_settings(flag, value):
         assert code == 2
         assert out == ""
         assert err.startswith("error[out-of-range]")
+
+
+def test_psd_refuses_samples_beyond_the_stack_bound(capsys):
+    # 466 032 samples would stack more than MAX_TREE_ENTRIES float64
+    # entries per ordered tree of fig1; 10**15 once asked for 14.2 PiB
+    for samples in ("466032", "1000000000000000"):
+        args = ["psd", "--graph", str(FIXTURES / "fig1.json"), "--samples", samples]
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[out-of-range]: samples ")
+        assert captured.err.count("\n") == 1
 
 
 def test_json_output_is_strict():

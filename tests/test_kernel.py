@@ -14,24 +14,30 @@ import random
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treeweights
-from treeweights import psd, weights
+from treeweights import psd
 from treeweights.errors import InvariantError, NotAdmissibleError
 from treeweights.graph import Multigraph
 from treeweights.partitions import (
     Partition,
     admissible_orderings,
-    batch_contact_indices,
     build_trace,
     contact_indices,
     forest_trace,
     ordered_trees,
-    trace_batch,
 )
-from treeweights.psd import verify_constructive
-from treeweights.weights import edge_exponents, edge_monomials, verify_exact
+from treeweights.psd import (
+    _row_products,
+    batch_contact_indices,
+    edge_exponents,
+    trace_batch,
+    verify_constructive,
+    verify_exact,
+)
+from treeweights.weights import edge_monomials
 
 from helpers import (
     edge_index,
@@ -125,12 +131,34 @@ def per_tree_reports():
 
 @pytest.mark.parametrize("block", [None, 3], ids=["default-blocks", "blocks-of-3"])
 def test_batched_checks_equal_per_tree_loops(monkeypatch, block):
+    sizes: list[int] = []
     if block is not None:
-        for module in (weights, psd):
-            monkeypatch.setattr(module, "BLOCK_ORDERINGS", block)
+        monkeypatch.setattr(psd, "BLOCK_ORDERINGS", block)
+        build = psd.trace_batch
+
+        def recorded(g, part, orders):
+            sizes.append(len(orders))
+            return build(g, part, orders)
+
+        monkeypatch.setattr(psd, "trace_batch", recorded)
+    split = 0
     for (g, part), (exact, positivity) in zip(batch_cases(), per_tree_reports()):
         assert verify_exact(g, part) == exact
+        exact_sizes = sizes[:]
+        sizes.clear()
         assert verify_constructive(g, part, samples=2, seed=5) == positivity
+        if block is not None:
+            # both checks take their traces in blocks of at most 3
+            assert sum(exact_sizes) == exact.ordered and max(exact_sizes) <= 3
+            assert sum(sizes) == len(positivity.checks) and max(sizes) <= 3
+            split += len(exact_sizes) > 1 and len(sizes) > 1
+        sizes.clear()
+    assert block is None or split > 0
+
+
+def test_row_products_are_exact_beyond_int64():
+    # 2**31 * 2**31 * 4 wraps to 0 in int64; the rows fall back to ints
+    assert _row_products(np.array([[2**31, 2**31, 4]])) == [2**64]
 
 
 def test_batch_kernel_refuses_like_forest_trace():

@@ -7,17 +7,13 @@ import pytest
 
 from treeweights import cli, psd
 from treeweights.errors import BadDimensionError, OutOfRangeError
-from treeweights.partitions import (
-    Partition,
-    admissible_orderings,
-    build_trace,
-    ordered_trees,
-    trace_batch,
-)
+from treeweights.graph import Edge, Multigraph
+from treeweights.partitions import Partition, admissible_orderings, build_trace, ordered_trees
 from treeweights.psd import (
     contact_matrix_direct,
     contact_matrix_recursion,
     min_eigenvalue,
+    trace_batch,
     verify_constructive,
 )
 
@@ -113,6 +109,23 @@ def test_point_validation():
             build(batch, [[[0.5, 0.5], [0.5, np.nan]]])
         with pytest.raises(BadDimensionError):
             build(batch, np.full((1, 2, 2, 2), 0.5))
+
+
+def test_verify_constructive_bounds_samples_per_ordered_tree():
+    # one construction stacks (samples + 2) matrices of |V| x |V| per
+    # ordered tree: fig1 (3 vertices) admits 466 031 samples, and the
+    # default 20 samples fit up to 436 vertices
+    bound = psd.MAX_TREE_ENTRIES
+    assert (466_031 + 2) * 3**2 <= bound < (466_032 + 2) * 3**2
+    assert (psd.DEFAULT_SAMPLES + 2) * 436**2 <= bound < (psd.DEFAULT_SAMPLES + 2) * 437**2
+    part = Partition.singletons(fig1().vertices)
+    for samples in (466_032, 10**15):
+        with pytest.raises(OutOfRangeError, match="samples"):
+            verify_constructive(fig1(), part, samples=samples)
+    # refused before any work, even before the connectivity check
+    apart = Multigraph(("a", "b", "c"), (Edge("e", ("a", "b")),))
+    with pytest.raises(OutOfRangeError):
+        verify_constructive(apart, Partition.singletons(apart.vertices), samples=466_032)
 
 
 def test_stacked_builds_equal_pointwise_builds():

@@ -1,6 +1,10 @@
 import math
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,53 @@ def test_block_relabeling_symmetry():
             assert report_weights(weight_distribution(g, part)) == report_weights(
                 weight_distribution(h, part_h)
             )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the integer routes on fig2, printed as one value: the spanning trees,
+# the sector census, and the partition weights with their breakdown
+EXACT_ROUTES = """
+from treeweights.graph import Multigraph
+from treeweights.partitions import Partition
+from treeweights.sectors import sector_census
+from treeweights.weights import weight_distribution
+
+with open(FIG2, encoding="utf-8") as fh:
+    g = Multigraph.from_json(fh.read())
+census = sector_census(g, 10)
+report = weight_distribution(g, Partition.parse("v1|v2|v3,v4", g.vertices))
+rows = [(row.tree, row.weight, tuple(row.orderings)) for row in report.rows]
+counts = sorted((tuple(sorted(tree)), count) for tree, count in census.counts.items())
+print(repr((g._sorted_trees(), counts, census.total, rows)))
+"""
+
+
+def test_exact_routes_run_without_numpy():
+    # numpy is made unimportable, and a stub package stands in for
+    # treeweights so that its __init__ (which imports psd) does not run
+    src = str(ROOT / "src")
+    preludes = [
+        f"import sys\nsys.path.insert(0, {src!r})\nimport treeweights\n",
+        textwrap.dedent(
+            f"""
+            import sys, types
+            sys.modules["numpy"] = None
+            package = types.ModuleType("treeweights")
+            package.__path__ = [{str(ROOT / "src" / "treeweights")!r}]
+            sys.modules["treeweights"] = package
+            """
+        ),
+    ]
+    fig2_path = f"FIG2 = {str(ROOT / 'fixtures' / 'fig2.json')!r}\n"
+    outputs = []
+    for prelude in preludes:
+        result = subprocess.run(
+            [sys.executable, "-c", prelude + fig2_path + EXACT_ROUTES],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    normal, without_numpy = outputs
+    assert without_numpy == normal
+    assert "Fraction(47, 400)" in normal
