@@ -1,7 +1,7 @@
 """Exact probability measures on the spanning trees of multigraphs."""
 
 from .errors import TreeWeightsError
-from .graph import Edge, GraphAudit, Multigraph
+from .graph import Edge, Multigraph
 from .partitions import (
     ContractionTrace,
     Partition,
@@ -37,7 +37,6 @@ __all__ = [
     "ContractionTrace",
     "Edge",
     "ExactReport",
-    "GraphAudit",
     "Monomial",
     "Multigraph",
     "Partition",

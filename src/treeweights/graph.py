@@ -1,8 +1,11 @@
 """Immutable multigraphs with spanning-tree enumeration.
 
 Vertices and edges carry opaque string labels. Self-loops and parallel
-edges are first-class and are preserved by serialization. All
-operations are pure, so values can be shared freely across threads.
+edges are first-class and are preserved by serialization. Every sweep
+reads a graph's edges in one form, its edge table: each edge's id,
+index in `edges` and two ends as vertex indices, in id order, built
+once per graph. All operations are pure, so values can be shared
+freely across threads.
 """
 
 from __future__ import annotations
@@ -60,14 +63,6 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class GraphAudit:
-    """Outcome of validate(): the self-loop and parallel-class inventory."""
-
-    self_loops: tuple[str, ...]
-    parallel_classes: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
 class Multigraph:
     """A labeled multigraph; endpoint order within an edge is irrelevant."""
 
@@ -84,6 +79,16 @@ class Multigraph:
     @cached_property
     def _vertex_index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _edge_table(self) -> tuple[tuple[str, int, int, int], ...]:
+        """(id, index in edges, end, end) for each edge, in id order, with
+        the ends as vertex indices. Loops and parallel edges are kept,
+        each as an entry of its own."""
+        vi = self._vertex_index
+        return tuple(sorted(
+            (e.id, i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(self.edges)
+        ))
 
     @cached_property
     def _edge_by_id(self) -> dict[str, Edge]:
@@ -108,11 +113,8 @@ class Multigraph:
         except KeyError:
             raise UnknownEdgeError(f"no edge {edge_id!r} in graph") from None
 
-    def ends(self, edge_id: str) -> tuple[str, str]:
-        return self.edge(edge_id).ends
-
-    def validate(self) -> GraphAudit:
-        """Check the structural invariants and inventory loops and parallels.
+    def validate(self) -> None:
+        """Check the structural invariants.
 
         Raises DuplicateIdError for repeated vertex or edge labels and
         DanglingEndpointError for an endpoint outside the vertex set.
@@ -123,8 +125,6 @@ class Multigraph:
                 raise DuplicateIdError(f"duplicate vertex id {v!r}")
             seen_v.add(v)
         seen_e: set[str] = set()
-        by_pair: dict[frozenset[str], list[str]] = {}
-        loops: list[str] = []
         for e in self.edges:
             if e.id in seen_e:
                 raise DuplicateIdError(f"duplicate edge id {e.id!r}")
@@ -134,13 +134,6 @@ class Multigraph:
                     raise DanglingEndpointError(
                         f"edge {e.id!r} endpoint {end!r} is not a vertex"
                     )
-            if e.is_self_loop:
-                loops.append(e.id)
-            by_pair.setdefault(frozenset(e.ends), []).append(e.id)
-        parallels = tuple(
-            tuple(ids) for ids in by_pair.values() if len(ids) > 1
-        )
-        return GraphAudit(tuple(loops), parallels)
 
     def is_connected(self) -> bool:
         """True iff every vertex pair is joined by a path; single vertex counts."""
@@ -148,9 +141,8 @@ class Multigraph:
         if n == 0:
             return False
         ds = DisjointSet(n)
-        vi = self._vertex_index
-        for e in self.edges:
-            ds.union(vi[e.ends[0]], vi[e.ends[1]])
+        for _, _, a, b in self._edge_table:
+            ds.union(a, b)
         return ds.groups == 1
 
     def spanning_trees(self) -> list[frozenset[str]]:
@@ -191,16 +183,16 @@ class Multigraph:
     def _tree_states(self) -> list:
         """The root of the state DAG that `_sorted_trees` walks.
 
-        The non-loop edges are taken in id order. A state is a position
-        in that order together with the forest chosen from the edges
-        before it, carried as canonical component labels (each vertex
-        labeled by the least vertex of its component), and is stored as
-        [edge id, take, skip]: the states after taking and after
-        skipping its edge, None where the move is not allowed, and take
-        is `_TREE` where taking the edge completes a tree. How the
-        forest can grow depends only on the state, so a state reached by
-        different choices is built once, and only the previous position
-        is kept while building.
+        The non-loop edges of the edge table are taken in id order. A
+        state is a position in that order together with the forest
+        chosen from the edges before it, carried as canonical component
+        labels (each vertex labeled by the least vertex of its
+        component), and is stored as [edge id, take, skip]: the states
+        after taking and after skipping its edge, None where the move is
+        not allowed, and take is `_TREE` where taking the edge completes
+        a tree. How the forest can grow depends only on the state, so a
+        state reached by different choices is built once, and only the
+        previous position is kept while building.
 
         Only states that lead to a tree are built: the forest joined
         with the components of the edges still to come must connect
@@ -213,10 +205,7 @@ class Multigraph:
         at least two vertices.
         """
         n = len(self.vertices)
-        vi = self._vertex_index
-        edges = sorted(
-            (e.id, vi[e.ends[0]], vi[e.ends[1]]) for e in self.edges if not e.is_self_loop
-        )
+        edges = [(eid, a, b) for eid, _, a, b in self._edge_table if a != b]
         m = len(edges)
         # suffix[p]: a root per vertex for the components of the edges at
         # positions p and later, None where those edges connect the graph
@@ -274,10 +263,8 @@ class Multigraph:
         if not self.is_connected():
             raise DisconnectedError("spanning trees require a connected graph")
         n = len(self.vertices)
-        vi = self._vertex_index
         lap = [[0] * n for _ in range(n)]
-        for e in self.edges:
-            a, b = vi[e.ends[0]], vi[e.ends[1]]
+        for _, _, a, b in self._edge_table:
             if a != b:
                 lap[a][a] += 1
                 lap[b][b] += 1

@@ -268,13 +268,13 @@ class _Labelings:
     A forest's labels are those of _merged_labels (block index until
     merged). They depend only on the forest's components, so every
     forest with the same components shares one _Labeling, and an edge is
-    trans-block exactly when its two labels differ. scale = lcm(1..|E|)
-    is a multiple of every k.
+    trans-block exactly when its two labels differ. The edges are those
+    of the graph's edge table, so every labeling's moves come in id
+    order. scale = lcm(1..|E|) is a multiple of every k.
     """
 
     def __init__(self, g: Multigraph, part: Partition):
-        vi = g._vertex_index
-        self.ends = sorted((e.id, i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges))
+        self.ends = g._edge_table
         self.fresh = len(part.blocks)
         self.scale = math.lcm(*range(1, len(self.ends) + 1))
         self.memo: dict[tuple[int, ...], _Labeling] = {}

@@ -88,8 +88,7 @@ def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
     across the two joined components (kept as per-row component masks)
     get the step in merge_steps. Labels and steps are stored as int8
     (int16 from 64 vertices on). Raises NotAdmissibleError at the first
-    step where some row's edge is not trans-block, and InvariantError if
-    a row leaves a vertex pair unmerged.
+    step where some row's edge is not trans-block.
     """
     part.require_cover(g)
     n = len(g.vertices)

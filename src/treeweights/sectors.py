@@ -67,9 +67,9 @@ def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
             f"{m} edges means {m}! sectors; guard is {guard}"
         )
     n = len(g.vertices)
-    ids = sorted(e.id for e in g.edges)
-    vi = g._vertex_index
-    edges = [(1 << ei, vi[a], vi[b]) for ei, (a, b) in enumerate(map(g.ends, ids))]
+    # bit p of a forest key is the edge at position p of the edge table
+    ids = [eid for eid, _, _, _ in g._edge_table]
+    edges = [(1 << p, a, b) for p, (_, _, a, b) in enumerate(g._edge_table)]
     suffixes = [math.factorial(k) for k in range(m + 1)]
     raw: dict[int, int] = {}
     states = 0

@@ -192,7 +192,7 @@ def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     """
     require_weighable(g, part)
     # each edge's bit in a tree mask, in id order
-    bits = sorted((e.id, 1 << i) for i, e in enumerate(g.edges))
+    bits = [(eid, 1 << i) for eid, i, _, _ in g._edge_table]
     trees, denom = _forest_sums(g, part)
     shared: dict[int, Fraction] = {}
     found = []

@@ -30,8 +30,9 @@ its walker, before the sums sweep and the walk of the canonical
 labelings replaced it. Finally, what the
 library no longer ships: the example graphs of the paper's figures,
 the one-sector greedy sweep the census replaced, a graph's JSON text,
-the index of each edge id, a complete trace as a one-row TraceBatch,
-and the partition route for the all-singletons partition.
+the index of each edge id, an edge's two ends, the graph's self-loops
+and classes of parallel edges, a complete trace as a one-row
+TraceBatch, and the partition route for the all-singletons partition.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def is_tree_subset(g: Multigraph, ids: tuple[str, ...]) -> bool:
     ds = DisjointSet(len(g.vertices))
     vi = g._vertex_index
     for eid in ids:
-        a, b = g.ends(eid)
+        a, b = ends(g, eid)
         if not ds.union(vi[a], vi[b]):
             return False
     return ds.groups == 1
@@ -305,7 +306,7 @@ def replay_trace(trace: ContractionTrace) -> tuple[tuple, tuple, tuple]:
     g, part, vmap = trace.graph, trace.partition, {v: v for v in trace.graph.vertices}
     steps = [(g, part, vmap)]
     for eid in trace.order:
-        a, b = g.ends(eid)
+        a, b = ends(g, eid)
         g, step_map = contract_graph(g, eid)
         part = contract_block(part, a, b, step_map[a])
         vmap = {orig: step_map[img] for orig, img in vmap.items()}
@@ -380,7 +381,7 @@ def induced_ordering(g: Multigraph, sector: Sequence[str]) -> tuple[str, ...]:
     ds = DisjointSet(n)
     accepted: list[str] = []
     for eid in sector:
-        a, b = g.ends(eid)
+        a, b = ends(g, eid)
         if ds.union(vi[a], vi[b]):
             accepted.append(eid)
             if len(accepted) == n - 1:
@@ -429,7 +430,7 @@ def permutation_census(g: Multigraph) -> SectorCensus:
     total = math.factorial(m)
     ids = sorted(e.id for e in g.edges)
     vi = g._vertex_index
-    pairs = [(vi[a], vi[b]) for a, b in (g.ends(i) for i in ids)]
+    pairs = [(vi[a], vi[b]) for a, b in (ends(g, i) for i in ids)]
     target = n - 1
     raw: dict[tuple[int, ...], int] = {}
     if target == 0:
@@ -475,7 +476,7 @@ def prefix_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
     n = len(g.vertices)
     ids = sorted(e.id for e in g.edges)
     vi = g._vertex_index
-    pairs = [(vi[a], vi[b]) for a, b in (g.ends(i) for i in ids)]
+    pairs = [(vi[a], vi[b]) for a, b in (ends(g, i) for i in ids)]
     suffixes = [math.factorial(k) for k in range(m + 1)]
     raw: dict[int, int] = {}
 
@@ -614,6 +615,21 @@ def to_json(g: Multigraph, indent: int | None = 2) -> str:
 def edge_index(g: Multigraph) -> dict[str, int]:
     """Each edge id's position in g.edges, the index trace batches use."""
     return {e.id: i for i, e in enumerate(g.edges)}
+
+
+def ends(g: Multigraph, edge_id: str) -> tuple[str, str]:
+    """The two ends of an edge, by id."""
+    return g.edge(edge_id).ends
+
+
+def loops_and_parallels(g: Multigraph) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """The self-loop ids of g and its classes of two or more parallel
+    edge ids (edges with the same ends), each in edge order."""
+    by_pair: dict[frozenset[str], list[str]] = {}
+    for e in g.edges:
+        by_pair.setdefault(frozenset(e.ends), []).append(e.id)
+    loops = tuple(e.id for e in g.edges if e.is_self_loop)
+    return loops, tuple(tuple(ids) for ids in by_pair.values() if len(ids) > 1)
 
 
 def one_row_batch(trace: ContractionTrace) -> TraceBatch:

@@ -14,8 +14,10 @@ from treeweights.graph import Edge, Multigraph
 from helpers import (
     brute_force_spanning_trees,
     contract_graph,
+    ends,
     fig1,
     fig2,
+    loops_and_parallels,
     random_connected_multigraph,
     to_json,
 )
@@ -34,19 +36,17 @@ FIG2_TREES = {
 
 def test_validate_minimal_graph():
     g = Multigraph.build(["v1", "v2"], [("l1", "v1", "v2")])
-    audit = g.validate()
-    assert audit.self_loops == ()
-    assert audit.parallel_classes == ()
+    assert g.validate() is None
 
 
-def test_validate_flags_self_loop():
+def test_edge_table_keeps_self_loop():
     g = Multigraph.build(["v1"], [("l1", "v1", "v1")])
-    assert g.validate().self_loops == ("l1",)
+    assert g._edge_table == (("l1", 0, 0, 0),)
 
 
-def test_validate_flags_parallel_classes():
-    audit = fig1().validate()
-    assert audit.parallel_classes == (("l3", "l4"),)
+def test_edge_table_keeps_parallel_edges():
+    # l3 and l4 both join v2 and v3: two entries with the same ends
+    assert fig1()._edge_table[2:] == (("l3", 2, 1, 2), ("l4", 3, 1, 2))
 
 
 def test_validate_dangling_endpoint():
@@ -157,7 +157,7 @@ def test_every_tree_spans_without_self_loops():
             touched = set()
             for eid in tree:
                 assert not g.edge(eid).is_self_loop
-                touched.update(g.ends(eid))
+                touched.update(ends(g, eid))
             assert touched == set(g.vertices) or len(g.vertices) == 1
 
 
@@ -175,9 +175,9 @@ def test_complexity_matches_enumeration():
         random_connected_multigraph(rng, min_vertices=1, max_vertices=6, max_edges=11)
         for _ in range(60)
     )
-    audits = [g.validate() for g in graphs]
-    assert any(a.self_loops for a in audits)
-    assert any(a.parallel_classes for a in audits)
+    inventories = [loops_and_parallels(g) for g in graphs]
+    assert any(loops for loops, _ in inventories)
+    assert any(parallels for _, parallels in inventories)
     for g in graphs:
         assert g.complexity() == len(g.spanning_trees())
 

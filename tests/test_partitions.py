@@ -24,6 +24,7 @@ from helpers import (
     brute_force_orderings,
     contract_block,
     contract_graph,
+    ends,
     fig1,
     fig1_root_first,
     fig1_root_second,
@@ -52,7 +53,7 @@ def is_trans_block(g, part, edge_id):
 
 def contract_partition(g, part, edge_id):
     """The partition after contracting one edge through the object oracles."""
-    a, b = g.ends(edge_id)
+    a, b = ends(g, edge_id)
     _, vmap = contract_graph(g, edge_id)
     return contract_block(part, a, b, vmap[a])
 
