@@ -15,9 +15,11 @@ Output is deterministic for a fixed config and seed. JSON output is
 exactly `json.dumps(payload, indent=2)` (ASCII-escaped, strict: no NaN
 or Infinity) plus one newline; a table is left-justified columns joined
 by two spaces, trailing blanks stripped. Either is written in one piece.
-`weights` formats each distinct weight once and shares the text among
-the rows of that weight: its JSON rows enter the payload as `_Verbatim`
-text, already laid out, which `_json_text` writes as it is.
+Two outputs enter the JSON payload as `_Verbatim` text, already laid
+out, which `_json_text` writes as it is: the rows of `weights`, which
+formats each distinct weight once and shares the text among the rows of
+that weight, and the tree list of `trees`, whose text is built along
+the tree walk.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
@@ -103,17 +105,16 @@ class _Verbatim(str):
 
 
 _STR = {str}
-_SEQUENCES = {list, tuple}
 
 
 def _json_text(value, indent: str = "\n") -> str:
     """The text of json.dumps(value, indent=2, allow_nan=False).
 
     indent is the line break and indent before value's closing bracket.
-    A non-str dict key raises TypeError (in the quoter). Lists of str,
-    and lists of such lists, are quoted without a call per item. A
-    _Verbatim value is written as it is: its maker lays it out for its
-    place, as _weight_rows_json does the rows of a weights payload.
+    A non-str dict key raises TypeError (in the quoter). A list of str
+    is quoted without a call per item. A _Verbatim value is written as
+    it is: its maker lays it out for its place, as _weight_rows_json
+    does the rows of a weights payload and cmd_trees its tree list.
     """
     if isinstance(value, str):
         return value if type(value) is _Verbatim else _quote(value)
@@ -136,15 +137,6 @@ def _json_text(value, indent: str = "\n") -> str:
     elif isinstance(value, (list, tuple)):
         if _STR.issuperset(map(type, value)):
             items = map(_quote, value)
-        elif _SEQUENCES.issuperset(map(type, value)) and _STR.issuperset(
-            map(type, chain.from_iterable(value))
-        ):
-            deeper = inner + "  "
-            sep = "," + deeper
-            items = [
-                "[" + deeper + sep.join(map(_quote, v)) + inner + "]" if v else "[]"
-                for v in value
-            ]
         else:
             items = [_json_text(v, inner) for v in value]
         brackets = "[]"
@@ -243,13 +235,25 @@ def _weight_lines(report: WeightReport, breakdown: bool) -> list[tuple[str, str,
 
 
 def cmd_trees(config: RunConfig, g: Multigraph, out) -> int:
-    # the walk's trees come as sorted id tuples, in sorted order
-    trees = g._sorted_trees()
-    # both outputs are small next to the tree list itself; building them
-    # lazily left a higher peak RSS after the K7 listing (heap layout)
-    rows = [[",".join(t)] for t in trees]
-    payload = {"command": "trees", "count": len(trees), "trees": trees}
-    _emit(config, lambda: payload, ["tree"], lambda: rows, out)
+    """The spanning trees in sorted order, each as text the tree walk
+    builds from one piece per edge it takes: in JSON the quoted id on
+    its own line, in a table or CSV the id after a comma. Each id is
+    quoted once per graph, each prefix shared by many trees is built
+    once, and only the format written is built. The JSON tree list
+    enters the payload as _Verbatim text; the one tree of a one-vertex
+    graph is empty."""
+
+    def payload():
+        trees = g._sorted_trees(lambda eid: ",\n      " + _quote(eid), "")
+        items = ["[" + t[1:] + "\n    ]" if t else "[]" for t in trees]
+        # _emit writes the payload's keys one level under its top-level dict
+        text = _Verbatim("[\n    " + ",\n    ".join(items) + "\n  ]")
+        return {"command": "trees", "count": len(trees), "trees": text}
+
+    def rows():
+        return [[t[1:]] for t in g._sorted_trees(lambda eid: "," + eid, "")]
+
+    _emit(config, payload, ["tree"], rows, out)
     return EXIT_OK
 
 

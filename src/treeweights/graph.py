@@ -57,10 +57,6 @@ class Edge:
     id: str
     ends: tuple[str, str]
 
-    @property
-    def is_self_loop(self) -> bool:
-        return self.ends[0] == self.ends[1]
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -152,45 +148,51 @@ class Multigraph:
         """
         return [frozenset(t) for t in self._sorted_trees()]
 
-    def _sorted_trees(self) -> list[tuple[str, ...]]:
-        """All spanning trees as sorted edge-id tuples, in sorted order.
+    def _sorted_trees(self, piece=lambda eid: (eid,), empty=()) -> list:
+        """All spanning trees in sorted order, each as empty plus the
+        pieces of its edges in id order: by default, its sorted edge-id
+        tuple.
 
-        The trees are read off the states of `_tree_states` by a walk
-        that keeps its own stack and takes each edge before skipping
-        it. Every state leads to a tree, so the walk never enters a
-        branch without one and no branch needs a connectivity test.
-        The edges come in id order, so each tree's tuple is built
-        sorted, and taking first lists the trees in sorted order: no
-        sort is needed. Nothing recurses, so a graph with thousands of
-        edges lists its trees like any other.
+        piece(edge id) is called once per non-loop edge, and a state of
+        `_tree_states` holds the piece of its edge. The trees are read
+        off those states by a walk that keeps its own stack and takes
+        each edge before skipping it, adding the edge's piece to the
+        prefix taken so far, so a prefix shared by many trees is built
+        once, not once per tree. Every state leads to a tree, so the
+        walk never enters a branch without one and no branch needs a
+        connectivity test. The edges come in id order, so each tree is
+        built sorted, and taking first lists the trees in sorted order:
+        no sort is needed. Nothing recurses, so a graph with thousands
+        of edges lists its trees like any other.
         """
         if not self.is_connected():
             raise DisconnectedError("spanning trees require a connected graph")
         if len(self.vertices) == 1:
-            return [()]
-        out: list[tuple[str, ...]] = []
-        stack: list[tuple[list, tuple[str, ...]]] = [(self._tree_states(), ())]
+            return [empty]
+        out = []
+        stack = [(self._tree_states(piece), empty)]
         while stack:
-            (eid, take, skip), chosen = stack.pop()
+            (part, take, skip), chosen = stack.pop()
             if skip is not None:
                 stack.append((skip, chosen))
             if take is _TREE:
-                out.append(chosen + (eid,))
+                out.append(chosen + part)
             elif take is not None:
-                stack.append((take, chosen + (eid,)))
+                stack.append((take, chosen + part))
         return out
 
-    def _tree_states(self) -> list:
+    def _tree_states(self, piece) -> list:
         """The root of the state DAG that `_sorted_trees` walks.
 
         The non-loop edges of the edge table are taken in id order. A
         state is a position in that order together with the forest
         chosen from the edges before it, carried as canonical component
         labels (each vertex labeled by the least vertex of its
-        component), and is stored as [edge id, take, skip]: the states
-        after taking and after skipping its edge, None where the move is
-        not allowed, and take is `_TREE` where taking the edge completes
-        a tree. How the forest can grow depends only on the state, so a
+        component), and is stored as [piece, take, skip]: piece(edge
+        id) of its edge, made once per edge, and the states after
+        taking and after skipping its edge, None where the move is not
+        allowed, and take is `_TREE` where taking the edge completes a
+        tree. How the forest can grow depends only on the state, so a
         state reached by different choices is built once, and only the
         previous position is kept while building.
 
@@ -205,7 +207,7 @@ class Multigraph:
         at least two vertices.
         """
         n = len(self.vertices)
-        edges = [(eid, a, b) for eid, _, a, b in self._edge_table if a != b]
+        edges = [(piece(eid), a, b) for eid, _, a, b in self._edge_table if a != b]
         m = len(edges)
         # suffix[p]: a root per vertex for the components of the edges at
         # positions p and later, None where those edges connect the graph

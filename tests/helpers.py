@@ -19,20 +19,23 @@ replaced. Then the CLI writers that the one-pass writers replaced:
 JSON through json.dump and the table written line by line. Last, the
 per-row routes that reading rows straight off the state walks
 replaced: a Fraction reduced for every tree and a Fraction sum for the
-total, every tree row formatted on its own, the census compared with the partition route as dicts of
-Fractions, each tree's normalization summed as Fractions, and the
-spanning trees sorted back from frozensets. With them, the weights
-command that built its rows as dicts and cell lists and wrote them
-through the reference writer, before it wrote them from each distinct
-weight's shared text. With them, the one forest-state table that both
+total, every tree row formatted on its own, the census compared with
+the partition route as dicts of Fractions, each tree's normalization
+summed as Fractions, and the spanning trees sorted back from
+frozensets and written through the reference writer, before the tree
+walk built their output text. With them, the weights command that
+built its rows as dicts and cell lists and wrote them through the
+reference writer, before it wrote them from each distinct weight's
+shared text. With them, the one forest-state table that both
 summed the tree weights and held the moves the breakdown walked, and
 its walker, before the sums sweep and the walk of the canonical
-labelings replaced it. Finally, what the
-library no longer ships: the example graphs of the paper's figures,
-the one-sector greedy sweep the census replaced, a graph's JSON text,
-the index of each edge id, an edge's two ends, the graph's self-loops
-and classes of parallel edges, a complete trace as a one-row
-TraceBatch, and the partition route for the all-singletons partition.
+labelings replaced it. Finally, what the library no longer ships: the
+example graphs of the paper's figures, the one-sector greedy sweep the
+census replaced, a graph's JSON text, the index of each edge id, an
+edge's two ends, whether an edge is a self-loop, the graph's
+self-loops and classes of parallel edges, a complete trace as a
+one-row TraceBatch, and the partition route for the all-singletons
+partition.
 """
 
 from __future__ import annotations
@@ -268,7 +271,7 @@ def contract_graph(g: Multigraph, edge_id: str) -> tuple[Multigraph, dict[str, s
     in sorted order, which keeps contraction sequences reproducible.
     """
     e = g.edge(edge_id)
-    if e.is_self_loop:
+    if is_self_loop(e):
         raise ValueError(f"edge {edge_id!r} is a self-loop")
     a, b = e.ends
     merged = "+".join(sorted((a, b)))
@@ -622,13 +625,18 @@ def ends(g: Multigraph, edge_id: str) -> tuple[str, str]:
     return g.edge(edge_id).ends
 
 
+def is_self_loop(e: Edge) -> bool:
+    """True iff both ends of the edge are one vertex."""
+    return e.ends[0] == e.ends[1]
+
+
 def loops_and_parallels(g: Multigraph) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
     """The self-loop ids of g and its classes of two or more parallel
     edge ids (edges with the same ends), each in edge order."""
     by_pair: dict[frozenset[str], list[str]] = {}
     for e in g.edges:
         by_pair.setdefault(frozenset(e.ends), []).append(e.id)
-    loops = tuple(e.id for e in g.edges if e.is_self_loop)
+    loops = tuple(e.id for e in g.edges if is_self_loop(e))
     return loops, tuple(tuple(ids) for ids in by_pair.values() if len(ids) > 1)
 
 
@@ -965,12 +973,14 @@ def reference_cmd_weights(config: cli.RunConfig, g: Multigraph, out) -> int:
 
 
 def reference_cmd_trees(config: cli.RunConfig, g: Multigraph, out) -> int:
-    """cmd_trees before the walk's sorted tuples reached it: each
-    frozenset of spanning_trees sorted back into a list."""
+    """cmd_trees before the walk built its output text: each frozenset
+    of spanning_trees sorted back into a list, the lists as the JSON
+    payload's trees and joined by commas as the table cells, written by
+    reference_emit."""
     trees = [sorted(t) for t in g.spanning_trees()]
     rows = [[",".join(t)] for t in trees]
     payload = {"command": "trees", "count": len(trees), "trees": trees}
-    cli._emit(config, lambda: payload, ["tree"], lambda: rows, out)
+    reference_emit(config, lambda: payload, ["tree"], lambda: rows, out)
     return cli.EXIT_OK
 
 

@@ -3,11 +3,13 @@
 cli._json_text must return exactly json.dumps(value, indent=2,
 allow_nan=False), and cli._emit must write the same bytes as the
 reference writer in tests/helpers.py for every command and format.
-The weights command hands _emit rows written from each distinct
-weight's shared text, its JSON rows as laid-out text with edge ids
-escaped by hand, which the reference writer cannot take; its stdout
-must equal that of reference_cmd_weights, which builds the rows as
-dicts and cell lists and writes them through the reference writer.
+Two commands hand _emit JSON laid out as text with edge ids escaped by
+hand, which the reference writer cannot take: weights, whose rows are
+written from each distinct weight's shared text, and trees, whose tree
+list is built along the tree walk. Their stdout must equal that of
+reference_cmd_weights and reference_cmd_trees, which build the rows
+and trees as dicts and lists and write them through the reference
+writer.
 """
 
 import io
@@ -25,7 +27,15 @@ from treeweights.cli import RunConfig
 from treeweights.graph import Multigraph
 from treeweights.partitions import Partition
 
-from helpers import fig1, fig2, reference_cmd_weights, reference_emit, reference_table, to_json
+from helpers import (
+    fig1,
+    fig2,
+    reference_cmd_trees,
+    reference_cmd_weights,
+    reference_emit,
+    reference_table,
+    to_json,
+)
 from test_acceptance import pool_lemma5
 
 characters = st.characters(exclude_categories=()) | st.sampled_from(
@@ -38,7 +48,8 @@ scalars = (
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, True, False, None])
 )
-# lists of str and lists of such lists take the writer's quote-only paths
+# a list of str takes the writer's quote-only path; a list of such
+# lists takes the generic path around it
 string_lists = st.lists(strings, max_size=4) | st.lists(
     st.lists(strings, max_size=3) | st.tuples(strings, strings), max_size=4
 )
@@ -153,9 +164,10 @@ FORMATS = ("json", "table", "csv")
 
 
 def _reference_stdout(args) -> tuple[int, str, str]:
-    """_stdout with the reference writer and the reference weights command."""
+    """_stdout with the reference writer and the reference trees and
+    weights commands."""
     with mock.patch.object(cli, "_emit", reference_emit), mock.patch.dict(
-        cli.COMMANDS, weights=reference_cmd_weights
+        cli.COMMANDS, trees=reference_cmd_trees, weights=reference_cmd_weights
     ):
         return _stdout(args)
 
@@ -173,16 +185,17 @@ def test_stdout_matches_reference_writer(tmp_path, g):
 
 
 def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
-    """Each command but weights runs once; its _emit call is written in
-    every format by both writers, from the same payload and rows.
-    weights runs in every format, its whole stdout against
-    reference_cmd_weights."""
+    """Each command but trees and weights runs once; its _emit call is
+    written in every format by both writers, from the same payload and
+    rows. trees and weights run in every format, their whole stdout
+    against reference_cmd_trees and reference_cmd_weights."""
     emit = cli._emit
     written = []
+    whole = ("trees", "weights")
 
     def both(config, payload, headers, rows, out):
         written.append(config.command)
-        if config.command == "weights":
+        if config.command in whole:
             emit(config, payload, headers, rows, out)
             return
         for fmt in FORMATS:
@@ -193,24 +206,24 @@ def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
             assert new.getvalue() == old.getvalue(), (config, fmt)
 
     monkeypatch.setattr(cli, "_emit", both)
-    weights = 0
+    compared = []
     for i, g in enumerate(pool_lemma5()):
         path = tmp_path / f"g{i}.json"
         path.write_text(to_json(g))
         for line in _command_lines(g):
             args = [line[0], "--graph", str(path), *line[1:]]
-            if line[0] != "weights":
+            if line[0] not in whole:
                 _stdout(args)
                 continue
             for fmt in FORMATS:
                 expected = _reference_stdout([*args, "--format", fmt])
                 assert expected[0] == 0 and expected[1]
                 assert _stdout([*args, "--format", fmt]) == expected, (args, fmt)
-            weights += 1
+            compared.append(line[0])
     assert {c: written.count(c) for c in cli.COMMANDS} == {
-        "trees": 100, "symmetric": 100, "weights": 1200, "verify": 300, "psd": 100,
+        "trees": 300, "symmetric": 100, "weights": 1200, "verify": 300, "psd": 100,
     }
-    assert weights == 400
+    assert {c: compared.count(c) for c in whole} == {"trees": 100, "weights": 400}
 
 
 # Edge ids take any character the JSON quoter must escape, and the
@@ -235,19 +248,24 @@ def id_graphs(draw):
     return Multigraph.build(vertices, edges)
 
 
+@pytest.mark.parametrize("command", ["trees", "weights"])
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(id_graphs(), st.booleans())
-def test_weights_escapes_edge_ids_like_reference(tmp_path, g, rooted):
+@given(g=id_graphs(), rooted=st.booleans())
+def test_escapes_edge_ids_like_reference(tmp_path, command, g, rooted):
+    """trees, and weights with and without --breakdown on a singleton
+    or rooted partition, in every format."""
     path = tmp_path / "g.json"
     path.write_text(to_json(g))
     vertices = list(g.vertices)
     spec = vertices[0] + "|" + ",".join(vertices[1:]) if rooted else "|".join(vertices)
+    lines = [[]]
+    if command == "weights":
+        lines = [["--partition", spec], ["--partition", spec, "--breakdown"]]
     for fmt in FORMATS:
-        for breakdown in ([], ["--breakdown"]):
-            args = ["weights", "--graph", str(path), "--partition", spec, "--format", fmt]
-            args += breakdown
+        for line in lines:
+            args = [command, "--graph", str(path), *line, "--format", fmt]
             expected = _reference_stdout(args)
             assert expected[0] == 0
             assert _stdout(args) == expected, args

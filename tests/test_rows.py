@@ -4,12 +4,13 @@ weight_distribution shares one Fraction per distinct weight and reads
 each tree's key off its mask, WeightReport.total sums one Fraction per
 distinct weight, cmd_symmetric checks census against partition route
 in integers, verify_constructive checks each tree's normalization in
-integers, cmd_trees prints the tree walk's sorted tuples, and
-cmd_weights writes its rows from each distinct weight's shared text.
-Each must
-equal, bit for bit, the route kept in helpers that it replaced: rows,
-weights, totals, verdicts, tree lists and their order, and the bytes,
-stderr and exit code of every command.
+integers, cmd_trees writes the text the tree walk builds along each
+tree, and cmd_weights writes its rows from each distinct weight's
+shared text. Each must equal, bit for bit, the route kept in helpers
+that it replaced: rows, weights, totals, verdicts, tree lists and their
+order, and the bytes, stderr and exit code of every command. The
+replaced trees and weights commands write through the reference
+writer.
 """
 
 import io

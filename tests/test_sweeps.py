@@ -299,7 +299,7 @@ def test_walk_builds_labelings_only(monkeypatch):
 
 def tree_states(g):
     """The states built for g's tree walk; each is a successor, so all are reachable."""
-    root = g._tree_states()
+    root = g._tree_states(lambda eid: (eid,))
     seen, stack = {id(root): root}, [root]
     while stack:
         for child in stack.pop()[1:]:
@@ -354,12 +354,24 @@ def test_trees_and_psd_output_match_contraction_deletion(monkeypatch, tmp_path):
     walked = run_configs(configs)
     assert [code for code, _, _ in walked] == [0] * len(configs)
     monkeypatch.setattr(Multigraph, "spanning_trees", contraction_deletion_trees)
-    # trees reads the walk's sorted tuples, the private method under spanning_trees
-    monkeypatch.setattr(
-        Multigraph, "_sorted_trees",
-        lambda g: [tuple(sorted(t)) for t in contraction_deletion_trees(g)],
-    )
+
+    # trees reads the walk's text, the private method under spanning_trees:
+    # empty plus the piece of each edge of a tree, in id order
+    listed = []
+
+    def sorted_trees(g, piece=lambda eid: (eid,), empty=()):
+        listed.append(g)
+        out = []
+        for t in contraction_deletion_trees(g):
+            text = empty
+            for eid in sorted(t):
+                text += piece(eid)
+            out.append(text)
+        return out
+
+    monkeypatch.setattr(Multigraph, "_sorted_trees", sorted_trees)
     assert run_configs(configs) == walked
+    assert len(listed) == len(paths) * 3
 
 
 def test_ten_edge_census_at_default_guard():
