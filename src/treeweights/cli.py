@@ -19,7 +19,8 @@ Two outputs enter the JSON payload as `_Verbatim` text, already laid
 out, which `_json_text` writes as it is: the rows of `weights`, which
 formats each distinct weight once and shares the text among the rows of
 that weight, and the tree list of `trees`, whose text is built along
-the tree walk.
+the tree walk. The orderings of `weights --breakdown`, in every format,
+are built along the ordering walk in the same way.
 """
 
 from __future__ import annotations
@@ -189,16 +190,36 @@ def _weight_rows_json(report: WeightReport, breakdown: bool, indent: str) -> _Ve
     Each distinct tree weight is formatted once, keyed by its numerator
     and denominator (hashing a Fraction costs a modular inverse), into
     the text that follows the edge ids in every row of that weight.
-    Weight texts need no escaping, and no tree of a weighable graph is
-    empty.
+    With breakdown, each ordering's text is built along the ordering
+    walk (WeightReport.breakdowns): its edge ids, each quoted once per
+    graph on its own line, between a head shared by every ordering and
+    a tail shared by every ordering of its k product d, whose weight
+    1/d is formatted once. Weight texts need no escaping, and no tree
+    or ordering of a weighable graph is empty.
     """
     row_in = indent + "  "
     key_in = row_in + "  "
     id_in = "," + key_in + "  "
     before = "{" + key_in + '"tree": [' + id_in[1:]
     after: dict[tuple[int, int], str] = {}
+    listed = repeat(None)
+    if breakdown:
+        entry_in = key_in + "  "
+        field_in = entry_in + "  "
+        leaf_in = "," + field_in + "  "
+        head = "{" + field_in + '"order": ['
+        tails: dict[int, str] = {}
+
+        def ordering(order: str, d: int) -> str:
+            tail = tails.get(d) or tails.setdefault(
+                d, f'{field_in}],{field_in}"weight": "{Fraction(1, d)}"{entry_in}}}'
+            )
+            return head + order[1:] + tail
+
+        listed = report.breakdowns(lambda eid: leaf_in + _quote(eid), "", ordering)
+        between = "," + entry_in
     rows = []
-    for row in report.rows:
+    for row, items in zip(report.rows, listed):
         w = row.weight
         key = (w.numerator, w.denominator)
         shared = after.get(key) or after.setdefault(key, (
@@ -207,30 +228,40 @@ def _weight_rows_json(report: WeightReport, breakdown: bool, indent: str) -> _Ve
         ))
         text = before + id_in.join(map(_quote, row.tree)) + shared + str(len(row.orderings))
         if breakdown:
-            items = [{"order": order, "weight": str(w)} for order, w in row.orderings]
-            text += "," + key_in + '"breakdown": ' + _json_text(items, key_in)
+            text += f',{key_in}"breakdown": [{entry_in}{between.join(items)}{key_in}]'
         rows.append(text + row_in + "}")
     return _Verbatim("[" + row_in + ("," + row_in).join(rows) + indent + "]")
 
 
-def _weight_lines(report: WeightReport, breakdown: bool) -> list[tuple[str, str, str, str]]:
+def _weight_lines(report: WeightReport, breakdown: bool) -> list[tuple[str, ...]]:
     """The cells of a weights table, a line per tree and, with
     breakdown, one under it per ordering: its edge ids, the weight and
     decimal it shares with every line of its weight, and its ordering
-    count ("" on a breakdown line). Each distinct weight, of a tree or
-    of an ordering, is formatted once, keyed as in _weight_rows_json."""
+    count ("" on a breakdown line). Each distinct tree weight is
+    formatted once, keyed as in _weight_rows_json. An ordering's line
+    is built along the ordering walk (WeightReport.breakdowns): its
+    edge ids, each after a comma, then the cells of its k product d,
+    formatted once per d."""
     shown: dict[tuple[int, int], tuple[str, str]] = {}
+    listed = repeat(())
+    if breakdown:
+        cells: dict[int, tuple[str, str, str]] = {}
+
+        def line(order: str, d: int) -> tuple[str, str, str, str]:
+            shared = cells.get(d)
+            if shared is None:
+                w = Fraction(1, d)
+                shared = cells[d] = (str(w), _decimal_str(w), "")
+            return ("  " + order[1:], *shared)
+
+        listed = report.breakdowns(lambda eid: "," + eid, "", line)
     lines = []
-    for row in report.rows:
+    for row, under in zip(report.rows, listed):
         w = row.weight
         key = (w.numerator, w.denominator)
         text, decimal = shown.get(key) or shown.setdefault(key, (str(w), _decimal_str(w)))
         lines.append((",".join(row.tree), text, decimal, str(len(row.orderings))))
-        if breakdown:
-            for order, w in row.orderings:
-                key = (w.numerator, w.denominator)
-                text, decimal = shown.get(key) or shown.setdefault(key, (str(w), _decimal_str(w)))
-                lines.append(("  " + ",".join(order), text, decimal, ""))
+        lines.extend(under)
     return lines
 
 
@@ -310,7 +341,8 @@ def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
 def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
     """The weight report, its rows written from each distinct weight's
     shared text: in JSON as _Verbatim text, in a table or CSV as the
-    cells of _weight_lines."""
+    cells of _weight_lines. With --breakdown either writer walks the
+    orderings once, building their text along the walk."""
     if config.partition is None:
         raise ParseError("the weights command requires --partition")
     part = parse_partition(config.partition, g)

@@ -20,7 +20,10 @@ forest and trans-block edge, and sums every tree's weight and ordering
 count, for the weights. _ordered_tree_walk walks the labelings
 themselves, one stack entry per ordering prefix, and yields every
 admissible ordering in sorted order, for the per-ordering breakdown,
-ordered_trees and the verify and psd checks.
+ordered_trees and the verify and psd checks. It builds each ordering
+from one piece per edge, made once per edge: the edge-id tuple by
+default, or the output text of the breakdown, and reads the depth from
+the edge indices, not from the length of the pieces.
 """
 
 from __future__ import annotations
@@ -331,38 +334,47 @@ def _forest_sums(g: Multigraph, part: Partition) -> tuple[dict[int, list[int]], 
 
 
 def _ordered_tree_walk(
-    g: Multigraph, part: Partition
-) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
+    g: Multigraph, part: Partition, piece=lambda eid: (eid,), empty=()
+) -> Iterator[tuple]:
     """(order, edge indices, tree bitmask, k product) of every admissible
     ordering of (g, part), in sorted order, walked on its _Labelings.
+    The order is empty plus the pieces of its edges in walk order: by
+    default, its edge-id tuple.
 
-    An explicit stack of (labeling, mask, order, indices, denom) extends
-    an ordering by one edge per step; each labeling's moves are pushed
-    in reverse id order, so they pop in id order, and a successor
-    labeling is computed when a move first reaches it. Nothing recurses
-    and no per-forest state is built.
+    piece(edge id) is called once per edge and kept by the edge's index
+    in g.edges. An explicit stack of (labeling, mask, order, indices,
+    denom) extends an ordering by one edge, and its prefix by that
+    edge's piece, per step, so a prefix shared by many orderings is
+    built once; the depth is read from the indices, as a piece need not
+    have length 1. Each labeling's moves are pushed in reverse id order,
+    so they pop in id order, and a successor labeling is computed when a
+    move first reaches it. Nothing recurses and no per-forest state is
+    built.
     """
     part.require_cover(g)
     n = len(g.vertices)
     if n == 1:
-        yield (), (), 0, 1
+        yield empty, (), 0, 1
         return
     labelings = _Labelings(g, part)
-    stack = [(labelings.root, 0, (), (), 1)]
+    pieces = [None] * len(labelings.ends)
+    for eid, i, _, _ in labelings.ends:
+        pieces[i] = piece(eid)
+    stack = [(labelings.root, 0, empty, (), 1)]
     while stack:
         labeling, mask, order, indices, denom = stack.pop()
         denom *= labeling.k
         moves, bits = labeling.moves, labeling.bits
-        if len(order) == n - 2:
-            for (eid, i, _, _), bit in zip(moves, bits):
-                yield order + (eid,), indices + (i,), mask | bit, denom
+        if len(indices) == n - 2:
+            for (_, i, _, _), bit in zip(moves, bits):
+                yield order + pieces[i], indices + (i,), mask | bit, denom
             continue
         successors = labeling.after
         for j in reversed(range(labeling.k)):
-            eid, i, _, _ = moves[j]
+            i = moves[j][1]
             stack.append((
                 successors[j] or labelings.successor(labeling, j),
-                mask | bits[j], order + (eid,), indices + (i,), denom,
+                mask | bits[j], order + pieces[i], indices + (i,), denom,
             ))
 
 

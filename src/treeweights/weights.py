@@ -20,7 +20,11 @@ admissibility depend only on the components of the forest contracted
 so far, so partitions._forest_sums sums every tree's weight over the
 forests, merging every ordering that reaches the same forest. The
 per-ordering breakdown is walked, only when read, by
-partitions._ordered_tree_walk on the canonical labelings of the forests.
+partitions._ordered_tree_walk on the canonical labelings of the forests:
+as (order tuple, Fraction) pairs when a row's orderings are read, or as
+items a writer builds from pieces of its own output text, through
+WeightReport.breakdowns. Either way _Listing.grouped checks each tree's
+ordering count against the sums sweep.
 """
 
 from __future__ import annotations
@@ -86,28 +90,43 @@ def require_weighable(g: Multigraph, part: Partition) -> None:
 class _Listing:
     """The per-ordering breakdown of one report, from one ordering walk.
 
-    The orderings of (g, part) are walked once, by _ordered_tree_walk,
-    the first time any row reads its orderings. The walk yields them in
-    sorted order, so grouping them by tree bitmask keeps each tree's
-    orderings sorted, and every ordered weight 1/d is one shared
-    Fraction per distinct d. Each tree must get as many orderings as the
-    sums sweep counted.
+    grouped walks the orderings of (g, part) with _ordered_tree_walk,
+    its prefixes built from the given pieces, and groups them by tree
+    bitmask. The walk yields them in sorted order, so each tree's
+    orderings stay sorted. Each tree must get as many orderings as the
+    sums sweep counted. by_tree is grouped with the default pieces,
+    walked the first time any row reads its orderings, every ordered
+    weight 1/d one shared Fraction per distinct d.
     """
 
     def __init__(self, g: Multigraph, part: Partition, counts: dict[int, int]):
         self.g, self.part, self.counts = g, part, counts
 
+    def grouped(self, piece, empty, item) -> dict[int, list]:
+        """{tree mask: [item(order, k product), ...]}, the orderings of
+        each tree in walk order, each order built from empty and the
+        pieces of its edges."""
+        grouped: dict[int, list] = {}
+        for order, _, mask, denom in _ordered_tree_walk(self.g, self.part, piece, empty):
+            items = grouped.get(mask)
+            if items is None:
+                items = grouped[mask] = []
+            items.append(item(order, denom))
+        if {mask: len(items) for mask, items in grouped.items()} != self.counts:
+            raise InvariantError("the ordering walk and the summed ordering counts disagree")
+        return grouped
+
     @cached_property
     def by_tree(self) -> dict[int, tuple[tuple[tuple[str, ...], Fraction], ...]]:
-        grouped: dict[int, list[tuple[tuple[str, ...], Fraction]]] = {}
         shared: dict[int, Fraction] = {}
-        for order, _, mask, denom in _ordered_tree_walk(self.g, self.part):
+
+        def pair(order: tuple[str, ...], denom: int) -> tuple[tuple[str, ...], Fraction]:
             weight = shared.get(denom)
             if weight is None:
                 weight = shared[denom] = Fraction(1, denom)
-            grouped.setdefault(mask, []).append((order, weight))
-        if {mask: len(pairs) for mask, pairs in grouped.items()} != self.counts:
-            raise InvariantError("the ordering walk and the summed ordering counts disagree")
+            return order, weight
+
+        grouped = self.grouped(lambda eid: (eid,), (), pair)
         return {mask: tuple(pairs) for mask, pairs in grouped.items()}
 
 
@@ -115,8 +134,11 @@ class Breakdown(Sequence):
     """One tree's admissible orderings with their ordered weights, sorted.
 
     The length is the sums sweep's ordering count and costs nothing;
-    the orderings are listed, for every tree of the report at once, on
-    first read. Compares equal to any tuple or list of the same pairs.
+    the (order tuple, Fraction) pairs are listed, for every tree of the
+    report at once, by _Listing.by_tree on first read. A writer that
+    needs other items per ordering reads WeightReport.breakdowns, which
+    builds no pairs. Compares equal to any tuple or list of the same
+    pairs.
     """
 
     __slots__ = ("_count", "_tree", "_mask", "_listing")
@@ -170,6 +192,14 @@ class WeightReport:
         a Fraction costs a modular inverse)."""
         counts = Counter((r.weight.numerator, r.weight.denominator) for r in self.rows)
         return sum((Fraction(num * c, d) for (num, d), c in counts.items()), Fraction(0))
+
+    def breakdowns(self, piece, empty, item) -> list[list]:
+        """Each row's orderings as [item(order, k product), ...], aligned
+        with rows, from one walk of _Listing.grouped: each order is empty
+        plus piece(edge id) of its edges, so a writer can build its text
+        along the walk. The rows must be those of weight_distribution."""
+        grouped = self.rows[0].orderings._listing.grouped(piece, empty, item)
+        return [grouped[row.orderings._mask] for row in self.rows]
 
     def weight(self, tree: Iterable[str]) -> Fraction:
         key = tuple(sorted(tree))

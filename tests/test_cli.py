@@ -454,11 +454,11 @@ def test_symmetric_help_names_the_guard(capsys):
 
 def test_internal_fault_exit_code(monkeypatch):
     # an ordering walk that drops a row disagrees with the ordering
-    # counts of the sums sweep, which the breakdown reports as an
-    # InvariantError
+    # counts of the sums sweep, which the breakdown of every writer
+    # reports as an InvariantError
     walk = weights._ordered_tree_walk
     monkeypatch.setattr(weights, "_ordered_tree_walk", lambda *args: list(walk(*args))[1:])
-    for fmt in ("table", "json"):
+    for fmt in ("table", "json", "csv"):
         code, out, err = run_cli(
             [
                 "weights",

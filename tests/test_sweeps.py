@@ -10,14 +10,18 @@ the depth-first ordering search, order included. Beyond the guard, on
 K6 and K7, the census must equal the partition route. The sums sweep
 and the walk of the labelings must equal the one forest-state table
 they replaced, and the walk must build labelings only, a few hundred
-bytes of them. Printing tree weights must never list an ordering,
-verify and psd must never build the sums, and the symmetric, trees and
-psd commands must print the same bytes with the replaced routes. The
+bytes of them. Built from text pieces, the walk must give the joined
+pieces of its default orders. Printing tree weights must never list an
+ordering, printing the breakdown must never build an (order, weight)
+pair, verify and psd must never build the sums, and the symmetric,
+trees and psd commands must print the same bytes with the replaced
+routes. The
 edge table every sweep reads must list the edges in id order, whatever
 their order in the graph.
 """
 
 import io
+import json
 import random
 import tracemalloc
 from collections import deque
@@ -55,6 +59,7 @@ from helpers import (
     permutation_census,
     prefix_census,
     random_connected_multigraph,
+    reference_cmd_weights,
     reference_ordering_states,
     report_weights,
     symmetric_via_partition,
@@ -112,6 +117,9 @@ def test_forest_sweep_matches_grouped_orderings():
             assert len(row.orderings) == len(expected.orderings)
             assert tuple(row.orderings) == expected.orderings
             assert row.orderings == expected.orderings
+        # one shared Fraction per distinct k product
+        weights_read = [w for row in report.rows for _, w in row.orderings]
+        assert len(set(map(id, weights_read))) == len(set(weights_read))
         assert report.total == oracle.total == 1
         orderings += sum(len(row.orderings) for row in report.rows)
     assert orderings > 10000
@@ -295,6 +303,51 @@ def test_walk_builds_labelings_only(monkeypatch):
         built.clear()
         deque(_ordered_tree_walk(k6, part), maxlen=0)
         assert len(built) == len(set(built)) == labelings
+
+
+def mixed_id_graph(k, rng):
+    """K_k with edge ids of one to three characters, drawn so that their
+    id order is not the order of the edges."""
+    g = complete_graph(k)
+    ids = rng.sample([c * n for c in "abcdefghij" for n in (1, 2, 3)], len(g.edges))
+    return Multigraph.build(g.vertices, [(eid, *e.ends) for eid, e in zip(ids, g.edges)])
+
+
+def test_walk_builds_orders_from_pieces():
+    # the pieces of the CLI writers, a table cell's and a JSON leaf's: no
+    # piece has length 1, so a prefix's length is not its depth
+    text_pieces = (lambda eid: "," + eid, lambda eid: ",\n        " + json.dumps(eid))
+    rng = random.Random(22)
+    cases = [(g, part) for g in pool_lemma5() for part in nontrivial_partitions(g)]
+    for k in (5, 6):
+        g = mixed_id_graph(k, rng)
+        assert [e.id for e in g.edges] != sorted(e.id for e in g.edges)
+        v = g.vertices
+        cases.append((g, Partition.of([v[:1], v[1:]])))
+        if k == 5:
+            cases.append((g, Partition.singletons(v)))
+    walked = 0
+    for g, part in cases:
+        plain = list(_ordered_tree_walk(g, part))
+        # each default order holds the ids of its edge indices
+        assert all(order == tuple(g.edges[i].id for i in indices) for order, indices, _, _ in plain)
+        for piece in text_pieces:
+            made = []
+
+            def counted(eid):
+                made.append(eid)
+                return piece(eid)
+
+            # each order is the join of the default walk's edge ids, with
+            # the same indices, mask and k product, in the same place
+            assert list(_ordered_tree_walk(g, part, counted, "")) == [
+                ("".join(map(piece, order)), indices, mask, denom)
+                for order, indices, mask, denom in plain
+            ]
+            # one piece per edge, loops and parallel edges included
+            assert sorted(made) == sorted(e.id for e in g.edges)
+        walked += len(plain)
+    assert walked > 2 * 10**4
 
 
 def tree_states(g):
@@ -545,3 +598,34 @@ def test_breakdown_is_listed_once_per_report(monkeypatch):
     assert [len(made) for made in calls.values()] == [1, 1]
     assert listed == listed_again
     assert list(map(len, listed)) == [len(row.orderings) for row in report.rows]
+
+
+def test_breakdown_output_builds_no_pairs(monkeypatch, tmp_path):
+    k5 = tmp_path / "k5.json"
+    k5.write_text(to_json(mixed_id_graph(5, random.Random(5))))
+    cases = [
+        (FIG1, fig1_root_first().format()),
+        (FIG2, fig2_double_rooted().format()),
+        (FIG2, "v1|v2|v3|v4"),
+        (str(k5), "v1|v2,v3,v4,v5"),
+    ]
+    configs = [
+        RunConfig(command="weights", graph_path=path, partition=spec, output_format=fmt,
+                  breakdown=True)
+        for path, spec in cases
+        for fmt in ("table", "json", "csv")
+    ]
+    with monkeypatch.context() as patched:
+        patched.setitem(cli.COMMANDS, "weights", reference_cmd_weights)
+        expected = run_configs(configs)
+    assert {code for code, _, _ in expected} == {0}
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("an (order, weight) pair was built")
+
+    # the writers build their text along the walk, never row.orderings
+    monkeypatch.setattr(weights._Listing, "by_tree", property(refuse))
+    assert run_configs(configs) == expected
+    report = weight_distribution(Multigraph.from_json(Path(FIG2).read_text()), fig2_double_rooted())
+    with pytest.raises(RuntimeError, match="pair was built"):
+        list(report.rows[0].orderings)
