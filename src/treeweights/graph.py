@@ -2,10 +2,10 @@
 
 Vertices and edges carry opaque string labels. Self-loops and parallel
 edges are first-class and are preserved by serialization. Every sweep
-reads a graph's edges in one form, its edge table: each edge's id,
-index in `edges` and two ends as vertex indices, in id order, built
-once per graph. All operations are pure, so values can be shared
-freely across threads.
+reads a graph's edges in one form, its edge table: each edge's id and
+two ends as vertex indices, in id order, built once per graph; every
+layer names an edge by its position there. All operations are pure, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -77,14 +77,13 @@ class Multigraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _edge_table(self) -> tuple[tuple[str, int, int, int], ...]:
-        """(id, index in edges, end, end) for each edge, in id order, with
-        the ends as vertex indices. Loops and parallel edges are kept,
-        each as an entry of its own."""
+    def _edge_table(self) -> tuple[tuple[str, int, int], ...]:
+        """(id, end, end) for each edge, in id order, with the ends as
+        vertex indices. Loops and parallel edges are kept, each as an
+        entry of its own. Every layer names an edge by its position here:
+        bit p of a mask, index p of a move or of a trace row."""
         vi = self._vertex_index
-        return tuple(sorted(
-            (e.id, i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(self.edges)
-        ))
+        return tuple(sorted((e.id, vi[e.ends[0]], vi[e.ends[1]]) for e in self.edges))
 
     @cached_property
     def _edge_by_id(self) -> dict[str, Edge]:
@@ -93,12 +92,11 @@ class Multigraph:
     @cached_property
     def _endpoints(self) -> tuple:
         """(tails, heads): the vertex index of each edge's two ends, in
-        edge order, as read-only intp arrays."""
+        edge-table order, as read-only intp arrays."""
         import numpy as np
 
-        vi = self._vertex_index
         tails, heads = (
-            np.array([vi[e.ends[x]] for e in self.edges], dtype=np.intp) for x in (0, 1)
+            np.array([entry[x] for entry in self._edge_table], dtype=np.intp) for x in (1, 2)
         )
         tails.flags.writeable = heads.flags.writeable = False
         return tails, heads
@@ -137,7 +135,7 @@ class Multigraph:
         if n == 0:
             return False
         ds = DisjointSet(n)
-        for _, _, a, b in self._edge_table:
+        for _, a, b in self._edge_table:
             ds.union(a, b)
         return ds.groups == 1
 
@@ -207,7 +205,7 @@ class Multigraph:
         at least two vertices.
         """
         n = len(self.vertices)
-        edges = [(piece(eid), a, b) for eid, _, a, b in self._edge_table if a != b]
+        edges = [(piece(eid), a, b) for eid, a, b in self._edge_table if a != b]
         m = len(edges)
         # suffix[p]: a root per vertex for the components of the edges at
         # positions p and later, None where those edges connect the graph
@@ -266,7 +264,7 @@ class Multigraph:
             raise DisconnectedError("spanning trees require a connected graph")
         n = len(self.vertices)
         lap = [[0] * n for _ in range(n)]
-        for _, _, a, b in self._edge_table:
+        for _, a, b in self._edge_table:
             if a != b:
                 lap[a][a] += 1
                 lap[b][b] += 1

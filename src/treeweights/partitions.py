@@ -14,16 +14,18 @@ numpy arrays of the same labels. With merged components labeled canonically,
 the labels of a forest depend only on its components, and so do k and
 the trans-block edges: _Labelings builds each labeling once, with its
 trans-block edges in id order, k, and each move's successor labeling
-when first asked. Two routes read it. _forest_sums sweeps the forests
-that admissible orderings reach, level by level at one dict update per
-forest and trans-block edge, and sums every tree's weight and ordering
-count, for the weights. _ordered_tree_walk walks the labelings
-themselves, one stack entry per ordering prefix, and yields every
-admissible ordering in sorted order, for the per-ordering breakdown,
-ordered_trees and the verify and psd checks. It builds each ordering
-from one piece per edge, made once per edge: the edge-id tuple by
-default, or the output text of the breakdown, and reads the depth from
-the edge indices, not from the length of the pieces.
+when first asked. A move is an edge's position p in the edge table, and
+a forest or tree mask sets bit p. Two routes read the labelings.
+_forest_sums sweeps the forests that admissible orderings reach, level
+by level at one dict update per forest and trans-block edge, and sums
+every tree's weight and ordering count, for the weights.
+_ordered_tree_walk walks the labelings themselves, one stack entry per
+ordering prefix, and yields every admissible ordering in sorted order,
+for the per-ordering breakdown, ordered_trees and the verify and psd
+checks. It builds each ordering from one piece per edge, made once per
+edge: the edge-id tuple by default, or the output text of the
+breakdown, and reads the depth from the edge positions, not from the
+length of the pieces.
 """
 
 from __future__ import annotations
@@ -248,19 +250,19 @@ def _merged_labels(labels: tuple[int, ...], a: int, b: int, fresh: int) -> tuple
 class _Labeling:
     """One canonical labeling of (g, part), with what its forests share.
 
-    moves holds (edge id, edge index, a, b) for each trans-block edge in
-    id order, bits each one's 1 << index, k their number and share
-    scale // k. after[j] is the labeling that contracting moves[j] leads
-    to, None until _Labelings.successor first computes it.
+    moves holds the edge-table position p of each trans-block edge, in
+    id order, bits each one's 1 << p, k their number and share scale //
+    k. after[j] is the labeling that contracting moves[j] leads to, None
+    until _Labelings.successor first computes it.
     """
 
     __slots__ = ("labels", "moves", "bits", "k", "share", "after")
 
-    def __init__(self, labels: tuple[int, ...], moves: list, scale: int):
+    def __init__(self, labels: tuple[int, ...], moves: list[int], scale: int):
         if not moves:
             raise InvariantError("an interior contraction state has no trans-block edge")
         self.labels, self.moves, self.k = labels, moves, len(moves)
-        self.bits = [1 << i for _, i, _, _ in moves]
+        self.bits = [1 << p for p in moves]
         self.share = scale // self.k
         self.after: list[_Labeling | None] = [None] * self.k
 
@@ -277,21 +279,21 @@ class _Labelings:
     """
 
     def __init__(self, g: Multigraph, part: Partition):
-        self.ends = g._edge_table
+        self.table = g._edge_table
         self.fresh = len(part.blocks)
-        self.scale = math.lcm(*range(1, len(self.ends) + 1))
+        self.scale = math.lcm(*range(1, len(self.table) + 1))
         self.memo: dict[tuple[int, ...], _Labeling] = {}
         self.root = self.get(tuple(part.block_index(v) for v in g.vertices))
 
     def get(self, labels: tuple[int, ...]) -> _Labeling:
         labeling = self.memo.get(labels)
         if labeling is None:
-            moves = [move for move in self.ends if labels[move[2]] != labels[move[3]]]
+            moves = [p for p, (_, a, b) in enumerate(self.table) if labels[a] != labels[b]]
             labeling = self.memo[labels] = _Labeling(labels, moves, self.scale)
         return labeling
 
     def successor(self, labeling: _Labeling, j: int) -> _Labeling:
-        _, _, a, b = labeling.moves[j]
+        _, a, b = self.table[labeling.moves[j]]
         labeling.after[j] = self.get(_merged_labels(labeling.labels, a, b, self.fresh))
         return labeling.after[j]
 
@@ -299,14 +301,14 @@ class _Labelings:
 def _forest_sums(g: Multigraph, part: Partition) -> tuple[dict[int, list[int]], int]:
     """Every tree's weight and ordering count, summed over forests.
 
-    A forest is an edge bitmask (bit i for g.edges[i]) that an admissible
-    ordering reaches, built once, level by level, with its labeling. Each
-    forest pushes its weight w/k and ordering count to mask | bit for
-    each trans-block bit, as integer numerators over scale**depth; a
-    successor's labeling is computed only when a move first creates that
-    successor. Returns {tree mask: [numerator, orderings]} and
-    scale**(|V|-1). g must be connected with two or more vertices and
-    the partition non-trivial.
+    A forest is an edge bitmask (bit p for edge-table position p) that
+    an admissible ordering reaches, built once, level by level, with its
+    labeling. Each forest pushes its weight w/k and ordering count to
+    mask | bit for each trans-block bit, as integer numerators over
+    scale**depth; a successor's labeling is computed only when a move
+    first creates that successor. Returns {tree mask: [numerator,
+    orderings]} and scale**(|V|-1). g must be connected with two or more
+    vertices and the partition non-trivial.
     """
     labelings = _Labelings(g, part)
     n = len(g.vertices)
@@ -336,20 +338,20 @@ def _forest_sums(g: Multigraph, part: Partition) -> tuple[dict[int, list[int]], 
 def _ordered_tree_walk(
     g: Multigraph, part: Partition, piece=lambda eid: (eid,), empty=()
 ) -> Iterator[tuple]:
-    """(order, edge indices, tree bitmask, k product) of every admissible
-    ordering of (g, part), in sorted order, walked on its _Labelings.
-    The order is empty plus the pieces of its edges in walk order: by
-    default, its edge-id tuple.
+    """(order, edge positions, tree bitmask, k product) of every
+    admissible ordering of (g, part), in sorted order, walked on its
+    _Labelings. The positions are those of the edges in the edge table,
+    and the order is empty plus the pieces of its edges in walk order:
+    by default, its edge-id tuple.
 
-    piece(edge id) is called once per edge and kept by the edge's index
-    in g.edges. An explicit stack of (labeling, mask, order, indices,
-    denom) extends an ordering by one edge, and its prefix by that
-    edge's piece, per step, so a prefix shared by many orderings is
-    built once; the depth is read from the indices, as a piece need not
-    have length 1. Each labeling's moves are pushed in reverse id order,
-    so they pop in id order, and a successor labeling is computed when a
-    move first reaches it. Nothing recurses and no per-forest state is
-    built.
+    piece(edge id) is called once per edge, in table order. An explicit
+    stack of (labeling, mask, order, positions, denom) extends an
+    ordering by one edge, and its prefix by that edge's piece, per step,
+    so a prefix shared by many orderings is built once; the depth is
+    read from the positions, as a piece need not have length 1. Each
+    labeling's moves are pushed in reverse id order, so they pop in id
+    order, and a successor labeling is computed when a move first
+    reaches it. Nothing recurses and no per-forest state is built.
     """
     part.require_cover(g)
     n = len(g.vertices)
@@ -357,24 +359,22 @@ def _ordered_tree_walk(
         yield empty, (), 0, 1
         return
     labelings = _Labelings(g, part)
-    pieces = [None] * len(labelings.ends)
-    for eid, i, _, _ in labelings.ends:
-        pieces[i] = piece(eid)
+    pieces = [piece(eid) for eid, _, _ in labelings.table]
     stack = [(labelings.root, 0, empty, (), 1)]
     while stack:
-        labeling, mask, order, indices, denom = stack.pop()
+        labeling, mask, order, positions, denom = stack.pop()
         denom *= labeling.k
         moves, bits = labeling.moves, labeling.bits
-        if len(indices) == n - 2:
-            for (_, i, _, _), bit in zip(moves, bits):
-                yield order + pieces[i], indices + (i,), mask | bit, denom
+        if len(positions) == n - 2:
+            for p, bit in zip(moves, bits):
+                yield order + pieces[p], positions + (p,), mask | bit, denom
             continue
         successors = labeling.after
         for j in reversed(range(labeling.k)):
-            i = moves[j][1]
+            p = moves[j]
             stack.append((
                 successors[j] or labelings.successor(labeling, j),
-                mask | bits[j], order + pieces[i], indices + (i,), denom,
+                mask | bits[j], order + pieces[p], positions + (p,), denom,
             ))
 
 

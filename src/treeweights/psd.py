@@ -3,8 +3,9 @@
 This is the only module of the package that imports numpy; the rest
 computes exact integers and fractions in pure Python. (The one
 exception, Multigraph._endpoints, imports numpy when first read, and
-only the kernel here reads it.) It holds the array form of a trace and
-the two checks that read it, one per command:
+only the kernel here reads it.) Its arrays, as every layer, name an edge
+by its position in the id-ordered edge table. It holds the array form
+of a trace and the two checks that read it, one per command:
 
 * verify: verify_exact checks, on every ordered tree, that the count
   route and the monomial route give the same weight, the exponent law
@@ -64,7 +65,7 @@ MAX_TREE_ENTRIES = 1 << 22
 class TraceBatch:
     """The integer traces of N complete orderings, one row each.
 
-    orders[r] holds the edge indices (into graph.edges) of ordering r;
+    orders[r] holds the edge-table positions of ordering r's edges;
     k[r], merge_steps[r] and start_blocks are what its ContractionTrace
     holds as k_values, merge_steps and start_blocks. Shapes: orders and
     k (N, |V|-1), merge_steps (N, |V|, |V|), start_blocks (|V|,).
@@ -82,13 +83,14 @@ class TraceBatch:
 def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
     """build_trace of many complete orderings at once, as arrays.
 
-    orders is an (N, |V|-1) array of indices into g.edges. Every row
-    takes its steps on the integer labels of forest_trace, all rows
-    together: k counts the edges whose two labels differ, and the pairs
-    across the two joined components (kept as per-row component masks)
-    get the step in merge_steps. Labels and steps are stored as int8
-    (int16 from 64 vertices on). Raises NotAdmissibleError at the first
-    step where some row's edge is not trans-block.
+    orders is an (N, |V|-1) array of positions in g's id-ordered edge
+    table, as _ordered_tree_walk yields them. Every row takes its steps
+    on the integer labels of forest_trace, all rows together: k counts
+    the edges whose two labels differ, and the pairs across the two
+    joined components (kept as per-row component masks) get the step in
+    merge_steps. Labels and steps are stored as int8 (int16 from 64
+    vertices on). Raises NotAdmissibleError at the first step where some
+    row's edge is not trans-block, naming it by id.
     """
     part.require_cover(g)
     n = len(g.vertices)
@@ -108,7 +110,7 @@ def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
         a, b = tails[orders[:, step]], heads[orders[:, step]]
         stuck = labels[rows, a] == labels[rows, b]
         if stuck.any():
-            eid = g.edges[orders[stuck.argmax(), step]].id
+            eid = g._edge_table[orders[stuck.argmax(), step]][0]
             raise NotAdmissibleError(
                 f"edge {eid!r} is not trans-block at step {step}", step=step
             )
@@ -163,8 +165,8 @@ def edge_exponents(
     """edge_monomials of every row of a batch, as an (N, |V|-1) array.
 
     contacts is the batch's (i, j) from batch_contact_indices. The
-    exponent of u_p counts the edges whose range covers step p: i < p < j
-    for a tree edge, i < p <= j for every other edge.
+    exponent of u_p counts the edges, in table order as in orders, whose
+    range covers step p: i < p < j for a tree edge, i < p <= j for any other.
     """
     a, b = g._endpoints
     i, j = (c[:, a, b] for c in contacts)

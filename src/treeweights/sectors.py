@@ -67,9 +67,8 @@ def sector_census(g: Multigraph, guard: int = DEFAULT_GUARD) -> SectorCensus:
             f"{m} edges means {m}! sectors; guard is {guard}"
         )
     n = len(g.vertices)
-    # bit p of a forest key is the edge at position p of the edge table
-    ids = [eid for eid, _, _, _ in g._edge_table]
-    edges = [(1 << p, a, b) for p, (_, _, a, b) in enumerate(g._edge_table)]
+    ids = [eid for eid, _, _ in g._edge_table]
+    edges = [(1 << p, a, b) for p, (_, a, b) in enumerate(g._edge_table)]
     suffixes = [math.factorial(k) for k in range(m + 1)]
     raw: dict[int, int] = {}
     states = 0

@@ -221,8 +221,7 @@ def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
     read.
     """
     require_weighable(g, part)
-    # each edge's bit in a tree mask, in id order
-    bits = [(eid, 1 << i) for eid, i, _, _ in g._edge_table]
+    bits = [(eid, 1 << p) for p, (eid, _, _) in enumerate(g._edge_table)]
     trees, denom = _forest_sums(g, part)
     shared: dict[int, Fraction] = {}
     found = []

@@ -31,11 +31,13 @@ summed the tree weights and held the moves the breakdown walked, and
 its walker, before the sums sweep and the walk of the canonical
 labelings replaced it. Finally, what the library no longer ships: the
 example graphs of the paper's figures, the one-sector greedy sweep the
-census replaced, a graph's JSON text, the index of each edge id, an
+census replaced, a graph's JSON text, each edge id's position among
+the sorted ids (the integer that names an edge in every layer), an
 edge's two ends, whether an edge is a self-loop, the graph's
 self-loops and classes of parallel edges, a complete trace as a
 one-row TraceBatch, and the partition route for the all-singletons
-partition.
+partition. Among the generators: complete graphs, a looped K5 with
+parallel edges, and graphs whose edges are listed out of id order.
 """
 
 from __future__ import annotations
@@ -133,6 +135,31 @@ def fig2() -> Multigraph:
             ("l6", "v3", "v4"),
         ],
     )
+
+
+def complete_graph(k, parallel=()):
+    """K_k with edges l<a><b>, plus one edge p<i> per (a, b) in parallel."""
+    vertices = [f"v{i}" for i in range(1, k + 1)]
+    edges = [
+        (f"l{a}{b}", vertices[a], vertices[b]) for a in range(k) for b in range(a + 1, k)
+    ]
+    edges.extend(
+        (f"p{i}", vertices[a], vertices[b]) for i, (a, b) in enumerate(parallel)
+    )
+    return Multigraph.build(vertices, edges)
+
+
+def looped_k5():
+    """K5 plus two parallel edges, and a loop whose id sorts between theirs."""
+    k5 = complete_graph(5, [(0, 1), (2, 3)])
+    edges = [(e.id, *e.ends) for e in k5.edges] + [("m1", "v3", "v3")]
+    return Multigraph.build(k5.vertices, edges)
+
+
+def edge_reversed_graphs() -> list[Multigraph]:
+    """fig2 and the looped K5 with their edges listed out of id order, so
+    that an edge's place in g.edges is not its edge-table position."""
+    return [Multigraph(g.vertices, g.edges[::-1]) for g in (fig2(), looped_k5())]
 
 
 def fig2_double_rooted() -> Partition:
@@ -616,8 +643,10 @@ def to_json(g: Multigraph, indent: int | None = 2) -> str:
 
 
 def edge_index(g: Multigraph) -> dict[str, int]:
-    """Each edge id's position in g.edges, the index trace batches use."""
-    return {e.id: i for i, e in enumerate(g.edges)}
+    """Each edge id's position among the graph's sorted edge ids: the
+    integer that names an edge in walks, masks and trace batches, found
+    here without the edge table."""
+    return {eid: p for p, eid in enumerate(sorted(e.id for e in g.edges))}
 
 
 def ends(g: Multigraph, edge_id: str) -> tuple[str, str]:
@@ -784,11 +813,12 @@ def reference_ordering_states(g: Multigraph, part: Partition) -> tuple[list, dic
     """The forest-state table of (g, part), with every tree's weight.
 
     A state is a forest that an admissible ordering reaches, built once
-    per edge bitmask (bit i for g.edges[i]) level by level, on the
+    per edge bitmask (bit p for the edge at position p of the sorted
+    edge ids, as edge_index numbers them) level by level, on the
     canonical labels of _merged_labels (block index until merged), so an
     edge is trans-block exactly when its two labels differ. A state is
     stored as [k, moves, last]: k counts its trans-block edges and moves
-    holds (edge id, edge index, next) for each. On the last level next
+    holds (edge id, position, next) for each. On the last level next
     is the tree's bitmask and the moves are in id order; elsewhere next
     is the successor state and the moves are in reverse id order, ready
     to push. Each forest pushes its weight w/k and ordering count to its
@@ -798,7 +828,7 @@ def reference_ordering_states(g: Multigraph, part: Partition) -> tuple[list, dic
     connected and the partition non-trivial.
     """
     vi = g._vertex_index
-    ends = sorted((e.id, i, vi[e.ends[0]], vi[e.ends[1]]) for i, e in enumerate(g.edges))
+    ends = sorted((e.id, vi[e.ends[0]], vi[e.ends[1]]) for e in g.edges)
     fresh = len(part.blocks)
     n = len(g.vertices)
     scale = math.lcm(*range(1, len(ends) + 1))
@@ -810,10 +840,10 @@ def reference_ordering_states(g: Multigraph, part: Partition) -> tuple[list, dic
         after: dict[int, list] = {}
         for mask, (labels, state, num, count) in level.items():
             moves, successors = [], []
-            for eid, i, a, b in ends:
+            for p, (eid, a, b) in enumerate(ends):
                 if labels[a] == labels[b]:
                     continue
-                key = mask | 1 << i
+                key = mask | 1 << p
                 successor = after.get(key)
                 if successor is None:
                     successor = after[key] = (
@@ -821,7 +851,7 @@ def reference_ordering_states(g: Multigraph, part: Partition) -> tuple[list, dic
                         else [_merged_labels(labels, a, b, fresh), [0, (), False], 0, 0]
                     )
                 successors.append(successor)
-                moves.append((eid, i, successor[1]))
+                moves.append((eid, p, successor[1]))
             if not moves:
                 raise InvariantError("an interior contraction state has no trans-block edge")
             share = num * (scale // len(moves))
@@ -837,20 +867,20 @@ def reference_ordering_states(g: Multigraph, part: Partition) -> tuple[list, dic
 def walk_ordering_states(
     root: list,
 ) -> Iterator[tuple[tuple[str, ...], tuple[int, ...], int, int]]:
-    """(order, edge indices, tree bitmask, k product) of every path from
+    """(order, edge positions, tree bitmask, k product) of every path from
     the root of a reference_ordering_states table, in sorted order. An
     explicit stack extends a path by one edge per step; nothing recurses
     and no edge list is rebuilt."""
     stack = [(root, (), (), 1)]
     while stack:
-        (k, moves, last), order, indices, denom = stack.pop()
+        (k, moves, last), order, positions, denom = stack.pop()
         denom *= k
         if last:
-            for eid, i, mask in moves:
-                yield order + (eid,), indices + (i,), mask, denom
+            for eid, p, mask in moves:
+                yield order + (eid,), positions + (p,), mask, denom
         else:
-            for eid, i, state in moves:
-                stack.append((state, order + (eid,), indices + (i,), denom))
+            for eid, p, state in moves:
+                stack.append((state, order + (eid,), positions + (p,), denom))
 
 
 class ReferenceListing:
@@ -882,10 +912,10 @@ def reference_weight_distribution(g: Multigraph, part: Partition) -> WeightRepor
     for every tree, its key sorted from the mask, and the breakdown
     walked from the one table that summed the weights."""
     require_weighable(g, part)
-    ids = [e.id for e in g.edges]
+    ids = sorted(e.id for e in g.edges)
     root, trees, denom = reference_ordering_states(g, part)
     found = {
-        tuple(sorted(ids[i] for i in range(len(ids)) if mask >> i & 1)): (mask, num, count)
+        tuple(sorted(ids[p] for p in range(len(ids)) if mask >> p & 1)): (mask, num, count)
         for mask, (num, count) in trees.items()
     }
     listing = ReferenceListing(root, {mask: count for mask, (_, count) in trees.items()})

@@ -41,6 +41,7 @@ from treeweights.weights import edge_monomials
 
 from helpers import (
     edge_index,
+    edge_reversed_graphs,
     fig1,
     fig1_root_first,
     fig1_root_second,
@@ -161,8 +162,9 @@ def test_row_products_are_exact_beyond_int64():
     assert _row_products(np.array([[2**31, 2**31, 4]])) == [2**64]
 
 
-def test_batch_kernel_refuses_like_forest_trace():
-    g, part = fig2(), fig2_double_rooted()
+def assert_batch_refuses_like_forest_trace(g, part):
+    """trace_batch refuses each ordering of each tree of g that
+    forest_trace refuses, at the same step and naming the same edge."""
     index = edge_index(g)
     rows, refused = [], []
     for tree in g.spanning_trees():
@@ -182,6 +184,17 @@ def test_batch_kernel_refuses_like_forest_trace():
     with pytest.raises(NotAdmissibleError) as err:
         trace_batch(g, part, rows)
     assert err.value.step == min(refused)
+
+
+def test_batch_kernel_refuses_like_forest_trace():
+    assert_batch_refuses_like_forest_trace(fig2(), fig2_double_rooted())
+
+
+def test_batch_kernel_refuses_like_forest_trace_on_reversed_edges():
+    # a row's positions are in id order, not indices into g.edges, so the
+    # refused edge must be named through the edge table
+    for g in edge_reversed_graphs():
+        assert_batch_refuses_like_forest_trace(g, Partition.of([["v1"], ["v2"], g.vertices[2:]]))
 
 
 def test_search_invariant_raises_a_real_error():

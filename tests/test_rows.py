@@ -29,6 +29,8 @@ from treeweights.psd import _sums_to_one, verify_constructive
 from treeweights.weights import TreeRow, WeightReport, weight_distribution
 
 from helpers import (
+    complete_graph,
+    looped_k5,
     reference_cmd_symmetric,
     reference_cmd_trees,
     reference_cmd_weights,
@@ -39,7 +41,7 @@ from helpers import (
 )
 from test_acceptance import pool_lemma5
 from test_kernel import kernel_cases
-from test_sweeps import complete_graph, looped_k5, multigraph_pool
+from test_sweeps import multigraph_pool
 
 FORMATS = ("table", "json", "csv")
 

@@ -17,7 +17,8 @@ pair, verify and psd must never build the sums, and the symmetric,
 trees and psd commands must print the same bytes with the replaced
 routes. The
 edge table every sweep reads must list the edges in id order, whatever
-their order in the graph.
+their order in the graph, and the walk must name each edge by its
+position there.
 """
 
 import io
@@ -45,15 +46,18 @@ from treeweights.weights import weight_distribution
 
 from helpers import (
     census_weights,
+    complete_graph,
     contraction_deletion_trees,
     depth_first_ordered_trees,
     edge_index,
+    edge_reversed_graphs,
     fig1,
     fig1_root_first,
     fig1_root_second,
     fig2,
     fig2_double_rooted,
     grouped_weight_distribution,
+    looped_k5,
     loops_and_parallels,
     nontrivial_partitions,
     permutation_census,
@@ -125,18 +129,6 @@ def test_forest_sweep_matches_grouped_orderings():
     assert orderings > 10000
 
 
-def complete_graph(k, parallel=()):
-    """K_k with edges l<a><b>, plus one edge p<i> per (a, b) in parallel."""
-    vertices = [f"v{i}" for i in range(1, k + 1)]
-    edges = [
-        (f"l{a}{b}", vertices[a], vertices[b]) for a in range(k) for b in range(a + 1, k)
-    ]
-    edges.extend(
-        (f"p{i}", vertices[a], vertices[b]) for i, (a, b) in enumerate(parallel)
-    )
-    return Multigraph.build(vertices, edges)
-
-
 def looped_triangle():
     """A triangle with seven loops, spread over its three vertices."""
     triangle = [("l1", "v1", "v2"), ("l2", "v2", "v3"), ("l3", "v1", "v3")]
@@ -181,13 +173,6 @@ def test_census_matches_partition_route_beyond_the_guard():
         assert census_weights(census) == report_weights(symmetric_via_partition(g))
 
 
-def looped_k5():
-    """K5 plus two parallel edges, and a loop whose id sorts between theirs."""
-    k5 = complete_graph(5, [(0, 1), (2, 3)])
-    edges = [(e.id, *e.ends) for e in k5.edges] + [("m1", "v3", "v3")]
-    return Multigraph.build(k5.vertices, edges)
-
-
 def test_spanning_trees_match_contraction_deletion():
     graphs = [g for g, _ in kernel_cases()] + list(multigraph_pool())
     graphs.extend(complete_graph(k) for k in (5, 6, 7))
@@ -196,19 +181,12 @@ def test_spanning_trees_match_contraction_deletion():
         assert g.spanning_trees() == contraction_deletion_trees(g)
 
 
-def edge_reversed_graphs():
-    """fig2 and the looped K5 with their edges listed out of id order."""
-    fig2 = Multigraph.from_json(Path(FIG2).read_text())
-    return [Multigraph(g.vertices, g.edges[::-1]) for g in (fig2, looped_k5())]
-
-
 def test_edge_table_is_in_id_order():
     for g in (*multigraph_pool(), *edge_reversed_graphs()):
         table = g._edge_table
-        assert [eid for eid, _, _, _ in table] == sorted(e.id for e in g.edges)
-        for eid, i, a, b in table:
-            assert g.edges[i].id == eid
-            assert (g.vertices[a], g.vertices[b]) == g.edges[i].ends
+        assert [eid for eid, _, _ in table] == sorted(e.id for e in g.edges)
+        for eid, a, b in table:
+            assert (g.vertices[a], g.vertices[b]) == g.edge(eid).ends
         assert g._edge_table is table
 
 
@@ -225,12 +203,12 @@ def test_ordered_trees_match_depth_first_search():
         assert walked == sorted(depth_first_ordered_trees(g, part))
         rows.append(len(walked))
         index = edge_index(g)
-        for (order, denom), (order2, indices, mask, denom2) in zip(
+        for (order, denom), (order2, positions, mask, denom2) in zip(
             walked, _ordered_tree_walk(g, part)
         ):
             assert (order2, denom2) == (order, denom)
-            assert indices == tuple(index[eid] for eid in order)
-            assert mask == sum(1 << i for i in indices)
+            assert positions == tuple(index[eid] for eid in order)
+            assert mask == sum(1 << p for p in positions)
     # K5 and K6, each with singletons and then rooted at v1
     assert rows[-4:] == [3000, 576, 155520, 14400]
 
@@ -269,7 +247,7 @@ def test_walk_sweep_matches_one_table():
         if sum(count for _, count in trees.values()) > 2 * 10**5:
             # K7: a prefix of the walk
             walked, expected = islice(walked, 10**5), islice(expected, 10**5)
-        # orderings in walk order, edge indices, tree bitmasks and k products
+        # orderings in walk order, edge positions, tree bitmasks and k products
         for row, reference_row in zip(walked, expected, strict=True):
             assert row == reference_row
             orderings += 1
@@ -329,8 +307,11 @@ def test_walk_builds_orders_from_pieces():
     walked = 0
     for g, part in cases:
         plain = list(_ordered_tree_walk(g, part))
-        # each default order holds the ids of its edge indices
-        assert all(order == tuple(g.edges[i].id for i in indices) for order, indices, _, _ in plain)
+        # each default order holds the ids of its edge-table positions
+        table = g._edge_table
+        assert all(
+            order == tuple(table[p][0] for p in positions) for order, positions, _, _ in plain
+        )
         for piece in text_pieces:
             made = []
 
@@ -339,10 +320,10 @@ def test_walk_builds_orders_from_pieces():
                 return piece(eid)
 
             # each order is the join of the default walk's edge ids, with
-            # the same indices, mask and k product, in the same place
+            # the same positions, mask and k product, in the same place
             assert list(_ordered_tree_walk(g, part, counted, "")) == [
-                ("".join(map(piece, order)), indices, mask, denom)
-                for order, indices, mask, denom in plain
+                ("".join(map(piece, order)), positions, mask, denom)
+                for order, positions, mask, denom in plain
             ]
             # one piece per edge, loops and parallel edges included
             assert sorted(made) == sorted(e.id for e in g.edges)
