@@ -15,7 +15,6 @@ from .psd import (
     PsdReport,
     TraceBatch,
     TraceCheck,
-    batch_contact_indices,
     contact_matrix_direct,
     contact_matrix_recursion,
     trace_batch,
@@ -48,7 +47,6 @@ __all__ = [
     "TreeWeightsError",
     "WeightReport",
     "admissible_orderings",
-    "batch_contact_indices",
     "build_trace",
     "contact_indices",
     "contact_matrix_direct",

@@ -10,7 +10,8 @@ Every command takes --format table|json|csv and refuses any option it
 does not read. Exit codes: 0 success, 2 input error (a bad graph,
 partition or argument), 3 check failure, 4 enumeration guard exceeded, 5
 internal fault (an invariant of the program failed: a bug, not bad
-input). Every error writes one `error[<code>]: ...` line to stderr.
+input). Every error writes one `error[<code>]: ...` line to stderr;
+output that stdout cannot encode gives `error[unencodable-output]`.
 Output is deterministic for a fixed config and seed. JSON output is
 exactly `json.dumps(payload, indent=2)` (ASCII-escaped, strict: no NaN
 or Infinity) plus one newline; a table is left-justified columns joined
@@ -41,6 +42,7 @@ from .errors import (
     InvariantError,
     ParseError,
     TreeWeightsError,
+    UnencodableOutputError,
 )
 from .graph import Multigraph
 from .partitions import Partition
@@ -167,14 +169,19 @@ def _emit_csv(headers: list[str], rows: list[list[str]], out) -> None:
 def _emit(config: RunConfig, payload, headers: list[str], rows, out) -> None:
     """Write the JSON payload or the table rows, whichever --format asks for.
 
-    payload and rows are callables; only the one written is built.
+    payload and rows are callables; only the one written is built. Text
+    that out cannot encode, which it encodes whole before writing any,
+    raises UnencodableOutputError with nothing written.
     """
-    if config.output_format == "json":
-        out.write(_json_text({"format": FORMAT_VERSION, **payload()}) + "\n")
-    elif config.output_format == "csv":
-        _emit_csv(headers, rows(), out)
-    else:
-        _emit_table(headers, rows(), out)
+    try:
+        if config.output_format == "json":
+            out.write(_json_text({"format": FORMAT_VERSION, **payload()}) + "\n")
+        elif config.output_format == "csv":
+            _emit_csv(headers, rows(), out)
+        else:
+            _emit_table(headers, rows(), out)
+    except UnicodeEncodeError as exc:
+        raise UnencodableOutputError(f"{exc}; --format json escapes it") from exc
 
 
 def _cells(item: dict) -> list[str]:

@@ -96,3 +96,7 @@ class OutOfRangeError(TreeWeightsError):
 
 class ParseError(TreeWeightsError):
     code = "parse-error"
+
+
+class UnencodableOutputError(TreeWeightsError):
+    code = "unencodable-output"

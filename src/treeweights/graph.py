@@ -4,8 +4,8 @@ Vertices and edges carry opaque string labels. Self-loops and parallel
 edges are first-class and are preserved by serialization. Every sweep
 reads a graph's edges in one form, its edge table: each edge's id and
 two ends as vertex indices, in id order, built once per graph; every
-layer names an edge by its position there. All operations are pure, so
-values can be shared freely across threads.
+layer names an edge by its position there. It imports no numpy. All
+operations are pure, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -88,18 +88,6 @@ class Multigraph:
     @cached_property
     def _edge_by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
-
-    @cached_property
-    def _endpoints(self) -> tuple:
-        """(tails, heads): the vertex index of each edge's two ends, in
-        edge-table order, as read-only intp arrays."""
-        import numpy as np
-
-        tails, heads = (
-            np.array([entry[x] for entry in self._edge_table], dtype=np.intp) for x in (1, 2)
-        )
-        tails.flags.writeable = heads.flags.writeable = False
-        return tails, heads
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -328,7 +316,7 @@ class Multigraph:
     def from_json(cls, text: str) -> Multigraph:
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ParseError(f"invalid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ParseError("invalid JSON: nested too deeply") from exc

@@ -10,7 +10,8 @@ different integer labels: the starting block index, then a number fresh
 to the step that first merges the vertex. forest_trace walks one
 ordering on these labels, recording the step at which each vertex pair
 merges; psd.trace_batch walks many complete orderings at once on
-numpy arrays of the same labels. With merged components labeled canonically,
+numpy arrays of the same labels, then reads every row's contact indices
+off its merge steps. With merged components labeled canonically,
 the labels of a forest depend only on its components, and so do k and
 the trans-block edges: _Labelings builds each labeling once, with its
 trans-block edges in id order, k, and each move's successor labeling

@@ -1,11 +1,11 @@
 """Trace arrays, the exact array check and constructive positivity.
 
 This is the only module of the package that imports numpy; the rest
-computes exact integers and fractions in pure Python. (The one
-exception, Multigraph._endpoints, imports numpy when first read, and
-only the kernel here reads it.) Its arrays, as every layer, name an edge
-by its position in the id-ordered edge table. It holds the array form
-of a trace and the two checks that read it, one per command:
+computes exact integers and fractions in pure Python. Its arrays, as
+every layer, name an edge by its position in the id-ordered edge table.
+It holds the array form of a trace, which carries its contact indices
+and the ends of the graph's edges so that no reader of it needs the
+graph, and the two checks that read it, one per command:
 
 * verify: verify_exact checks, on every ordered tree, that the count
   route and the monomial route give the same weight, the exponent law
@@ -67,14 +67,20 @@ class TraceBatch:
 
     orders[r] holds the edge-table positions of ordering r's edges;
     k[r], merge_steps[r] and start_blocks are what its ContractionTrace
-    holds as k_values, merge_steps and start_blocks. Shapes: orders and
-    k (N, |V|-1), merge_steps (N, |V|, |V|), start_blocks (|V|,).
+    holds as k_values, merge_steps and start_blocks, and (i[r], j[r])
+    its contact_indices of every vertex pair, (-1, 0) on the diagonal.
+    ends[:, p] are the vertex indices of the ends of the edge at p.
+    Shapes: orders and k (N, |V|-1), merge_steps, i and j (N, |V|, |V|),
+    start_blocks (|V|,), ends (2, |E|).
     """
 
     orders: np.ndarray
     k: np.ndarray
     merge_steps: np.ndarray
     start_blocks: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    ends: np.ndarray
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -88,13 +94,16 @@ def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
     on the integer labels of forest_trace, all rows together: k counts
     the edges whose two labels differ, and the pairs across the two
     joined components (kept as per-row component masks) get the step in
-    merge_steps. Labels and steps are stored as int8 (int16 from 64
-    vertices on). Raises NotAdmissibleError at the first step where some
-    row's edge is not trans-block, naming it by id.
+    merge_steps. Each row's contact indices are read off its merge
+    steps once all are taken. Labels, steps and contact indices are
+    stored as int8 (int16 from 64 vertices on). Raises
+    NotAdmissibleError at the first step where some row's edge is not
+    trans-block, naming it by id.
     """
     part.require_cover(g)
     n = len(g.vertices)
-    tails, heads = g._endpoints
+    ends = np.array([end for _, *end in g._edge_table], dtype=np.intp).reshape(-1, 2).T
+    tails, heads = ends
     orders = np.asarray(orders, dtype=np.intp).reshape(len(orders), n - 1)
     count = len(orders)
     rows = np.arange(count)
@@ -124,28 +133,14 @@ def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
         touched[joined & (touched == n)] = step + 1
         component = np.where(joined, root, component)
         labels = np.where(joined, len(part.blocks) + step, labels)
+    # a pair in one starting block separates when either is first merged
+    i = np.where(start[:, None] == start, np.minimum(touched[:, :, None], touched[:, None]), 0)
     diag = np.arange(n)
-    merge[:, diag, diag] = touched
-    return TraceBatch(orders, k, merge, start)
-
-
-def batch_contact_indices(batch: TraceBatch) -> tuple[np.ndarray, np.ndarray]:
-    """contact_indices of every vertex pair of every row of a batch.
-
-    Returns (i, j), each of shape (N, |V|, |V|), with (-1, 0) on the
-    diagonal by the same convention.
-    """
-    merge = batch.merge_steps
-    touch = merge.diagonal(axis1=1, axis2=2)
-    start = batch.start_blocks
-    i = np.where(
-        start[:, None] == start[None, :], np.minimum(touch[:, :, None], touch[:, None, :]), 0
-    )
-    j = merge.copy()
-    diag = np.arange(merge.shape[1])
     i[:, diag, diag] = -1
+    j = merge.copy()
     j[:, diag, diag] = 0
-    return i, j
+    merge[:, diag, diag] = touched
+    return TraceBatch(orders, k, merge, start, i, j, ends)
 
 
 @dataclass(frozen=True)
@@ -159,20 +154,18 @@ class ExactReport:
     contact_order: bool
 
 
-def edge_exponents(
-    g: Multigraph, batch: TraceBatch, contacts: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
+def edge_exponents(batch: TraceBatch) -> np.ndarray:
     """edge_monomials of every row of a batch, as an (N, |V|-1) array.
 
-    contacts is the batch's (i, j) from batch_contact_indices. The
-    exponent of u_p counts the edges, in table order as in orders, whose
-    range covers step p: i < p < j for a tree edge, i < p <= j for any other.
+    The exponent of u_p counts the edges, in table order as in orders,
+    whose contact range covers step p: i < p < j for a tree edge,
+    i < p <= j for any other.
     """
-    a, b = g._endpoints
-    i, j = (c[:, a, b] for c in contacts)
+    a, b = batch.ends
+    i, j = batch.i[:, a, b], batch.j[:, a, b]
     in_tree = np.zeros(i.shape, dtype=bool)
     in_tree[np.arange(len(batch))[:, None], batch.orders] = True
-    steps = np.arange(1, len(g.vertices))
+    steps = np.arange(1, batch.orders.shape[1] + 1)
     covered = (i[..., None] < steps) & (steps < (j + ~in_tree)[..., None])
     return np.count_nonzero(covered, axis=1)
 
@@ -190,7 +183,8 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     prod 1/k equals the integral of the edge monomial, whose exponents
     equal k - 1, and distinct vertices get contact indices i < j. The
     traces are built BLOCK_ORDERINGS orderings at a time; the count
-    route reads k from the labels, the monomial route the merge steps.
+    route reads k from the labels, the monomial route the contact
+    indices.
     """
     require_weighable(g, part)
     rows, cols = np.triu_indices(len(g.vertices), 1)
@@ -203,12 +197,11 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     for first in range(0, len(walks), BLOCK_ORDERINGS):
         block = walks[first:first + BLOCK_ORDERINGS]
         batch = trace_batch(g, part, [indices for _, indices, _, _ in block])
-        i, j = batch_contact_indices(batch)
-        exps = edge_exponents(g, batch, (i, j))
+        exps = edge_exponents(batch)
         walked = denoms[first:first + len(block)]
         routes = routes and _row_products(batch.k) == walked == _row_products(exps + 1)
         exponents = exponents and np.array_equal(exps, batch.k - 1)
-        contacts = contacts and bool(np.all(i[:, rows, cols] < j[:, rows, cols]))
+        contacts = contacts and bool(np.all(batch.i[:, rows, cols] < batch.j[:, rows, cols]))
     return ExactReport(len(walks), total, routes, exponents, contacts)
 
 
@@ -237,7 +230,7 @@ def contact_matrix_direct(batch: TraceBatch, u: Sequence[float]) -> np.ndarray:
     in ascending k.
     """
     points, shape = _batch_points(batch, u)
-    i, j = batch_contact_indices(batch)
+    i, j = batch.i, batch.j
     first = np.maximum(i + 1, 1)
     m = np.ones(points.shape[:-1] + i.shape[1:])
     for k in range(1, points.shape[-1] + 1):
@@ -310,13 +303,13 @@ class PsdReport:
         return min((c.min_eigenvalue for c in self.checks), default=0.0)
 
 
-def _tree_k(g: Multigraph, batch: TraceBatch) -> np.ndarray:
+def _tree_k(batch: TraceBatch) -> np.ndarray:
     """The k of each row's tree alone, as an (N, |V|-1) array: a tree
     edge is trans-block at step s exactly when its contact indices
     satisfy i <= s < j, and k[r, s] counts row r's edges that are."""
-    a, b = (end[batch.orders] for end in g._endpoints)
+    a, b = batch.ends[:, batch.orders]
     rows = np.arange(len(batch))[:, None]
-    i, j = (c[rows, a, b][..., None] for c in batch_contact_indices(batch))
+    i, j = (c[rows, a, b][..., None] for c in (batch.i, batch.j))
     steps = np.arange(batch.orders.shape[1])
     return np.count_nonzero((i <= steps) & (steps < j), axis=1)
 
@@ -382,13 +375,13 @@ def verify_constructive(
     )
     corners = np.array([np.ones((n, n)), np.eye(n)])
     diag = np.arange(n)
-    size = max(1, min(BLOCK_ORDERINGS, STACK_ENTRIES // ((samples + 2) * n * n)))
+    size = max(1, STACK_ENTRIES // ((samples + 2) * n * n))
     checks: list[TraceCheck] = []
     tree_denoms: dict[tuple[str, ...], list[int]] = {}
     for first in range(0, len(walks), size):
         block = walks[first:first + size]
         batch = trace_batch(g, part, [indices for _, _, indices in block])
-        for (tree, _, _), denom in zip(block, _row_products(_tree_k(g, batch))):
+        for (tree, _, _), denom in zip(block, _row_products(_tree_k(batch))):
             tree_denoms.setdefault(tree, []).append(denom)
         points = np.empty((len(block), samples + 2, n - 1))
         for row in range(len(block)):

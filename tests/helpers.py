@@ -670,15 +670,24 @@ def loops_and_parallels(g: Multigraph) -> tuple[tuple[str, ...], tuple[tuple[str
 
 
 def one_row_batch(trace: ContractionTrace) -> TraceBatch:
-    """A complete trace as a TraceBatch of one row."""
+    """A complete trace as a TraceBatch of one row, its contact indices
+    from contact_indices and its edge ends placed by edge_index."""
     if not trace.is_complete:
         raise NotASpanningTreeError("a trace batch needs a complete trace")
-    index = edge_index(trace.graph)
+    g = trace.graph
+    index = edge_index(g)
+    contacts = np.array([[contact_indices(trace, v, w) for w in g.vertices] for v in g.vertices])
+    ends = np.empty((2, len(index)), dtype=np.intp)
+    for e in g.edges:
+        ends[:, index[e.id]] = [g.vertices.index(end) for end in e.ends]
     return TraceBatch(
         np.array([[index[eid] for eid in trace.order]], dtype=np.intp),
         np.array([trace.k_values], dtype=np.int64),
         np.array([trace.merge_steps]),
         np.array(trace.start_blocks),
+        contacts[None, :, :, 0],
+        contacts[None, :, :, 1],
+        ends,
     )
 
 
@@ -1066,7 +1075,7 @@ def reference_measure_normalized(g: Multigraph, part: Partition) -> bool:
     for first in range(0, len(walks), BLOCK_ORDERINGS):
         block = walks[first:first + BLOCK_ORDERINGS]
         batch = trace_batch(g, part, [indices for _, _, indices in block])
-        for (tree, _, _), denom in zip(block, _row_products(psd._tree_k(g, batch))):
+        for (tree, _, _), denom in zip(block, _row_products(psd._tree_k(batch))):
             tree_weights[tree] = tree_weights.get(tree, 0) + Fraction(1, denom)
     return len(tree_weights) == spanning and all(w == 1 for w in tree_weights.values())
 

@@ -1,5 +1,9 @@
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -268,23 +272,30 @@ def test_symmetric_sum_check_failure(monkeypatch, tmp_path):
 
 
 def _off_by_one(f):
-    def broken(g, batch, contacts):
-        exponents = f(g, batch, contacts)
+    def broken(batch):
+        exponents = f(batch)
         exponents[:, 0] += 1
         return exponents
     return broken
 
 
+def _contacts_swapped(f):
+    def broken(g, part, orders):
+        batch = f(g, part, orders)
+        return dataclasses.replace(batch, i=batch.j, j=batch.i)
+    return broken
+
+
 # verify_exact builds its traces in batches: the monomial route reads
-# edge_exponents, and both it and the contact check read
-# batch_contact_indices
+# edge_exponents, and both it and the contact check read the contact
+# indices that trace_batch puts in each batch
 @pytest.mark.parametrize(
     "name,broken,failing",
     [
         ("edge_exponents", _off_by_one, {"dual-route", "exponent-law"}),
         (
-            "batch_contact_indices",
-            lambda f: lambda batch: f(batch)[::-1],
+            "trace_batch",
+            _contacts_swapped,
             {"dual-route", "exponent-law", "contact-indices"},
         ),
         ("_ordered_tree_walk", lambda f: lambda *args: list(f(*args))[1:], {"normalization"}),
@@ -369,6 +380,61 @@ def test_deeply_nested_graph_json_is_parse_error(tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error[parse-error]")
+
+
+def test_integer_past_the_digit_limit_is_parse_error(tmp_path):
+    # json.loads refuses an integer literal of more than 4 300 digits
+    # with a plain ValueError, not a JSONDecodeError
+    big = tmp_path / "big.json"
+    big.write_text('{"vertices": [' + "9" * 5000 + '], "edges": []}')
+    code, out, err = run_cli(["trees", "--graph", str(big)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error[parse-error]: ")
+
+
+# an edge id holding a lone surrogate: valid JSON, escaped by --format
+# json, but not encodable in a UTF-8 table or CSV
+SURROGATE_GRAPH = '{"vertices": ["a", "b"], "edges": [{"id": "\\ud800", "ends": ["a", "b"]}]}'
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["trees"], ["symmetric"], ["weights", "--partition", "a|b"], ["psd"]],
+    ids=lambda command: command[0],
+)
+def test_unencodable_output_is_an_input_error(tmp_path, command):
+    path = tmp_path / "surrogate.json"
+    path.write_text(SURROGATE_GRAPH)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def args(fmt):
+        return [command[0], "--graph", str(path), *command[1:], "--format", fmt]
+
+    def console(fmt):
+        return subprocess.run(
+            [sys.executable, "-m", "treeweights.cli", *args(fmt)],
+            capture_output=True, env=env, timeout=300,
+        )
+
+    for fmt in ("table", "csv"):
+        result = console(fmt)
+        assert (result.returncode, result.stdout) == (2, b"")
+        lines = result.stderr.decode("ascii").splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[unencodable-output]: "), lines
+        # cli.run on a strict UTF-8 stream gives the same
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        config = RunConfig(**vars(cli.build_parser().parse_args(args(fmt))))
+        assert cli.run(config, out=out, err=err) == 2
+        out.flush()
+        assert out.buffer.getvalue() == b""
+        assert err.getvalue() == result.stderr.decode("ascii")
+    result = console("json")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.decode("ascii") == run_cli(args("json"))[1]
+    assert "\\ud800" in result.stdout.decode("ascii")
 
 
 @pytest.mark.parametrize(

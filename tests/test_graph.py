@@ -14,7 +14,6 @@ from treeweights.graph import Edge, Multigraph
 from helpers import (
     brute_force_spanning_trees,
     contract_graph,
-    edge_reversed_graphs,
     ends,
     fig1,
     fig2,
@@ -90,19 +89,6 @@ def test_contract_single_edge():
     g, _ = contract_graph(Multigraph.build(["v1", "v2"], [("l1", "v1", "v2")]), "l1")
     assert len(g.vertices) == 1
     assert g.edges == ()
-
-
-def test_endpoint_arrays_are_cached_and_read_only():
-    # in edge-table order, which is id order, not the order of g.edges
-    for g in (fig1(), *edge_reversed_graphs()):
-        tails, heads = g._endpoints
-        assert [(g.vertices[a], g.vertices[b]) for a, b in zip(tails, heads)] == [
-            g.edge(eid).ends for eid in sorted(e.id for e in g.edges)
-        ]
-        assert g._endpoints[0] is tails
-        for end in (tails, heads):
-            with pytest.raises(ValueError):
-                end[0] = 0
 
 
 def test_contract_bookkeeping():

@@ -31,7 +31,6 @@ from treeweights.partitions import (
 )
 from treeweights.psd import (
     _row_products,
-    batch_contact_indices,
     edge_exponents,
     trace_batch,
     verify_constructive,
@@ -47,6 +46,7 @@ from helpers import (
     fig1_root_second,
     fig2,
     fig2_double_rooted,
+    looped_k5,
     nontrivial_partitions,
     per_tree_verify_constructive,
     per_tree_verify_exact,
@@ -105,8 +105,8 @@ def test_batch_kernel_matches_single_traces():
         walks = list(ordered_trees(g, part))
         index = edge_index(g)
         batch = trace_batch(g, part, [[index[eid] for eid in order] for order, _ in walks])
-        i, j = batch_contact_indices(batch)
-        exps = edge_exponents(g, batch, (i, j))
+        i, j = batch.i, batch.j
+        exps = edge_exponents(batch)
         verts = g.vertices
         for row, (order, _) in enumerate(walks):
             trace = forest_trace(g, part, order)
@@ -120,6 +120,27 @@ def test_batch_kernel_matches_single_traces():
             assert tuple(exps[row].tolist()) == edge_monomials(g, trace).exponents
             rows += 1
     assert rows > 5000
+
+
+def test_batch_ends_are_in_edge_table_order():
+    # ends[:, p] are the ends of the edge at table position p, which on
+    # the edge-reversed graphs is not its place in g.edges; the tree
+    # edges of the exponents and of the tree-only k are found through them
+    for g in (fig2(), looped_k5(), *edge_reversed_graphs()):
+        part = Partition.singletons(g.vertices)
+        walks = list(itertools.islice(ordered_trees(g, part), 300))
+        index = edge_index(g)
+        batch = trace_batch(g, part, [[index[eid] for eid in order] for order, _ in walks])
+        assert [(g.vertices[a], g.vertices[b]) for a, b in batch.ends.T] == [
+            g.edge(eid).ends for eid in sorted(index)
+        ]
+        exps, tree_k = edge_exponents(batch), psd._tree_k(batch)
+        for row, (order, _) in enumerate(walks):
+            assert tuple(exps[row].tolist()) == (
+                edge_monomials(g, forest_trace(g, part, order)).exponents
+            )
+            tree = Multigraph(g.vertices, tuple(map(g.edge, order)))
+            assert tuple(tree_k[row].tolist()) == forest_trace(tree, part, order).k_values
 
 
 @lru_cache(maxsize=1)
@@ -147,6 +168,9 @@ def test_batched_checks_equal_per_tree_loops(monkeypatch, block):
         assert verify_exact(g, part) == exact
         exact_sizes = sizes[:]
         sizes.clear()
+        if block is not None:
+            # psd's blocks hold STACK_ENTRIES // ((samples + 2) * |V|**2) ordered trees
+            monkeypatch.setattr(psd, "STACK_ENTRIES", block * 4 * len(g.vertices) ** 2)
         assert verify_constructive(g, part, samples=2, seed=5) == positivity
         if block is not None:
             # both checks take their traces in blocks of at most 3

@@ -209,8 +209,8 @@ def _drop_first_tree(walk):
 
 
 def _first_k_off_by_one(tree_k):
-    def broken(g, batch):
-        k = tree_k(g, batch)
+    def broken(batch):
+        k = tree_k(batch)
         k[0, 0] += 1
         return k
     return broken
