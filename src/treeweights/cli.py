@@ -20,8 +20,12 @@ Two outputs enter the JSON payload as `_Verbatim` text, already laid
 out, which `_json_text` writes as it is: the rows of `weights`, which
 formats each distinct weight once and shares the text among the rows of
 that weight, and the tree list of `trees`, whose text is built along
-the tree walk. The orderings of `weights --breakdown`, in every format,
-are built along the ordering walk in the same way.
+the tree walk. The `weights` table is `_Verbatim` text too, which
+`_emit` writes as it is: its column widths are fixed before its first
+line is built, so no cell is padded and no line stripped after. The
+orderings of `weights --breakdown`, in every format, are built along
+the ordering walk in the same way, and refused with exit 4 when they
+number more than BREAKDOWN_BUDGET.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .errors import (
     EnumerationGuardExceededError,
@@ -57,6 +62,10 @@ EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
 FORMAT_VERSION = 1
+
+# the most orderings weights --breakdown lists: K6 with singletons has
+# 155 520, K7 rooted 518 400, K7 with singletons 12 101 040
+BREAKDOWN_BUDGET = 1_000_000
 
 
 @dataclass
@@ -101,8 +110,9 @@ def _decimal_str(x: Fraction) -> str:
 
 
 class _Verbatim(str):
-    """JSON text that _json_text writes as it is, already laid out for
-    its place in the payload."""
+    """Text written as it is: JSON that _json_text copies, already laid
+    out for its place in the payload, or a whole table that _emit
+    writes."""
 
     __slots__ = ()
 
@@ -169,7 +179,8 @@ def _emit_csv(headers: list[str], rows: list[list[str]], out) -> None:
 def _emit(config: RunConfig, payload, headers: list[str], rows, out) -> None:
     """Write the JSON payload or the table rows, whichever --format asks for.
 
-    payload and rows are callables; only the one written is built. Text
+    payload and rows are callables; only the one written is built. A
+    table that rows gives as _Verbatim text is written as it is. Text
     that out cannot encode, which it encodes whole before writing any,
     raises UnencodableOutputError with nothing written.
     """
@@ -179,7 +190,11 @@ def _emit(config: RunConfig, payload, headers: list[str], rows, out) -> None:
         elif config.output_format == "csv":
             _emit_csv(headers, rows(), out)
         else:
-            _emit_table(headers, rows(), out)
+            table = rows()
+            if type(table) is _Verbatim:
+                out.write(table)
+            else:
+                _emit_table(headers, table, out)
     except UnicodeEncodeError as exc:
         raise UnencodableOutputError(f"{exc}; --format json escapes it") from exc
 
@@ -241,14 +256,14 @@ def _weight_rows_json(report: WeightReport, breakdown: bool, indent: str) -> _Ve
 
 
 def _weight_lines(report: WeightReport, breakdown: bool) -> list[tuple[str, ...]]:
-    """The cells of a weights table, a line per tree and, with
-    breakdown, one under it per ordering: its edge ids, the weight and
-    decimal it shares with every line of its weight, and its ordering
-    count ("" on a breakdown line). Each distinct tree weight is
-    formatted once, keyed as in _weight_rows_json. An ordering's line
-    is built along the ordering walk (WeightReport.breakdowns): its
-    edge ids, each after a comma, then the cells of its k product d,
-    formatted once per d."""
+    """The cells of a weights CSV, a line per tree and, with breakdown,
+    one under it per ordering: its edge ids, the weight and decimal it
+    shares with every line of its weight, and its ordering count (""
+    on a breakdown line). Each distinct tree weight is formatted once,
+    keyed as in _weight_rows_json. An ordering's line is built along
+    the ordering walk (WeightReport.breakdowns): its edge ids, each
+    after a comma, then the cells of its k product d, formatted once
+    per d."""
     shown: dict[tuple[int, int], tuple[str, str]] = {}
     listed = repeat(())
     if breakdown:
@@ -270,6 +285,61 @@ def _weight_lines(report: WeightReport, breakdown: bool) -> list[tuple[str, ...]
         lines.append((",".join(row.tree), text, decimal, str(len(row.orderings))))
         lines.extend(under)
     return lines
+
+
+def _weight_table(headers: list[str], report: WeightReport, breakdown: bool) -> _Verbatim:
+    """The weights table as finished text, which _emit writes as it is:
+    the lines _emit_table writes of _weight_lines, every column width
+    fixed before the first line is built.
+
+    The widths come from the rows' tree texts, each distinct row weight
+    and, with breakdown, each distinct ordering weight 1/d, read off the
+    (order text, d) pairs of one walk (WeightReport.breakdowns). An
+    order text is a two-blank indent, then each edge id before a comma;
+    an ordering holds its tree's edges, so up to its last comma it is
+    its tree text's length plus two. A row line is written once, from
+    the text its weight shares. A breakdown line is its order text up
+    to the last comma plus one tail (the padding, the weight and the
+    decimal of d), built once for every ordering of that padding and d.
+    A line ends at its decimal or ordering count, so none ends in a
+    blank.
+    """
+    rows = report.rows
+    trees = [",".join(row.tree) for row in rows]
+    keys = [(row.weight.numerator, row.weight.denominator) for row in rows]
+    distinct = dict(zip(keys, [row.weight for row in rows]))
+    shown = {key: (str(w), _decimal_str(w)) for key, w in distinct.items()}
+    ordered: dict[int, tuple[str, str]] = {}
+    listed = repeat(())
+    if breakdown:
+        listed = report.breakdowns(lambda eid: eid + ",", "  ", lambda order, d: (order, d))
+        for d in set(map(itemgetter(1), chain.from_iterable(listed))):
+            w = Fraction(1, d)
+            ordered[d] = (str(w), _decimal_str(w))
+    texts = [*shown.values(), *ordered.values()]
+    widths = (
+        max(len(headers[0]), max(map(len, trees)) + (2 if breakdown else 0)),
+        max(len(headers[1]), *(len(w) for w, _ in texts)),
+        max(len(headers[2]), *(len(x) for _, x in texts)),
+    )
+    tree_width, weight_width, decimal_width = widths
+    middle = {
+        key: f"  {w.ljust(weight_width)}  {x.ljust(decimal_width)}  " for key, (w, x) in shown.items()
+    }
+    after = {d: f"  {w.ljust(weight_width)}  {x}" for d, (w, x) in ordered.items()}
+    tails: dict[int, dict[int, str]] = {}
+    lines = ["  ".join(map(str.ljust, headers, widths)) + "  " + headers[3]]
+    for row, tree, key, items in zip(rows, trees, keys, listed):
+        pad = tree_width - len(tree)
+        lines.append(tree + " " * pad + middle[key] + str(len(row.orderings)))
+        if items:
+            tail = tails.get(pad) or tails.setdefault(
+                pad, {d: " " * (pad - 2) + text for d, text in after.items()}
+            )
+            lines += [order[:-1] + tail[d] for order, d in items]
+    # dropping the pairs before the join lowers the peak memory
+    del listed
+    return _Verbatim("\n".join(lines) + "\n")
 
 
 def cmd_trees(config: RunConfig, g: Multigraph, out) -> int:
@@ -347,9 +417,11 @@ def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
 
 def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
     """The weight report, its rows written from each distinct weight's
-    shared text: in JSON as _Verbatim text, in a table or CSV as the
-    cells of _weight_lines. With --breakdown either writer walks the
-    orderings once, building their text along the walk."""
+    shared text: in JSON and in a table as _Verbatim text, in CSV as the
+    cells of _weight_lines. With --breakdown each writer walks the
+    orderings once, building their text along the walk, after the
+    ordering counts of the sums sweep are checked against
+    BREAKDOWN_BUDGET."""
     if config.partition is None:
         raise ParseError("the weights command requires --partition")
     part = parse_partition(config.partition, g)
@@ -357,6 +429,12 @@ def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
     total = report.total
     if total != 1:
         raise CheckFailure(f"weights sum to {total}, not 1")
+    if config.breakdown:
+        listed = sum(len(row.orderings) for row in report.rows)
+        if listed > BREAKDOWN_BUDGET:
+            raise EnumerationGuardExceededError(
+                f"--breakdown would list {listed} orderings; the budget is {BREAKDOWN_BUDGET}"
+            )
 
     def payload():
         return {
@@ -367,8 +445,13 @@ def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
             "sum": str(total),
         }
 
+    def rows():
+        if config.output_format == "csv":
+            return _weight_lines(report, config.breakdown)
+        return _weight_table(headers, report, config.breakdown)
+
     headers = ["tree", "weight", "decimal", "orderings"]
-    _emit(config, payload, headers, lambda: _weight_lines(report, config.breakdown), out)
+    _emit(config, payload, headers, rows, out)
     return EXIT_OK
 
 

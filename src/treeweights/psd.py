@@ -187,7 +187,6 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     indices.
     """
     require_weighable(g, part)
-    rows, cols = np.triu_indices(len(g.vertices), 1)
     # the walk runs to completion before the checks: interleaving it
     # with the trace work measured slower
     walks = list(_ordered_tree_walk(g, part))
@@ -201,7 +200,8 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
         walked = denoms[first:first + len(block)]
         routes = routes and _row_products(batch.k) == walked == _row_products(exps + 1)
         exponents = exponents and np.array_equal(exps, batch.k - 1)
-        contacts = contacts and bool(np.all(batch.i[:, rows, cols] < batch.j[:, rows, cols]))
+        # over all pairs: the diagonal's (-1, 0) passes by construction
+        contacts = contacts and bool(np.all(batch.i < batch.j))
     return ExactReport(len(walks), total, routes, exponents, contacts)
 
 

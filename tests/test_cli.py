@@ -18,6 +18,7 @@ from treeweights.sectors import SectorCensus, sector_census
 from treeweights.weights import WeightReport
 
 from helpers import (
+    complete_graph,
     fig1,
     fig2,
     fig2_double_rooted,
@@ -151,6 +152,48 @@ def test_symmetric_guard_exceeded():
     )
     assert code == 4
     assert "error[guard-exceeded]" in err
+
+
+def test_breakdown_refused_beyond_the_ordering_budget(monkeypatch, tmp_path):
+    """K7 with singletons lists 12 101 040 orderings and K7 with pairs
+    8 937 024: exit 4 before any walk, in every format, with one
+    error[guard-exceeded] line and empty stdout."""
+    path = tmp_path / "k7.json"
+    path.write_text(to_json(complete_graph(7)))
+
+    def refuse(*args):
+        raise AssertionError("walked orderings past the budget")
+
+    monkeypatch.setattr(weights, "_ordered_tree_walk", refuse)
+    for spec in ("v1|v2|v3|v4|v5|v6|v7", "v1,v2|v3,v4|v5,v6|v7"):
+        for fmt in ("table", "json", "csv"):
+            code, out, err = run_cli(
+                ["weights", "--graph", str(path), "--partition", spec, "--breakdown",
+                 "--format", fmt]
+            )
+            assert (code, out) == (cli.EXIT_GUARD, "")
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error[guard-exceeded]: "), lines
+
+
+def test_breakdown_budget_counts_orderings(monkeypatch):
+    """fig2 double-rooted has 54 ordered trees: a budget of 54 lists
+    them, 53 refuses. K7 rooted and K6 with singletons fit the default."""
+    args = ["weights", "--graph", str(FIXTURES / "fig2.json"), "--partition", "v1|v2|v3,v4",
+            "--breakdown"]
+    monkeypatch.setattr(cli, "BREAKDOWN_BUDGET", 54)
+    code, out, _ = run_cli(args)
+    assert code == 0 and len(out.splitlines()) == 1 + 12 + 54
+    monkeypatch.setattr(cli, "BREAKDOWN_BUDGET", 53)
+    code, out, err = run_cli(args)
+    assert (code, out) == (4, "")
+    assert err == "error[guard-exceeded]: --breakdown would list 54 orderings; the budget is 53\n"
+    monkeypatch.undo()
+    for k, spec in ((7, "v1|v2,v3,v4,v5,v6,v7"), (6, "v1|v2|v3|v4|v5|v6")):
+        g = complete_graph(k)
+        report = weights.weight_distribution(g, parse_partition(spec, g))
+        listed = sum(len(row.orderings) for row in report.rows)
+        assert listed in (518_400, 155_520) and listed <= cli.BREAKDOWN_BUDGET
 
 
 def test_guard_must_be_positive():
@@ -313,6 +356,23 @@ def test_verify_reports_a_broken_route(monkeypatch, name, broken, failing):
     assert code == 3 and err.startswith("error[check-failure]")
     statuses = dict(line.split()[:2] for line in out.splitlines()[1:])
     assert {check for check, status in statuses.items() if status == "FAIL"} == failing
+
+
+def test_verify_fails_one_broken_contact_pair(monkeypatch):
+    """The contact check reads every vertex pair: one pair of one
+    ordered tree given i == j fails it, whichever of its two entries."""
+    build = psd.trace_batch
+    for a, b in ((0, 1), (1, 0)):
+        def broken(g, part, orders):
+            batch = build(g, part, orders)
+            i = batch.i.copy()
+            i[0, a, b] = batch.j[0, a, b]
+            return dataclasses.replace(batch, i=i)
+
+        monkeypatch.setattr(psd, "trace_batch", broken)
+        assert not verify_exact(fig2(), fig2_double_rooted()).contact_order
+    monkeypatch.undo()
+    assert verify_exact(fig2(), fig2_double_rooted()).contact_order
 
 
 def test_main_entry_point(capsys):

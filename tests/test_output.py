@@ -26,6 +26,7 @@ from treeweights import cli
 from treeweights.cli import RunConfig
 from treeweights.graph import Multigraph
 from treeweights.partitions import Partition
+from treeweights.weights import weight_distribution
 
 from helpers import (
     fig1,
@@ -34,9 +35,11 @@ from helpers import (
     reference_cmd_weights,
     reference_emit,
     reference_table,
+    reference_weight_items,
     to_json,
 )
 from test_acceptance import pool_lemma5
+from test_sweeps import multigraph_pool
 
 characters = st.characters(exclude_categories=()) | st.sampled_from(
     ['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "é", " ", "\ud800", "\udfff", "😀"]
@@ -269,3 +272,46 @@ def test_escapes_edge_ids_like_reference(tmp_path, command, g, rooted):
             expected = _reference_stdout(args)
             assert expected[0] == 0
             assert _stdout(args) == expected, args
+
+
+WEIGHT_HEADERS = ["tree", "weight", "decimal", "orderings"]
+
+
+def _weight_tables(g, spec: str, breakdown: bool) -> tuple[str, str, str]:
+    """The weights table of (g, spec) as _weight_table writes it, as
+    _emit_table pads the cells of _weight_lines, and as the reference
+    writer writes reference_weight_items."""
+    report = weight_distribution(g, Partition.parse(spec, g.vertices))
+    text = cli._weight_table(WEIGHT_HEADERS, report, breakdown)
+    padded = _table(cli._emit_table, WEIGHT_HEADERS, cli._weight_lines(report, breakdown))
+    items = reference_weight_items(report, breakdown, table=True)
+    return text, padded, _table(reference_table, WEIGHT_HEADERS, items)
+
+
+def _singletons_and_rooted(g) -> list[str]:
+    vertices = sorted(g.vertices)
+    return [Partition.singletons(vertices).format(), vertices[0] + "|" + ",".join(vertices[1:])]
+
+
+def test_weight_table_matches_padded_cells_on_seeded_pools():
+    """The finished table text equals the padded cells and the
+    reference writer, with and without breakdown; no line ends in a
+    blank."""
+    tables = 0
+    for g in (*pool_lemma5(), *multigraph_pool()):
+        for spec in _singletons_and_rooted(g):
+            for breakdown in (False, True):
+                text, padded, reference = _weight_tables(g, spec, breakdown)
+                assert text == padded == reference, (to_json(g), spec, breakdown)
+                assert not any(line.endswith(" ") for line in text.splitlines())
+                tables += 1
+    assert tables == 4 * 140
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=id_graphs(), rooted=st.booleans(), breakdown=st.booleans())
+def test_weight_table_matches_padded_cells_on_any_ids(g, rooted, breakdown):
+    """Ids with blanks, braces, commas and wide characters."""
+    spec = _singletons_and_rooted(g)[rooted]
+    text, padded, reference = _weight_tables(g, spec, breakdown)
+    assert text == padded == reference
