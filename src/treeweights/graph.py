@@ -187,54 +187,68 @@ class Multigraph:
         every vertex (then, by matroid augmentation, those edges extend
         the forest to a tree). Taking an allowed edge keeps that true,
         and so does skipping an edge whose ends the forest or the later
-        edges already join; only the other skips are tested. A bridge
-        is never skipped, so the states grow with the trees, not with
-        the ways to leave edges out. The graph must be connected, with
-        at least two vertices.
+        edges already join; only the other skips are tested. The test
+        starts from the later edges' components, stored per position as
+        a root per vertex and their count, and joins each vertex's root
+        with that of its forest label, passing over equal roots; it
+        stops once one component is left. A bridge is never skipped, so
+        the states grow with the trees, not with the ways to leave edges
+        out. The graph must be connected, with at least two vertices.
         """
         n = len(self.vertices)
         edges = [(piece(eid), a, b) for eid, a, b in self._edge_table if a != b]
         m = len(edges)
-        # suffix[p]: a root per vertex for the components of the edges at
-        # positions p and later, None where those edges connect the graph
-        suffix: list[tuple[int, ...] | None] = [None] * (m + 1)
+        # suffix[p]: the components of the edges at positions p and later, a
+        # root per vertex and their count, None where they connect the graph
+        suffix: list[tuple[tuple[int, ...], int] | None] = [None] * (m + 1)
         ds = DisjointSet(n)
         for p in range(m, 0, -1):
-            suffix[p] = tuple(ds.find(v) for v in range(n))
+            suffix[p] = tuple(ds.find(v) for v in range(n)), ds.groups
             ds.union(edges[p - 1][1], edges[p - 1][2])
             if ds.groups == 1:
                 break
 
-        def joined(labels: tuple[int, ...], rest: tuple[int, ...]) -> bool:
-            ds = DisjointSet(n)
-            for v in range(n):
-                ds.union(v, labels[v])
-                ds.union(v, rest[v])
-            return ds.groups == 1
+        def joined(labels: tuple[int, ...], rest: tuple[int, ...], groups: int) -> bool:
+            # each forest component joins the suffix roots of its vertices
+            parent = list(range(n))
+            for v, label in enumerate(labels):
+                x, y = rest[v], rest[label]
+                if x == y:
+                    continue
+                while parent[x] != x:
+                    x = parent[x] = parent[parent[x]]
+                while parent[y] != y:
+                    y = parent[y] = parent[parent[y]]
+                if x != y:
+                    parent[x] = y
+                    groups -= 1
+                    if groups == 1:
+                        return True
+            return False
 
         root = [edges[0][0], None, None]
         # component labels -> (state, edges the tree still needs)
         level: dict[tuple[int, ...], tuple[list, int]] = {tuple(range(n)): (root, n - 1)}
         for pos, (_, a, b) in enumerate(edges):
-            rest = suffix[pos + 1]
+            rest, groups = suffix[pos + 1] or (None, 0)
+            # a built successor leads to a tree that needs another edge,
+            # so one is left to decide
             after: dict[tuple[int, ...], tuple[list, int]] = {}
             for labels, (state, need) in level.items():
-                moves = []
-                lo, hi = sorted((labels[a], labels[b]))
-                if lo != hi and need == 1:
-                    state[1] = _TREE
-                elif lo != hi:
-                    moves.append((1, tuple(lo if c == hi else c for c in labels), need - 1))
+                la, lb = labels[a], labels[b]
+                if la != lb:
+                    if need == 1:
+                        state[1] = _TREE
+                    else:
+                        lo, hi = (la, lb) if la < lb else (lb, la)
+                        key = tuple(lo if c == hi else c for c in labels)
+                        successor = ([edges[pos + 1][0], None, None], need - 1)
+                        state[1] = after.setdefault(key, successor)[0]
                 # an edge within a component of the forest, or one whose
                 # ends the later edges join, can be skipped
-                if lo == hi or rest is None or rest[a] == rest[b] or joined(labels, rest):
-                    moves.append((2, labels, need))
-                # a built successor leads to a tree that needs another
-                # edge, so one is left to decide
-                for side, key, left in moves:
-                    if key not in after:
-                        after[key] = ([edges[pos + 1][0], None, None], left)
-                    state[side] = after[key][0]
+                if la == lb or rest is None or rest[a] == rest[b] or joined(labels, rest, groups):
+                    successor = ([edges[pos + 1][0], None, None], need)
+                    state[2] = after.setdefault(labels, successor)[0]
             level = after
         return root
 

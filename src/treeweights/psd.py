@@ -91,14 +91,18 @@ def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
 
     orders is an (N, |V|-1) array of positions in g's id-ordered edge
     table, as _ordered_tree_walk yields them. Every row takes its steps
-    on the integer labels of forest_trace, all rows together: k counts
-    the edges whose two labels differ, and the pairs across the two
-    joined components (kept as per-row component masks) get the step in
-    merge_steps. Each row's contact indices are read off its merge
-    steps once all are taken. Labels, steps and contact indices are
-    stored as int8 (int16 from 64 vertices on). Raises
-    NotAdmissibleError at the first step where some row's edge is not
-    trans-block, naming it by id.
+    on the integer labels of forest_trace, all rows together. The step
+    loop carries only the labels and the components (each named by one
+    of its vertices) and counts over the |V| states, the one before
+    each step and the one after the last: as components only join and
+    a merged vertex never gets a block label back, k at a step counts
+    the edges whose two labels differ before it, a pair's merge step is
+    the number of states in which its components differ, and a vertex's
+    first merge the number in which it keeps its block label (|V| on one
+    vertex). Each row's contact indices are read off its merge steps.
+    Labels, steps and contact indices are stored as int8 (int16 from 64
+    vertices on). Raises NotAdmissibleError at the first step where
+    some row's edge is not trans-block, naming it by id.
     """
     part.require_cover(g)
     n = len(g.vertices)
@@ -110,29 +114,31 @@ def trace_batch(g: Multigraph, part: Partition, orders) -> TraceBatch:
     # labels stay below 2|V| and steps run to |V|
     small = np.int8 if n < 64 else np.int16
     start = np.array([part.block_index(v) for v in g.vertices], dtype=small)
-    labels = np.repeat(start[None], count, axis=0)
-    component = np.repeat(np.arange(n, dtype=small)[None], count, axis=0)
-    merge = np.full((count, n, n), n, dtype=small)
-    touched = np.full((count, n), n, dtype=small)
-    k = np.empty((count, n - 1), dtype=np.int64)
-    for step in range(n - 1):
-        a, b = tails[orders[:, step]], heads[orders[:, step]]
-        stuck = labels[rows, a] == labels[rows, b]
+    # each state is (|V|, N), one column per row, so every array op runs
+    # along the rows; each state adds its counts as the loop passes it
+    labels = np.repeat(start[:, None], count, axis=1)
+    component = np.repeat(np.arange(n, dtype=small)[:, None], count, axis=1)
+    k = np.empty((n - 1, count), dtype=np.int64)
+    merge = np.zeros((n, n, count), dtype=small)
+    touched = np.zeros((n, count), dtype=small)
+    for step, (a, b) in enumerate(zip(tails[orders.T], heads[orders.T])):
+        stuck = labels[a, rows] == labels[b, rows]
         if stuck.any():
             eid = g._edge_table[orders[stuck.argmax(), step]][0]
             raise NotAdmissibleError(
                 f"edge {eid!r} is not trans-block at step {step}", step=step
             )
-        k[:, step] = np.count_nonzero(labels[:, tails] != labels[:, heads], axis=1)
-        root = component[rows, a][:, None]
-        in_a = component == root
-        in_b = component == component[rows, b][:, None]
-        across = in_a[:, :, None] & in_b[:, None, :]
-        merge[across | across.transpose(0, 2, 1)] = step + 1
-        joined = in_a | in_b
-        touched[joined & (touched == n)] = step + 1
+        k[step] = np.count_nonzero(labels[tails] != labels[heads], axis=0)
+        merge += component[:, None] != component
+        touched += labels == start[:, None]
+        root = component[a, rows]
+        joined = (component == root) | (component == component[b, rows])
         component = np.where(joined, root, component)
         labels = np.where(joined, len(part.blocks) + step, labels)
+    # the state after the last step: every pair is joined, and a vertex
+    # keeps its block label only where there is no step, on one vertex
+    touched += labels == start[:, None]
+    k, merge, touched = k.T.copy(), merge.transpose(2, 0, 1).copy(), touched.T.copy()
     # a pair in one starting block separates when either is first merged
     i = np.where(start[:, None] == start, np.minimum(touched[:, :, None], touched[:, None]), 0)
     diag = np.arange(n)
@@ -184,12 +190,13 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     equal k - 1, and distinct vertices get contact indices i < j. The
     traces are built BLOCK_ORDERINGS orderings at a time; the count
     route reads k from the labels, the monomial route the contact
-    indices.
+    indices. Both read only each ordering's positions and k product,
+    so the walk builds its orders from empty pieces.
     """
     require_weighable(g, part)
     # the walk runs to completion before the checks: interleaving it
     # with the trace work measured slower
-    walks = list(_ordered_tree_walk(g, part))
+    walks = list(_ordered_tree_walk(g, part, lambda eid: (), ()))
     denoms = [denom for _, _, _, denom in walks]
     total = sum((Fraction(c, d) for d, c in Counter(denoms).items()), Fraction(0))
     routes = exponents = contacts = True

@@ -3,9 +3,11 @@
 The kernel's k values and contact indices must equal, bit for bit, those
 read off the graphs and partitions that the test oracles replay by
 contracting objects; the batched kernel must equal the single-trace
-routes row by row, and the checks built on it the per-ordering loops
-they replaced; no invariant may hide in an `assert` that `python -O`
-strips; and the package exports exactly the names it defines.
+routes row by row, with int8 arrays up to 63 vertices and int16 from
+64, and the checks built on it the per-ordering loops they replaced; one
+vertex and an empty batch keep their pinned arrays; no invariant may
+hide in an `assert` that `python -O` strips; and the package exports
+exactly the names it defines.
 """
 
 import ast
@@ -141,6 +143,62 @@ def test_batch_ends_are_in_edge_table_order():
             )
             tree = Multigraph(g.vertices, tuple(map(g.edge, order)))
             assert tuple(tree_k[row].tolist()) == forest_trace(tree, part, order).k_values
+
+
+def chorded_path(n):
+    """The path v1 - v2 - ... - v<n> with the chord v1 - v4."""
+    vertices = [f"v{i}" for i in range(1, n + 1)]
+    edges = [(f"p{i:02d}", vertices[i], vertices[i + 1]) for i in range(n - 1)]
+    edges.append(("chord", vertices[0], vertices[3]))
+    return Multigraph.build(vertices, edges)
+
+
+@pytest.mark.parametrize("n, small", [(63, np.int8), (64, np.int16)])
+def test_batch_kernel_at_its_dtype_boundary(n, small):
+    # odd against even vertices: every edge of every tree is trans-block
+    # until its ends merge, so every ordering is admissible
+    g = chorded_path(n)
+    part = Partition.of([g.vertices[0::2], g.vertices[1::2]])
+    rng = random.Random(n)
+    index = edge_index(g)
+    orders = []
+    for dropped in ("p00", "p01", "p02", "chord"):
+        tree = sorted(set(index) - {dropped})
+        orders.extend(rng.sample(tree, len(tree)) for _ in range(3))
+    batch = trace_batch(g, part, [[index[eid] for eid in order] for order in orders])
+    assert batch.k.dtype == np.int64
+    assert {a.dtype for a in (batch.merge_steps, batch.start_blocks, batch.i, batch.j)} == {
+        np.dtype(small)
+    }
+    verts = g.vertices
+    for row, order in enumerate(orders):
+        trace = forest_trace(g, part, order)
+        assert tuple(batch.k[row].tolist()) == trace.k_values
+        assert tuple(map(tuple, batch.merge_steps[row].tolist())) == trace.merge_steps
+        assert [
+            [(int(batch.i[row, a, b]), int(batch.j[row, a, b])) for b in range(n)]
+            for a in range(n)
+        ] == [[contact_indices(trace, v, w) for w in verts] for v in verts]
+
+
+def test_batch_kernel_on_one_vertex_and_no_rows():
+    # one vertex: no step, so its one state is the one after the last
+    # step, in which it keeps its block label: its first merge reads |V|
+    g = Multigraph.build(["v"], [("loop", "v", "v")])
+    batch = trace_batch(g, Partition.of([["v"]]), [()])
+    assert batch.orders.shape == batch.k.shape == (1, 0)
+    assert batch.merge_steps.tolist() == [[[1]]]
+    assert batch.i.tolist() == [[[-1]]]
+    assert batch.j.tolist() == [[[0]]]
+    assert batch.ends.tolist() == [[0], [0]]
+    # no rows: every per-row array is empty, with the dtypes of a full batch
+    for g, part in ((g, Partition.of([["v"]])), (fig2(), fig2_double_rooted())):
+        n = len(g.vertices)
+        empty = trace_batch(g, part, [])
+        assert len(empty) == 0 and empty.orders.shape == empty.k.shape == (0, n - 1)
+        for a in (empty.merge_steps, empty.i, empty.j):
+            assert a.shape == (0, n, n) and a.dtype == np.int8
+        assert empty.k.dtype == np.int64 and empty.orders.dtype == np.intp
 
 
 @lru_cache(maxsize=1)

@@ -5,8 +5,10 @@ forests of each count of placed edges, spanning_trees walks (position,
 forest) states and ordered_trees walks one state per forest labeling;
 each must equal, bit for bit, the routes kept in helpers: the grouping
 of every ordered tree, the census that walks every sector prefix and
-the one over every permutation, the contraction-deletion recursion and
-the depth-first ordering search, order included. Beyond the guard, on
+the one over every permutation, the contraction-deletion recursion (and,
+on a seeded pool and on K4 with bridges listed last, the enumeration
+of every edge subset) and the depth-first ordering search, order
+included. Beyond the guard, on
 K6 and K7, the census must equal the partition route. The sums sweep
 and the walk of the labelings must equal the one forest-state table
 they replaced, and the walk must build labelings only, a few hundred
@@ -45,6 +47,7 @@ from treeweights.sectors import DEFAULT_GUARD, sector_census
 from treeweights.weights import weight_distribution
 
 from helpers import (
+    brute_force_spanning_trees,
     census_weights,
     complete_graph,
     contraction_deletion_trees,
@@ -343,11 +346,13 @@ def tree_states(g):
     return list(seen.values())
 
 
-def bridged_k4(bridges):
-    """A path of bridges b<i> ending at a vertex of K4: 16 spanning trees."""
+def bridged_k4(bridges, prefix="b"):
+    """A path of bridges <prefix><i> ending at a vertex of K4: 16 spanning
+    trees. Ids after the K4 edges' k<a><b> (say prefix "z") put the
+    bridges last in the edge table."""
     path = [f"u{i:03d}" for i in range(bridges + 1)]
     k4 = [path[-1], "w1", "w2", "w3"]
-    edges = [(f"b{i:03d}", path[i], path[i + 1]) for i in range(bridges)]
+    edges = [(f"{prefix}{i:03d}", path[i], path[i + 1]) for i in range(bridges)]
     edges.extend(
         (f"k{a}{b}", k4[a], k4[b]) for a in range(4) for b in range(a + 1, 4)
     )
@@ -366,6 +371,43 @@ def test_tree_states_all_lead_to_trees():
     assert g.spanning_trees() == contraction_deletion_trees(g)
     assert len(g.spanning_trees()) == g.complexity() == 16
     assert len(tree_states(g)) == 30 + len(tree_states(k4))
+
+
+def assert_tree_states_list_the_trees(g):
+    """g's tree walk equals the subset enumeration, order included, and
+    every state it builds leads to a tree."""
+    trees = g.spanning_trees()
+    assert trees == sorted(brute_force_spanning_trees(g), key=sorted)
+    assert len(trees) == g.complexity()
+    assert all(take is not None or skip is not None for _, take, skip in tree_states(g))
+
+
+def test_late_bridges_run_the_skip_test():
+    # with the bridges last, no K4 edge is joined by the later edges
+    # alone, so every K4 skip that the forest does not decide is tested
+    for bridges in (1, 3, 30):
+        g = bridged_k4(bridges, "z")
+        assert [eid for eid, _, _ in g._edge_table][-bridges:] == [
+            f"z{i:03d}" for i in range(bridges)
+        ]
+        assert g.spanning_trees() == contraction_deletion_trees(g)
+        assert g.complexity() == 16
+        assert_tree_states_list_the_trees(g)
+
+
+def test_tree_walk_matches_subset_enumeration():
+    rng = random.Random(2602)
+    inventories = []
+    for _ in range(200):
+        g = random_connected_multigraph(rng, min_vertices=2, max_vertices=7, max_edges=11)
+        ids = [e.id for e in g.edges]
+        rng.shuffle(ids)
+        g = Multigraph.build(g.vertices, [(eid, *e.ends) for eid, e in zip(ids, g.edges)])
+        assert_tree_states_list_the_trees(g)
+        inventories.append((len(g.vertices), *loops_and_parallels(g)))
+    assert {n for n, _, _ in inventories} == set(range(2, 8))
+    assert any(loops for _, loops, _ in inventories)
+    assert any(parallels for _, _, parallels in inventories)
 
 
 def test_trees_and_psd_output_match_contraction_deletion(monkeypatch, tmp_path):
