@@ -16,16 +16,16 @@ Output is deterministic for a fixed config and seed. JSON output is
 exactly `json.dumps(payload, indent=2)` (ASCII-escaped, strict: no NaN
 or Infinity) plus one newline; a table is left-justified columns joined
 by two spaces, trailing blanks stripped. Either is written in one piece.
-Two outputs enter the JSON payload as `_Verbatim` text, already laid
+Three outputs enter the JSON payload as `_Verbatim` text, already laid
 out, which `_json_text` writes as it is: the rows of `weights`, which
 formats each distinct weight once and shares the text among the rows of
-that weight, and the tree list of `trees`, whose text is built along
-the tree walk. The `weights` table is `_Verbatim` text too, which
-`_emit` writes as it is: its column widths are fixed before its first
-line is built, so no cell is padded and no line stripped after. The
-orderings of `weights --breakdown`, in every format, are built along
-the ordering walk in the same way, and refused with exit 4 when they
-number more than BREAKDOWN_BUDGET.
+that weight, the tree list of `trees`, built along the tree walk, and
+the checks of `psd`, each edge id quoted once. The `weights` table is
+`_Verbatim` text too, which `_emit` writes as it is: its column widths
+are fixed before its first line is built, so no cell is padded and no
+line stripped after. The orderings of `weights --breakdown`, in every
+format, are built along the ordering walk in the same way, and refused
+with exit 4 when they number more than BREAKDOWN_BUDGET.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def _json_text(value, indent: str = "\n") -> str:
     A non-str dict key raises TypeError (in the quoter). A list of str
     is quoted without a call per item. A _Verbatim value is written as
     it is: its maker lays it out for its place, as _weight_rows_json
-    does the rows of a weights payload and cmd_trees its tree list.
+    does the rows of a weights payload, cmd_trees its tree list and
+    cmd_psd its checks.
     """
     if isinstance(value, str):
         return value if type(value) is _Verbatim else _quote(value)
@@ -486,6 +487,9 @@ def cmd_verify(config: RunConfig, g: Multigraph, out) -> int:
 
 
 def cmd_psd(config: RunConfig, g: Multigraph, out) -> int:
+    """verify_constructive's report, a line or JSON check per ordered
+    tree. The checks enter the JSON payload as _Verbatim text, each edge
+    id quoted once and each float sent through _json_text."""
     part = _partition_or_singletons(config, g)
     report = verify_constructive(
         g, part, samples=config.samples, tol=config.tolerance, seed=config.seed
@@ -512,6 +516,22 @@ def cmd_psd(config: RunConfig, g: Multigraph, out) -> int:
         ]
 
     def payload():
+        # one level under _emit's top-level dict; no tree or order is empty
+        quoted = {e.id: _quote(e.id) for e in g.edges}
+        key_in, id_in = "\n      ", ",\n        "
+        trees: dict[tuple[str, ...], str] = {}
+
+        def listed(ids: tuple[str, ...]) -> str:
+            return "[" + id_in[1:] + id_in.join(map(quoted.__getitem__, ids)) + key_in + "]"
+
+        checks = [
+            f'{{{key_in}"tree": {trees.get(c.tree) or trees.setdefault(c.tree, listed(c.tree))},'
+            f'{key_in}"order": {listed(c.order)},'
+            f'{key_in}"min_eigenvalue": {_json_text(c.min_eigenvalue)},'
+            f'{key_in}"max_discrepancy": {_json_text(c.max_discrepancy)},'
+            f'{key_in}"passed": {"true" if c.passed else "false"}\n    }}'
+            for c in report.checks
+        ]
         return {
             "command": "psd",
             "partition": part.format(),
@@ -519,16 +539,7 @@ def cmd_psd(config: RunConfig, g: Multigraph, out) -> int:
             "samples": report.samples,
             "tolerance": report.tolerance,
             "measure_normalized": report.measure_normalized,
-            "checks": [
-                {
-                    "tree": list(c.tree),
-                    "order": list(c.order),
-                    "min_eigenvalue": c.min_eigenvalue,
-                    "max_discrepancy": c.max_discrepancy,
-                    "passed": c.passed,
-                }
-                for c in report.checks
-            ],
+            "checks": _Verbatim("[\n    " + ",\n    ".join(checks) + "\n  ]" if checks else "[]"),
             "passed": report.passed,
         }
 

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (
     BadDimensionError,
+    InvariantError,
     NotAdmissibleError,
     OutOfRangeError,
     TrivialPartitionError,
@@ -52,8 +53,9 @@ DEFAULT_SAMPLES = 20
 # the two matrix constructions are algebraically identical; their
 # floating-point realizations must match this tightly
 AGREEMENT_TOLERANCE = 1e-12
-# at most this many orderings go through one trace_batch call
-BLOCK_ORDERINGS = 1 << 13
+# at most this many entries in each (N, |V|, |V|) array of one
+# trace_batch call of verify_exact: 8 192 rows up to 16 vertices
+BLOCK_ENTRIES = 1 << 21
 # at most this many float64 entries in one stack of contact matrices
 STACK_ENTRIES = 1 << 14
 # at most this many float64 entries in the samples + 2 matrices of one
@@ -188,10 +190,11 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
 
     prod 1/k equals the integral of the edge monomial, whose exponents
     equal k - 1, and distinct vertices get contact indices i < j. The
-    traces are built BLOCK_ORDERINGS orderings at a time; the count
-    route reads k from the labels, the monomial route the contact
-    indices. Both read only each ordering's positions and k product,
-    so the walk builds its orders from empty pieces.
+    traces are built in blocks whose (N, |V|, |V|) arrays hold at most
+    BLOCK_ENTRIES entries (or one ordering); the count route reads k
+    from the labels, the monomial route the contact indices. Both read
+    only each ordering's positions and k product, so the walk builds
+    its orders from empty pieces.
     """
     require_weighable(g, part)
     # the walk runs to completion before the checks: interleaving it
@@ -200,8 +203,9 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     denoms = [denom for _, _, _, denom in walks]
     total = sum((Fraction(c, d) for d, c in Counter(denoms).items()), Fraction(0))
     routes = exponents = contacts = True
-    for first in range(0, len(walks), BLOCK_ORDERINGS):
-        block = walks[first:first + BLOCK_ORDERINGS]
+    size = max(1, BLOCK_ENTRIES // len(g.vertices) ** 2)
+    for first in range(0, len(walks), size):
+        block = walks[first:first + size]
         batch = trace_batch(g, part, [indices for _, indices, _, _ in block])
         exps = edge_exponents(batch)
         walked = denoms[first:first + len(block)]
@@ -342,21 +346,26 @@ def verify_constructive(
     diagonal must be exactly one, and the smallest eigenvalue must stay
     above -tol; the endpoint points (all-ones, all-zeros) must give the
     all-ones matrix and the identity exactly. One _ordered_tree_walk of
-    (g, part) gives the ordered trees, regrouped tree-major
-    (trees by sorted edge ids, each tree's orderings in walk order,
-    which is sorted); each keeps its own generator, seeded [seed,
-    index]. The ordered trees go through trace_batch in blocks of at
-    most STACK_ENTRIES matrix entries, or of one ordered tree when its
-    own matrices are more, and each construction builds one stack per
-    block: per ordered tree the samples, then the two endpoints; eigvalsh
-    runs once per block. Samples that would give one ordered tree more
-    than MAX_TREE_ENTRIES entries are refused before any work. Separately the tree measure
-    is normalized exactly: every spanning tree (as many as
-    Multigraph.complexity counts) is walked, and over the tree alone,
-    whose edges alone decide admissibility, the ordered weights 1/prod k
-    of its admissible orderings sum to 1, k read off the batch by _tree_k.
-    That sum is taken in integers: the products, over their lcm, must
-    add up to the lcm (_sums_to_one).
+    (g, part) gives the ordered trees, regrouped tree-major by a stable
+    sort on their sorted edge positions, which sort as their sorted ids
+    as the edge table is in id order; each tree's orderings keep walk
+    order, which is sorted, and its ids are named once. Each ordered
+    tree keeps its own generator, seeded as default_rng([seed, index])
+    is: its uint32 entropy row holds the words SeedSequence makes of
+    that list, the seed's little-endian 32-bit words (one for 0), then
+    the index, and random() fills its samples as uniform(0.0, 1.0) does,
+    bit for bit. The ordered trees go through trace_batch in blocks of
+    at most STACK_ENTRIES matrix entries, or of one ordered tree when
+    its own matrices are more, and each construction builds one stack
+    per block: per ordered tree the samples, then the two endpoints;
+    eigvalsh runs once per block. Samples that would give one ordered
+    tree more than MAX_TREE_ENTRIES entries are refused before any
+    work. Separately the tree measure is normalized exactly: every
+    spanning tree (as many as Multigraph.complexity counts) is walked,
+    and over the tree alone, whose edges alone decide admissibility, the
+    ordered weights 1/prod k of its admissible orderings sum to 1, k
+    read off the batch by _tree_k. That sum is taken in integers: the
+    products, over their lcm, must add up to the lcm (_sums_to_one).
     """
     if part.is_trivial:
         raise TrivialPartitionError("verification needs a non-trivial partition")
@@ -374,26 +383,38 @@ def verify_constructive(
         )
     # Kirchhoff's tree count, which also refuses a disconnected graph
     spanning = g.complexity()
-    # a stable sort by tree keeps each tree's orderings in walk order
+    # the edge table is in id order, so sorted positions sort as sorted
+    # ids; a stable sort keeps each tree's orderings in walk order
     walked = _ordered_tree_walk(g, part)
     walks = sorted(
-        ((tuple(sorted(order)), order, indices) for order, indices, _, _ in walked),
+        ((tuple(sorted(indices)), order, indices) for order, indices, _, _ in walked),
         key=lambda row: row[0],
     )
+    # the walk is listed, so no index can reach 2**32 and take two words
+    if len(walks) > 2**32:
+        raise InvariantError(f"{len(walks)} ordered trees overflow a 32-bit seed index")
+    # the seed's little-endian 32-bit words, as SeedSequence makes them
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    names = {
+        tree: tuple(g._edge_table[p][0] for p in tree)
+        for tree in dict.fromkeys(tree for tree, _, _ in walks)
+    }
     corners = np.array([np.ones((n, n)), np.eye(n)])
     diag = np.arange(n)
     size = max(1, STACK_ENTRIES // ((samples + 2) * n * n))
     checks: list[TraceCheck] = []
-    tree_denoms: dict[tuple[str, ...], list[int]] = {}
+    tree_denoms: dict[tuple[int, ...], list[int]] = {}
     for first in range(0, len(walks), size):
         block = walks[first:first + size]
         batch = trace_batch(g, part, [indices for _, _, indices in block])
         for (tree, _, _), denom in zip(block, _row_products(_tree_k(batch))):
             tree_denoms.setdefault(tree, []).append(denom)
+        entropy = np.empty((len(block), len(words) + 1), dtype=np.uint32)
+        entropy[:, :-1] = words
+        entropy[:, -1] = np.arange(first, first + len(block))
         points = np.empty((len(block), samples + 2, n - 1))
         for row in range(len(block)):
-            rng = np.random.default_rng([seed, first + row])
-            points[row, :samples] = rng.uniform(0.0, 1.0, size=(samples, n - 1))
+            np.random.default_rng(entropy[row]).random(out=points[row, :samples])
         points[:, samples] = 1.0
         points[:, samples + 1] = 0.0
         direct = contact_matrix_direct(batch, points)
@@ -407,17 +428,11 @@ def verify_constructive(
             [np.all(m[:, samples:] == corners, axis=(1, 2, 3)) for m in (direct, recursed)]
         )
         passed = (gaps <= AGREEMENT_TOLERANCE) & (lowest >= -tol) & diag_ok & endpoints
+        # in the field order of TraceCheck
+        verdicts = (a.tolist() for a in (lowest, gaps, endpoints, diag_ok, passed))
         checks.extend(
-            TraceCheck(
-                tree=tree,
-                order=order,
-                min_eigenvalue=float(lowest[row]),
-                max_discrepancy=float(gaps[row]),
-                endpoints_exact=bool(endpoints[row]),
-                unit_diagonal=bool(diag_ok[row]),
-                passed=bool(passed[row]),
-            )
-            for row, (tree, order, _) in enumerate(block)
+            TraceCheck(names[tree], order, *verdict)
+            for (tree, order, _), *verdict in zip(block, *verdicts)
         )
     normalized = len(tree_denoms) == spanning and all(map(_sums_to_one, tree_denoms.values()))
     passed = normalized and all(c.passed for c in checks)

@@ -73,7 +73,6 @@ from treeweights.partitions import (
 )
 from treeweights.psd import (
     AGREEMENT_TOLERANCE,
-    BLOCK_ORDERINGS,
     ExactReport,
     PsdReport,
     TraceBatch,
@@ -1023,6 +1022,59 @@ def reference_cmd_trees(config: cli.RunConfig, g: Multigraph, out) -> int:
     return cli.EXIT_OK
 
 
+def reference_cmd_psd(config: cli.RunConfig, g: Multigraph, out) -> int:
+    """cmd_psd before its checks were laid out as text: each check a
+    dict of lists, floats and a bool in the JSON payload, written by
+    reference_emit. It reads verify_constructive through cli, so a
+    patch there reaches both."""
+    part = cli._partition_or_singletons(config, g)
+    report = cli.verify_constructive(
+        g, part, samples=config.samples, tol=config.tolerance, seed=config.seed
+    )
+    rows = [
+        [
+            ",".join(c.tree),
+            ",".join(c.order),
+            f"{c.min_eigenvalue:.3e}",
+            f"{c.max_discrepancy:.3e}",
+            "ok" if c.passed else "FAIL",
+        ]
+        for c in report.checks
+    ] + [
+        [
+            "(all)",
+            f"seed={report.seed} samples={report.samples}",
+            f"{report.min_eigenvalue:.3e}",
+            f"{report.max_discrepancy:.3e}",
+            "ok" if report.passed else "FAIL",
+        ]
+    ]
+    payload = {
+        "command": "psd",
+        "partition": part.format(),
+        "seed": report.seed,
+        "samples": report.samples,
+        "tolerance": report.tolerance,
+        "measure_normalized": report.measure_normalized,
+        "checks": [
+            {
+                "tree": list(c.tree),
+                "order": list(c.order),
+                "min_eigenvalue": c.min_eigenvalue,
+                "max_discrepancy": c.max_discrepancy,
+                "passed": c.passed,
+            }
+            for c in report.checks
+        ],
+        "passed": report.passed,
+    }
+    headers = ["tree", "order", "min_eigenvalue", "max_discrepancy", "status"]
+    reference_emit(config, lambda: payload, headers, lambda: rows, out)
+    if not report.passed:
+        raise cli.CheckFailure("positivity verification failed")
+    return cli.EXIT_OK
+
+
 def reference_cmd_symmetric(config: cli.RunConfig, g: Multigraph, out) -> int:
     """cmd_symmetric before its integer check: the census and the
     partition route compared as dicts of Fractions, keyed by frozenset,
@@ -1072,11 +1124,9 @@ def reference_measure_normalized(g: Multigraph, part: Partition) -> bool:
         key=lambda row: row[0],
     )
     tree_weights: dict[tuple[str, ...], Fraction] = {}
-    for first in range(0, len(walks), BLOCK_ORDERINGS):
-        block = walks[first:first + BLOCK_ORDERINGS]
-        batch = trace_batch(g, part, [indices for _, _, indices in block])
-        for (tree, _, _), denom in zip(block, _row_products(psd._tree_k(batch))):
-            tree_weights[tree] = tree_weights.get(tree, 0) + Fraction(1, denom)
+    batch = trace_batch(g, part, [indices for _, _, indices in walks])
+    for (tree, _, _), denom in zip(walks, _row_products(psd._tree_k(batch))):
+        tree_weights[tree] = tree_weights.get(tree, 0) + Fraction(1, denom)
     return len(tree_weights) == spanning and all(w == 1 for w in tree_weights.values())
 
 

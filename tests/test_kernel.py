@@ -41,6 +41,7 @@ from treeweights.psd import (
 from treeweights.weights import edge_monomials
 
 from helpers import (
+    complete_graph,
     edge_index,
     edge_reversed_graphs,
     fig1,
@@ -213,7 +214,6 @@ def per_tree_reports():
 def test_batched_checks_equal_per_tree_loops(monkeypatch, block):
     sizes: list[int] = []
     if block is not None:
-        monkeypatch.setattr(psd, "BLOCK_ORDERINGS", block)
         build = psd.trace_batch
 
         def recorded(g, part, orders):
@@ -223,6 +223,9 @@ def test_batched_checks_equal_per_tree_loops(monkeypatch, block):
         monkeypatch.setattr(psd, "trace_batch", recorded)
     split = 0
     for (g, part), (exact, positivity) in zip(batch_cases(), per_tree_reports()):
+        if block is not None:
+            # verify's blocks hold BLOCK_ENTRIES // |V|**2 orderings
+            monkeypatch.setattr(psd, "BLOCK_ENTRIES", block * len(g.vertices) ** 2)
         assert verify_exact(g, part) == exact
         exact_sizes = sizes[:]
         sizes.clear()
@@ -237,6 +240,42 @@ def test_batched_checks_equal_per_tree_loops(monkeypatch, block):
             split += len(exact_sizes) > 1 and len(sizes) > 1
         sizes.clear()
     assert block is None or split > 0
+
+
+@pytest.mark.parametrize("bound", [10, 60, 400])
+def test_verify_blocks_stay_within_their_entry_bound(monkeypatch, bound):
+    """Each trace_batch block of verify_exact holds at most BLOCK_ENTRIES
+    entries in each (N, |V|, |V|) array, or one ordering whose arrays
+    alone hold more, and the report equals that of the default blocks."""
+    # up to 16 vertices a block holds 8 192 orderings, so every
+    # benchmark case takes one block
+    assert psd.BLOCK_ENTRIES // 16**2 == 8192 > psd.BLOCK_ENTRIES // 17**2
+    k5 = complete_graph(5)
+    cases = [
+        (fig1(), fig1_root_first()),
+        (fig2(), fig2_double_rooted()),
+        (fig2(), Partition.singletons(fig2().vertices)),
+        (k5, Partition.of([["v1"], k5.vertices[1:]])),
+    ]
+    expected = [verify_exact(g, part) for g, part in cases]
+    build = psd.trace_batch
+    blocks = []
+
+    def recorded(g, part, orders):
+        blocks.append(build(g, part, orders))
+        return blocks[-1]
+
+    monkeypatch.setattr(psd, "trace_batch", recorded)
+    monkeypatch.setattr(psd, "BLOCK_ENTRIES", bound)
+    for (g, part), report in zip(cases, expected):
+        blocks.clear()
+        assert verify_exact(g, part) == report
+        rows = max(1, bound // len(g.vertices) ** 2)
+        assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= rows and sum(map(len, blocks)) == report.ordered
+        for b in blocks:
+            sizes = {a.size for a in (b.merge_steps, b.i, b.j)}
+            assert max(sizes) <= bound or len(b) == 1
 
 
 def test_row_products_are_exact_beyond_int64():

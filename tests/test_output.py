@@ -3,13 +3,14 @@
 cli._json_text must return exactly json.dumps(value, indent=2,
 allow_nan=False), and cli._emit must write the same bytes as the
 reference writer in tests/helpers.py for every command and format.
-Two commands hand _emit JSON laid out as text with edge ids escaped by
-hand, which the reference writer cannot take: weights, whose rows are
-written from each distinct weight's shared text, and trees, whose tree
-list is built along the tree walk. Their stdout must equal that of
-reference_cmd_weights and reference_cmd_trees, which build the rows
-and trees as dicts and lists and write them through the reference
-writer.
+Three commands hand _emit JSON laid out as text with edge ids escaped
+by hand, which the reference writer cannot take: weights, whose rows
+are written from each distinct weight's shared text, trees, whose tree
+list is built along the tree walk, and psd, whose checks are laid out
+with each edge id quoted once. Their stdout must equal that of
+reference_cmd_weights, reference_cmd_trees and reference_cmd_psd,
+which build the rows, trees and checks as dicts and lists and write
+them through the reference writer.
 """
 
 import io
@@ -31,6 +32,7 @@ from treeweights.weights import weight_distribution
 from helpers import (
     fig1,
     fig2,
+    reference_cmd_psd,
     reference_cmd_trees,
     reference_cmd_weights,
     reference_emit,
@@ -167,10 +169,11 @@ FORMATS = ("json", "table", "csv")
 
 
 def _reference_stdout(args) -> tuple[int, str, str]:
-    """_stdout with the reference writer and the reference trees and
-    weights commands."""
+    """_stdout with the reference writer and the reference trees,
+    weights and psd commands."""
     with mock.patch.object(cli, "_emit", reference_emit), mock.patch.dict(
-        cli.COMMANDS, trees=reference_cmd_trees, weights=reference_cmd_weights
+        cli.COMMANDS, trees=reference_cmd_trees, weights=reference_cmd_weights,
+        psd=reference_cmd_psd,
     ):
         return _stdout(args)
 
@@ -188,13 +191,14 @@ def test_stdout_matches_reference_writer(tmp_path, g):
 
 
 def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
-    """Each command but trees and weights runs once; its _emit call is
-    written in every format by both writers, from the same payload and
-    rows. trees and weights run in every format, their whole stdout
-    against reference_cmd_trees and reference_cmd_weights."""
+    """Each command but trees, weights and psd runs once; its _emit call
+    is written in every format by both writers, from the same payload
+    and rows. trees, weights and psd run in every format, their whole
+    stdout against reference_cmd_trees, reference_cmd_weights and
+    reference_cmd_psd."""
     emit = cli._emit
     written = []
-    whole = ("trees", "weights")
+    whole = ("trees", "weights", "psd")
 
     def both(config, payload, headers, rows, out):
         written.append(config.command)
@@ -224,9 +228,9 @@ def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
                 assert _stdout([*args, "--format", fmt]) == expected, (args, fmt)
             compared.append(line[0])
     assert {c: written.count(c) for c in cli.COMMANDS} == {
-        "trees": 300, "symmetric": 100, "weights": 1200, "verify": 300, "psd": 100,
+        "trees": 300, "symmetric": 100, "weights": 1200, "verify": 300, "psd": 300,
     }
-    assert {c: compared.count(c) for c in whole} == {"trees": 100, "weights": 400}
+    assert {c: compared.count(c) for c in whole} == {"trees": 100, "weights": 400, "psd": 100}
 
 
 # Edge ids take any character the JSON quoter must escape, and the
@@ -251,14 +255,14 @@ def id_graphs(draw):
     return Multigraph.build(vertices, edges)
 
 
-@pytest.mark.parametrize("command", ["trees", "weights"])
+@pytest.mark.parametrize("command", ["trees", "weights", "psd"])
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(g=id_graphs(), rooted=st.booleans())
 def test_escapes_edge_ids_like_reference(tmp_path, command, g, rooted):
-    """trees, and weights with and without --breakdown on a singleton
-    or rooted partition, in every format."""
+    """trees, weights with and without --breakdown, and psd, on a
+    singleton or rooted partition, in every format."""
     path = tmp_path / "g.json"
     path.write_text(to_json(g))
     vertices = list(g.vertices)
@@ -266,12 +270,45 @@ def test_escapes_edge_ids_like_reference(tmp_path, command, g, rooted):
     lines = [[]]
     if command == "weights":
         lines = [["--partition", spec], ["--partition", spec, "--breakdown"]]
+    elif command == "psd":
+        lines = [["--partition", spec, "--samples", "2"]]
     for fmt in FORMATS:
         for line in lines:
             args = [command, "--graph", str(path), *line, "--format", fmt]
             expected = _reference_stdout(args)
             assert expected[0] == 0
             assert _stdout(args) == expected, args
+
+
+@pytest.mark.parametrize("field", ["min_eigenvalue", "max_discrepancy"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_psd_json_refuses_non_finite_floats(monkeypatch, tmp_path, field, value):
+    """A non-finite float in one check raises ValueError in JSON, as the
+    reference writer does, but with nothing written, where json.dump
+    has written the text before it; the table writes it."""
+    path = tmp_path / "g.json"
+    path.write_text(to_json(fig1()))
+    verify = cli.verify_constructive
+
+    def broken(*args, **kwargs):
+        report = verify(*args, **kwargs)
+        first = replace(report.checks[0], **{field: value})
+        return replace(report, checks=(first, *report.checks[1:]))
+
+    monkeypatch.setattr(cli, "verify_constructive", broken)
+    args = ["psd", "--graph", str(path), "--samples", "2"]
+    config = RunConfig(**vars(cli.build_parser().parse_args([*args, "--format", "json"])))
+    written = []
+    for command in (cli.cmd_psd, reference_cmd_psd):
+        out = io.StringIO()
+        with mock.patch.dict(cli.COMMANDS, psd=command), pytest.raises(
+            ValueError, match="not JSON compliant"
+        ):
+            cli.run(config, out=out)
+        written.append(out.getvalue())
+    assert written[0] == "" and written[1].endswith(f'"{field}": ')
+    code, out, _ = _stdout([*args, "--format", "table"])
+    assert code == 0 and f"{value:.3e}" in out.splitlines()[1]
 
 
 WEIGHT_HEADERS = ["tree", "weight", "decimal", "orderings"]

@@ -186,12 +186,42 @@ def test_verify_constructive_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("samples", [1, 5, 20])
-@pytest.mark.parametrize("seed", [0, 31])
-def test_verify_constructive_equals_pointwise_loop(samples, seed):
+# the oracle seeds default_rng([seed, index]) itself; verify_constructive
+# builds the same entropy words, one for seeds below 2**32 and more above
+SEEDS = [0, 31, 2**32 - 1, 2**32, 2**64 + 5]
+
+
+# the seeds of one word run at 20 samples too; the draws fill rows alike
+@pytest.mark.parametrize(
+    "seed,samples",
+    [(seed, samples) for seed in SEEDS[:2] for samples in (1, 5, 20)]
+    + [(seed, samples) for seed in SEEDS[2:] for samples in (1, 5)],
+)
+def test_verify_constructive_equals_pointwise_loop(seed, samples):
     for g, part in FIXTURE_CASES + multigraph_cases():
         report = verify_constructive(g, part, samples=samples, seed=seed)
         assert report == pointwise_verify_constructive(g, part, samples, 1e-10, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_indices_run_on_across_blocks(monkeypatch, seed):
+    """With blocks of a few ordered trees, each block seeds its rows
+    from its first index on, as one block does."""
+    build = psd.trace_batch
+    sizes: list[int] = []
+
+    def recorded(g, part, orders):
+        sizes.append(len(orders))
+        return build(g, part, orders)
+
+    monkeypatch.setattr(psd, "trace_batch", recorded)
+    for g, part in FIXTURE_CASES:
+        # three ordered trees of (2 + 2) matrices of |V| x |V| a block
+        monkeypatch.setattr(psd, "STACK_ENTRIES", 3 * 4 * len(g.vertices) ** 2)
+        sizes.clear()
+        report = verify_constructive(g, part, samples=2, seed=seed)
+        assert report == pointwise_verify_constructive(g, part, 2, 1e-10, seed)
+        assert sizes[:-1] == [3] * (len(sizes) - 1) and len(sizes) > 1
 
 
 def _drop_second_ordering(walk):
