@@ -16,11 +16,16 @@ Output is deterministic for a fixed config and seed. JSON output is
 exactly `json.dumps(payload, indent=2)` (ASCII-escaped, strict: no NaN
 or Infinity) plus one newline; a table is left-justified columns joined
 by two spaces, trailing blanks stripped. Either is written in one piece.
-Three outputs enter the JSON payload as `_Verbatim` text, already laid
-out, which `_json_text` writes as it is: the rows of `weights`, which
-formats each distinct weight once and shares the text among the rows of
-that weight, the tree list of `trees`, built along the tree walk, and
-the checks of `psd`, each edge id quoted once. The `weights` table is
+Four outputs enter the JSON payload as `_Verbatim` text, already laid
+out, which `_json_text` writes as it is: the rows of `weights` and of
+`symmetric`, each formatting every distinct weight once and sharing
+the text among the rows of that weight, the tree list of `trees`, built
+along the tree walk, and the checks of `psd`, each edge id quoted once.
+`weights` and `symmetric` read the integer rows of the sums sweep
+(weights._tree_sums) and build no report or per-row object: `weights`
+checks that its numerators sum to their one denominator, `symmetric`
+that each census count c and partition numerator num agree as
+c * denom == num * census.total, all in integers. The `weights` table is
 `_Verbatim` text too, which `_emit` writes as it is: its column widths
 are fixed before its first line is built, so no cell is padded and no
 line stripped after. The orderings of `weights --breakdown`, in every
@@ -53,7 +58,7 @@ from .graph import Multigraph
 from .partitions import Partition
 from .psd import DEFAULT_SAMPLES, DEFAULT_TOLERANCE, verify_constructive, verify_exact
 from .sectors import DEFAULT_GUARD, sector_census
-from .weights import WeightReport, weight_distribution
+from .weights import _Listing, _tree_sums
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -127,8 +132,8 @@ def _json_text(value, indent: str = "\n") -> str:
     A non-str dict key raises TypeError (in the quoter). A list of str
     is quoted without a call per item. A _Verbatim value is written as
     it is: its maker lays it out for its place, as _weight_rows_json
-    does the rows of a weights payload, cmd_trees its tree list and
-    cmd_psd its checks.
+    does the rows of a weights payload, cmd_symmetric its rows,
+    cmd_trees its tree list and cmd_psd its checks.
     """
     if isinstance(value, str):
         return value if type(value) is _Verbatim else _quote(value)
@@ -200,33 +205,44 @@ def _emit(config: RunConfig, payload, headers: list[str], rows, out) -> None:
         raise UnencodableOutputError(f"{exc}; --format json escapes it") from exc
 
 
-def _cells(item: dict) -> list[str]:
-    """A JSON item's values, in key order, as table cells; lists and
-    tuples joined by commas."""
-    return [",".join(v) if isinstance(v, (list, tuple)) else str(v) for v in item.values()]
+def _weight_texts(nums, denom: int) -> dict[int, tuple[str, str]]:
+    """Each distinct num's weight num/denom as its text and decimal,
+    each made one Fraction and formatted once."""
+    texts = {}
+    for num in set(nums):
+        w = Fraction(num, denom)
+        texts[num] = (str(w), _decimal_str(w))
+    return texts
 
 
-def _weight_rows_json(report: WeightReport, breakdown: bool, indent: str) -> _Verbatim:
-    """The "rows" of a weights payload, laid out as _json_text lays out
-    a value before whose closing bracket comes indent.
+def _weight_rows_json(rows, denom: int, listing: _Listing | None, indent: str) -> _Verbatim:
+    """The "rows" of a weights payload, from the integer rows of
+    _tree_sums, laid out as _json_text lays out a value before whose
+    closing bracket comes indent.
 
-    Each distinct tree weight is formatted once, keyed by its numerator
-    and denominator (hashing a Fraction costs a modular inverse), into
-    the text that follows the edge ids in every row of that weight.
-    With breakdown, each ordering's text is built along the ordering
-    walk (WeightReport.breakdowns): its edge ids, each quoted once per
+    Each distinct numerator is formatted once (_weight_texts), into the
+    text that follows the edge ids in every row of that weight. With a
+    listing (--breakdown), each ordering's text is built along the
+    ordering walk (_Listing.grouped): its edge ids, each quoted once per
     graph on its own line, between a head shared by every ordering and
     a tail shared by every ordering of its k product d, whose weight
-    1/d is formatted once. Weight texts need no escaping, and no tree
-    or ordering of a weighable graph is empty.
+    1/d is formatted once; each row reads its orderings by its mask.
+    Weight texts need no escaping, and no tree or ordering of a
+    weighable graph is empty.
     """
     row_in = indent + "  "
     key_in = row_in + "  "
     id_in = "," + key_in + "  "
     before = "{" + key_in + '"tree": [' + id_in[1:]
-    after: dict[tuple[int, int], str] = {}
-    listed = repeat(None)
-    if breakdown:
+    after = {
+        num: f'{key_in}],{key_in}"weight": "{w}",{key_in}"decimal": "{x}",{key_in}"orderings": '
+        for num, (w, x) in _weight_texts(map(itemgetter(2), rows), denom).items()
+    }
+    texts = [
+        before + id_in.join(map(_quote, tree)) + after[num] + str(count)
+        for tree, _, num, count in rows
+    ]
+    if listing is not None:
         entry_in = key_in + "  "
         field_in = entry_in + "  "
         leaf_in = "," + field_in + "  "
@@ -239,107 +255,93 @@ def _weight_rows_json(report: WeightReport, breakdown: bool, indent: str) -> _Ve
             )
             return head + order[1:] + tail
 
-        listed = report.breakdowns(lambda eid: leaf_in + _quote(eid), "", ordering)
+        grouped = listing.grouped(lambda eid: leaf_in + _quote(eid), "", ordering)
         between = "," + entry_in
-    rows = []
-    for row, items in zip(report.rows, listed):
-        w = row.weight
-        key = (w.numerator, w.denominator)
-        shared = after.get(key) or after.setdefault(key, (
-            f'{key_in}],{key_in}"weight": "{w}",{key_in}"decimal": "{_decimal_str(w)}",'
-            f'{key_in}"orderings": '
-        ))
-        text = before + id_in.join(map(_quote, row.tree)) + shared + str(len(row.orderings))
-        if breakdown:
-            text += f',{key_in}"breakdown": [{entry_in}{between.join(items)}{key_in}]'
-        rows.append(text + row_in + "}")
-    return _Verbatim("[" + row_in + ("," + row_in).join(rows) + indent + "]")
+        texts = [
+            f'{text},{key_in}"breakdown": [{entry_in}{between.join(grouped[mask])}{key_in}]'
+            for text, (_, mask, _, _) in zip(texts, rows)
+        ]
+    close = row_in + "}"
+    return _Verbatim("[" + row_in + (close + "," + row_in).join(texts) + close + indent + "]")
 
 
-def _weight_lines(report: WeightReport, breakdown: bool) -> list[tuple[str, ...]]:
-    """The cells of a weights CSV, a line per tree and, with breakdown,
-    one under it per ordering: its edge ids, the weight and decimal it
-    shares with every line of its weight, and its ordering count (""
-    on a breakdown line). Each distinct tree weight is formatted once,
-    keyed as in _weight_rows_json. An ordering's line is built along
-    the ordering walk (WeightReport.breakdowns): its edge ids, each
-    after a comma, then the cells of its k product d, formatted once
-    per d."""
-    shown: dict[tuple[int, int], tuple[str, str]] = {}
-    listed = repeat(())
-    if breakdown:
-        cells: dict[int, tuple[str, str, str]] = {}
+def _weight_lines(rows, denom: int, listing: _Listing | None) -> list[tuple[str, ...]]:
+    """The cells of a weights CSV, from the integer rows of _tree_sums:
+    a line per tree and, with a listing (--breakdown), one under it per
+    ordering: its edge ids, the weight and decimal it shares with every
+    line of its weight (_weight_texts), and its ordering count (""
+    on a breakdown line). An ordering's line is built along the
+    ordering walk (_Listing.grouped): its edge ids, each after a comma,
+    then the cells of its k product d, formatted once per d."""
+    shown = _weight_texts(map(itemgetter(2), rows), denom)
+    if listing is None:
+        return [(",".join(tree), *shown[num], str(count)) for tree, _, num, count in rows]
+    cells: dict[int, tuple[str, str, str]] = {}
 
-        def line(order: str, d: int) -> tuple[str, str, str, str]:
-            shared = cells.get(d)
-            if shared is None:
-                w = Fraction(1, d)
-                shared = cells[d] = (str(w), _decimal_str(w), "")
-            return ("  " + order[1:], *shared)
+    def line(order: str, d: int) -> tuple[str, str, str, str]:
+        shared = cells.get(d)
+        if shared is None:
+            w = Fraction(1, d)
+            shared = cells[d] = (str(w), _decimal_str(w), "")
+        return ("  " + order[1:], *shared)
 
-        listed = report.breakdowns(lambda eid: "," + eid, "", line)
+    grouped = listing.grouped(lambda eid: "," + eid, "", line)
     lines = []
-    for row, under in zip(report.rows, listed):
-        w = row.weight
-        key = (w.numerator, w.denominator)
-        text, decimal = shown.get(key) or shown.setdefault(key, (str(w), _decimal_str(w)))
-        lines.append((",".join(row.tree), text, decimal, str(len(row.orderings))))
-        lines.extend(under)
+    for tree, mask, num, count in rows:
+        lines.append((",".join(tree), *shown[num], str(count)))
+        lines.extend(grouped[mask])
     return lines
 
 
-def _weight_table(headers: list[str], report: WeightReport, breakdown: bool) -> _Verbatim:
+def _weight_table(headers: list[str], rows, denom: int, listing: _Listing | None) -> _Verbatim:
     """The weights table as finished text, which _emit writes as it is:
     the lines _emit_table writes of _weight_lines, every column width
     fixed before the first line is built.
 
     The widths come from the rows' tree texts, each distinct row weight
-    and, with breakdown, each distinct ordering weight 1/d, read off the
-    (order text, d) pairs of one walk (WeightReport.breakdowns). An
-    order text is a two-blank indent, then each edge id before a comma;
-    an ordering holds its tree's edges, so up to its last comma it is
-    its tree text's length plus two. A row line is written once, from
-    the text its weight shares. A breakdown line is its order text up
-    to the last comma plus one tail (the padding, the weight and the
-    decimal of d), built once for every ordering of that padding and d.
-    A line ends at its decimal or ordering count, so none ends in a
-    blank.
+    and, with a listing (--breakdown), each distinct ordering weight
+    1/d, read off the (order text, d) pairs of one walk
+    (_Listing.grouped). An order text is a two-blank indent, then each
+    edge id before a comma; an ordering holds its tree's edges, so up
+    to its last comma it is its tree text's length plus two. A row line
+    is written once, from the text its weight shares. A breakdown line
+    is its order text up to the last comma plus one tail (the padding,
+    the weight and the decimal of d), built once for every ordering of
+    that padding and d. A line ends at its decimal or ordering count,
+    so none ends in a blank.
     """
-    rows = report.rows
-    trees = [",".join(row.tree) for row in rows]
-    keys = [(row.weight.numerator, row.weight.denominator) for row in rows]
-    distinct = dict(zip(keys, [row.weight for row in rows]))
-    shown = {key: (str(w), _decimal_str(w)) for key, w in distinct.items()}
+    trees = [",".join(tree) for tree, _, _, _ in rows]
+    shown = _weight_texts(map(itemgetter(2), rows), denom)
     ordered: dict[int, tuple[str, str]] = {}
-    listed = repeat(())
-    if breakdown:
-        listed = report.breakdowns(lambda eid: eid + ",", "  ", lambda order, d: (order, d))
-        for d in set(map(itemgetter(1), chain.from_iterable(listed))):
+    grouped = None
+    if listing is not None:
+        grouped = listing.grouped(lambda eid: eid + ",", "  ", lambda order, d: (order, d))
+        for d in set(map(itemgetter(1), chain.from_iterable(grouped.values()))):
             w = Fraction(1, d)
             ordered[d] = (str(w), _decimal_str(w))
     texts = [*shown.values(), *ordered.values()]
     widths = (
-        max(len(headers[0]), max(map(len, trees)) + (2 if breakdown else 0)),
+        max(len(headers[0]), max(map(len, trees)) + (0 if grouped is None else 2)),
         max(len(headers[1]), *(len(w) for w, _ in texts)),
         max(len(headers[2]), *(len(x) for _, x in texts)),
     )
     tree_width, weight_width, decimal_width = widths
     middle = {
-        key: f"  {w.ljust(weight_width)}  {x.ljust(decimal_width)}  " for key, (w, x) in shown.items()
+        num: f"  {w.ljust(weight_width)}  {x.ljust(decimal_width)}  " for num, (w, x) in shown.items()
     }
     after = {d: f"  {w.ljust(weight_width)}  {x}" for d, (w, x) in ordered.items()}
     tails: dict[int, dict[int, str]] = {}
     lines = ["  ".join(map(str.ljust, headers, widths)) + "  " + headers[3]]
-    for row, tree, key, items in zip(rows, trees, keys, listed):
+    for tree, (_, mask, num, count) in zip(trees, rows):
         pad = tree_width - len(tree)
-        lines.append(tree + " " * pad + middle[key] + str(len(row.orderings)))
-        if items:
+        lines.append(tree + " " * pad + middle[num] + str(count))
+        if grouped is not None:
             tail = tails.get(pad) or tails.setdefault(
                 pad, {d: " " * (pad - 2) + text for d, text in after.items()}
             )
-            lines += [order[:-1] + tail[d] for order, d in items]
+            lines += [order[:-1] + tail[d] for order, d in grouped[mask]]
     # dropping the pairs before the join lowers the peak memory
-    del listed
+    del grouped
     return _Verbatim("\n".join(lines) + "\n")
 
 
@@ -370,89 +372,96 @@ def cmd_symmetric(config: RunConfig, g: Multigraph, out) -> int:
     """The census weights, checked against the partition route.
 
     On two or more vertices both routes must give the same trees, and
-    each tree's census count c must equal its partition weight w in
-    integers: c * w.denominator == w.numerator * census.total. The rows
-    follow the report's sorted trees; each distinct count is formatted
-    once.
+    each tree's census count c must equal its partition weight num/denom
+    (the integer rows of _tree_sums) in integers: c * denom == num *
+    census.total. The rows follow the partition route's sorted trees;
+    each distinct count is formatted once. The JSON rows enter the
+    payload as _Verbatim text, each edge id quoted with _quote.
     """
     census = sector_census(g, guard=config.guard)
     counts, total = census.counts, census.total
     if len(g.vertices) >= 2:
-        report = weight_distribution(g, Partition.singletons(g.vertices))
-        found = [(row.tree, counts.get(frozenset(row.tree)), row) for row in report.rows]
-        if len(counts) != len(found) or not all(
-            c is not None and c * row.weight.denominator == row.weight.numerator * total
-            for _, c, row in found
+        rows, denom = _tree_sums(g, Partition.singletons(g.vertices))
+        found = [(tree, counts.get(frozenset(tree)), orderings) for tree, _, _, orderings in rows]
+        if len(counts) != len(rows) or not all(
+            c is not None and c * denom == num * total
+            for (_, c, _), (_, _, num, _) in zip(found, rows)
         ):
             raise CheckFailure("sector census and partition route disagree")
     else:
-        found = sorted((tuple(sorted(t)), c, None) for t, c in counts.items())
-    shown: dict[int, tuple[str, str]] = {}
-    items = []
-    for tree, c, row in found:
-        text = shown.get(c)
-        if text is None:
-            w = Fraction(c, total)
-            text = shown[c] = (str(w), _decimal_str(w))
-        items.append({
-            "tree": tree,
-            "weight": text[0],
-            "decimal": text[1],
-            "sectors": c,
-            "orderings": 0 if row is None else len(row.orderings),
-        })
+        found = sorted((tuple(sorted(t)), c, 0) for t, c in counts.items())
     # every weight is a count over census.total, so the counts must sum to it
     counted = sum(counts.values())
     if counted != total:
         raise CheckFailure(f"weights sum to {Fraction(counted, total)}, not 1")
-    payload = {
-        "command": "symmetric",
-        "sectors_total": total,
-        "rows": items,
-        "sum": "1",
-    }
+    shown = _weight_texts(counts.values(), total)
+
+    def payload():
+        # one level under _emit's top-level dict; only a one-vertex tree is empty
+        key_in, id_in = "\n      ", ",\n        "
+        items = []
+        for tree, c, orderings in found:
+            ids = "[" + id_in[1:] + id_in.join(map(_quote, tree)) + key_in + "]" if tree else "[]"
+            w, x = shown[c]
+            items.append(
+                f'{{{key_in}"tree": {ids},{key_in}"weight": "{w}",{key_in}"decimal": "{x}",'
+                f'{key_in}"sectors": {c},{key_in}"orderings": {orderings}\n    }}'
+            )
+        return {
+            "command": "symmetric",
+            "sectors_total": total,
+            "rows": _Verbatim("[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"),
+            "sum": "1",
+        }
+
+    def cells():
+        return [[",".join(tree), *shown[c], str(c), str(orderings)] for tree, c, orderings in found]
+
     headers = ["tree", "weight", "decimal", "sectors", "orderings"]
-    _emit(config, lambda: payload, headers, lambda: [_cells(item) for item in items], out)
+    _emit(config, payload, headers, cells, out)
     return EXIT_OK
 
 
 def cmd_weights(config: RunConfig, g: Multigraph, out) -> int:
-    """The weight report, its rows written from each distinct weight's
-    shared text: in JSON and in a table as _Verbatim text, in CSV as the
-    cells of _weight_lines. With --breakdown each writer walks the
-    orderings once, building their text along the walk, after the
-    ordering counts of the sums sweep are checked against
-    BREAKDOWN_BUDGET."""
+    """The integer rows of _tree_sums, checked to sum to 1 in integers
+    and written from each distinct weight's shared text: in JSON and in
+    a table as _Verbatim text, in CSV as the cells of _weight_lines.
+    With --breakdown each writer walks the orderings once (_Listing),
+    building their text along the walk, after the ordering counts of
+    the sums sweep are checked against BREAKDOWN_BUDGET."""
     if config.partition is None:
         raise ParseError("the weights command requires --partition")
     part = parse_partition(config.partition, g)
-    report = weight_distribution(g, part)
-    total = report.total
-    if total != 1:
-        raise CheckFailure(f"weights sum to {total}, not 1")
+    rows, denom = _tree_sums(g, part)
+    summed = sum(map(itemgetter(2), rows))
+    if summed != denom:
+        raise CheckFailure(f"weights sum to {Fraction(summed, denom)}, not 1")
+    listing = None
     if config.breakdown:
-        listed = sum(len(row.orderings) for row in report.rows)
+        counts = {mask: count for _, mask, _, count in rows}
+        listed = sum(counts.values())
         if listed > BREAKDOWN_BUDGET:
             raise EnumerationGuardExceededError(
                 f"--breakdown would list {listed} orderings; the budget is {BREAKDOWN_BUDGET}"
             )
+        listing = _Listing(g, part, counts)
 
     def payload():
         return {
             "command": "weights",
             "partition": part.format(),
             # _emit writes the payload's keys one level under its top-level dict
-            "rows": _weight_rows_json(report, config.breakdown, "\n  "),
-            "sum": str(total),
+            "rows": _weight_rows_json(rows, denom, listing, "\n  "),
+            "sum": "1",
         }
 
-    def rows():
+    def cells():
         if config.output_format == "csv":
-            return _weight_lines(report, config.breakdown)
-        return _weight_table(headers, report, config.breakdown)
+            return _weight_lines(rows, denom, listing)
+        return _weight_table(headers, rows, denom, listing)
 
     headers = ["tree", "weight", "decimal", "orderings"]
-    _emit(config, payload, headers, rows, out)
+    _emit(config, payload, headers, cells, out)
     return EXIT_OK
 
 

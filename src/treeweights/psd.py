@@ -201,7 +201,10 @@ def verify_exact(g: Multigraph, part: Partition) -> ExactReport:
     # with the trace work measured slower
     walks = list(_ordered_tree_walk(g, part, lambda eid: (), ()))
     denoms = [denom for _, _, _, denom in walks]
-    total = sum((Fraction(c, d) for d, c in Counter(denoms).items()), Fraction(0))
+    # the sum of every 1/d over the lcm of the distinct d, in integers
+    counted = Counter(denoms)
+    lcm = math.lcm(*counted)
+    total = Fraction(sum(c * (lcm // d) for d, c in counted.items()), lcm)
     routes = exponents = contacts = True
     size = max(1, BLOCK_ENTRIES // len(g.vertices) ** 2)
     for first in range(0, len(walks), size):

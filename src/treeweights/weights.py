@@ -15,16 +15,18 @@ This module imports no numpy: its weights are Python integers and
 Fractions. A tree
 weighs the sum of its ordered weights over its admissible orderings,
 and the weights of all spanning trees of a connected graph sum to
-exactly 1. weight_distribution does not walk those orderings: k and
+exactly 1. The tree weights are not summed over those orderings: k and
 admissibility depend only on the components of the forest contracted
 so far, so partitions._forest_sums sums every tree's weight over the
-forests, merging every ordering that reaches the same forest. The
-per-ordering breakdown is walked, only when read, by
-partitions._ordered_tree_walk on the canonical labelings of the forests:
-as (order tuple, Fraction) pairs when a row's orderings are read, or as
-items a writer builds from pieces of its own output text, through
-WeightReport.breakdowns. Either way _Listing.grouped checks each tree's
-ordering count against the sums sweep.
+forests, merging every ordering that reaches the same forest.
+_tree_sums hands that sweep out as sorted integer rows over one
+denominator, which the CLI writes directly and weight_distribution
+wraps in TreeRow objects. The per-ordering breakdown is walked, only
+when read, by partitions._ordered_tree_walk on the canonical labelings
+of the forests: as (order tuple, Fraction) pairs when a row's orderings
+are read, or as items a writer builds from pieces of its own output
+text, through _Listing.grouped. Either way _Listing.grouped checks each
+tree's ordering count against the sums sweep.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def require_weighable(g: Multigraph, part: Partition) -> None:
 
 
 class _Listing:
-    """The per-ordering breakdown of one report, from one ordering walk.
+    """The per-ordering breakdown of (g, part), from one ordering walk.
 
     grouped walks the orderings of (g, part) with _ordered_tree_walk,
     its prefixes built from the given pieces, and groups them by tree
@@ -136,8 +138,8 @@ class Breakdown(Sequence):
     The length is the sums sweep's ordering count and costs nothing;
     the (order tuple, Fraction) pairs are listed, for every tree of the
     report at once, by _Listing.by_tree on first read. A writer that
-    needs other items per ordering reads WeightReport.breakdowns, which
-    builds no pairs. Compares equal to any tuple or list of the same
+    needs other items per ordering reads _Listing.grouped, which builds
+    no pairs. Compares equal to any tuple or list of the same
     pairs.
     """
 
@@ -193,14 +195,6 @@ class WeightReport:
         counts = Counter((r.weight.numerator, r.weight.denominator) for r in self.rows)
         return sum((Fraction(num * c, d) for (num, d), c in counts.items()), Fraction(0))
 
-    def breakdowns(self, piece, empty, item) -> list[list]:
-        """Each row's orderings as [item(order, k product), ...], aligned
-        with rows, from one walk of _Listing.grouped: each order is empty
-        plus piece(edge id) of its edges, so a writer can build its text
-        along the walk. The rows must be those of weight_distribution."""
-        grouped = self.rows[0].orderings._listing.grouped(piece, empty, item)
-        return [grouped[row.orderings._mask] for row in self.rows]
-
     def weight(self, tree: Iterable[str]) -> Fraction:
         key = tuple(sorted(tree))
         for row in self.rows:
@@ -209,33 +203,42 @@ class WeightReport:
         return Fraction(0)
 
 
-def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
-    """The full probability distribution over the spanning trees of g.
+def _tree_sums(
+    g: Multigraph, part: Partition
+) -> tuple[list[tuple[tuple[str, ...], int, int, int]], int]:
+    """The sums sweep as integer rows, after the input checks.
 
-    Tree weights and ordering counts come from one sweep over forests
-    (partitions._forest_sums), as integer numerators over one
-    denominator; each distinct numerator becomes one Fraction, shared
-    by every row of that weight. A row's tree is read off its bitmask
-    with the bits taken in id order, so it is sorted as it is built.
-    The per-ordering breakdown is walked by _ordered_tree_walk only when
-    read.
+    Returns the rows (tree ids, tree bitmask, weight numerator, ordering
+    count), sorted by tree ids, and the one denominator of every
+    numerator (partitions._forest_sums). A row's ids are read off its
+    bitmask with the bits taken in id order, so they are sorted as they
+    are built.
     """
     require_weighable(g, part)
     bits = [(eid, 1 << p) for p, (eid, _, _) in enumerate(g._edge_table)]
     trees, denom = _forest_sums(g, part)
+    rows = [
+        (tuple([eid for eid, bit in bits if mask & bit]), mask, num, count)
+        for mask, (num, count) in trees.items()
+    ]
+    rows.sort(key=itemgetter(0))
+    return rows, denom
+
+
+def weight_distribution(g: Multigraph, part: Partition) -> WeightReport:
+    """The full probability distribution over the spanning trees of g.
+
+    The rows of _tree_sums, each distinct numerator made one Fraction,
+    shared by every row of that weight. The per-ordering breakdown is
+    walked by _ordered_tree_walk only when read.
+    """
+    rows, denom = _tree_sums(g, part)
+    listing = _Listing(g, part, {mask: count for _, mask, _, count in rows})
     shared: dict[int, Fraction] = {}
     found = []
-    for mask, (num, count) in trees.items():
+    for key, mask, num, count in rows:
         weight = shared.get(num)
         if weight is None:
             weight = shared[num] = Fraction(num, denom)
-        found.append((tuple([eid for eid, bit in bits if mask & bit]), weight, mask, count))
-    found.sort(key=itemgetter(0))
-    listing = _Listing(g, part, {mask: count for mask, (_, count) in trees.items()})
-    return WeightReport(
-        tuple(
-            TreeRow(key, weight, Breakdown(count, key, mask, listing))
-            for key, weight, mask, count in found
-        )
-    )
-
+        found.append(TreeRow(key, weight, Breakdown(count, key, mask, listing)))
+    return WeightReport(tuple(found))

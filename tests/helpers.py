@@ -941,6 +941,32 @@ def reference_total(report: WeightReport) -> Fraction:
     return sum((r.weight for r in report.rows), Fraction(0))
 
 
+def reference_cells(item: dict) -> list[str]:
+    """A JSON item's values, in key order, as table cells; lists and
+    tuples joined by commas (cli._cells, since deleted, as the reference
+    writers made their table rows)."""
+    return [",".join(v) if isinstance(v, (list, tuple)) else str(v) for v in item.values()]
+
+
+def report_rows(g: Multigraph, report: WeightReport) -> tuple[list, int]:
+    """A report as the integer rows of weights._tree_sums: (tree ids,
+    tree bitmask, weight numerator, ordering count) per row, in the
+    report's order, over the lcm of its weights' denominators, bit p
+    standing for edge-table position p."""
+    bit = {eid: 1 << p for p, (eid, _, _) in enumerate(g._edge_table)}
+    denom = math.lcm(*(row.weight.denominator for row in report.rows))
+    rows = [
+        (
+            row.tree,
+            sum(bit[eid] for eid in row.tree),
+            row.weight.numerator * (denom // row.weight.denominator),
+            len(row.orderings),
+        )
+        for row in report.rows
+    ]
+    return rows, denom
+
+
 def reference_weight_items(report: WeightReport, breakdown: bool, table: bool) -> list:
     """The rows of a weight report as cmd_weights built them before it
     wrote them from each distinct weight's shared text (the code since
@@ -966,7 +992,7 @@ def reference_weight_items(report: WeightReport, breakdown: bool, table: bool) -
             "orderings": len(row.orderings),
         }
         if table:
-            out.append(cli._cells(item))
+            out.append(reference_cells(item))
             if breakdown:
                 for order, w in row.orderings:
                     text, decimal = formatted(w)
@@ -1078,15 +1104,16 @@ def reference_cmd_psd(config: cli.RunConfig, g: Multigraph, out) -> int:
 def reference_cmd_symmetric(config: cli.RunConfig, g: Multigraph, out) -> int:
     """cmd_symmetric before its integer check: the census and the
     partition route compared as dicts of Fractions, keyed by frozenset,
-    and every row formatted on its own. It reads sector_census and
-    weight_distribution through cli, so a patch there reaches both."""
+    every row a dict formatted on its own, written by reference_emit.
+    It reads sector_census and the partition route's rows (_tree_sums)
+    through cli, so a patch there reaches both."""
     census = cli.sector_census(g, guard=config.guard)
     weights = census_weights(census)
     if len(g.vertices) >= 2:
-        report = cli.weight_distribution(g, Partition.singletons(g.vertices))
-        if weights != report_weights(report):
+        rows, denom = cli._tree_sums(g, Partition.singletons(g.vertices))
+        if weights != {frozenset(tree): Fraction(num, denom) for tree, _, num, _ in rows}:
             raise cli.CheckFailure("sector census and partition route disagree")
-        order_counts = {frozenset(r.tree): len(r.orderings) for r in report.rows}
+        order_counts = {frozenset(tree): count for tree, _, _, count in rows}
     else:
         order_counts = {}
     items = [
@@ -1109,7 +1136,9 @@ def reference_cmd_symmetric(config: cli.RunConfig, g: Multigraph, out) -> int:
         "sum": "1",
     }
     headers = ["tree", "weight", "decimal", "sectors", "orderings"]
-    cli._emit(config, lambda: payload, headers, lambda: [cli._cells(item) for item in items], out)
+    reference_emit(
+        config, lambda: payload, headers, lambda: [reference_cells(item) for item in items], out
+    )
     return cli.EXIT_OK
 
 

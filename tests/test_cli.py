@@ -22,8 +22,10 @@ from helpers import (
     fig1,
     fig2,
     fig2_double_rooted,
+    reference_cells,
     reference_cmd_symmetric,
     reference_total,
+    report_rows,
     to_json,
 )
 
@@ -284,9 +286,9 @@ def test_output_deterministic():
 def test_check_failure_exit_code(monkeypatch):
     # force an impossible distribution to confirm exit code 3
     def broken(g, part):
-        return WeightReport(rows=())
+        return report_rows(g, WeightReport(rows=()))
 
-    monkeypatch.setattr(cli, "weight_distribution", broken)
+    monkeypatch.setattr(cli, "_tree_sums", broken)
     code, _, err = run_cli(
         [
             "weights",
@@ -615,9 +617,10 @@ def test_emit_builds_only_what_the_format_writes():
 
 
 def test_cells_join_tuples_like_lists():
+    # the reference writers' table cells; cmd_symmetric builds its own
     item = {"tree": ("e1", "e2"), "listed": ["e3", "e4"], "empty": (), "count": 3, "w": "1/2"}
-    assert cli._cells(item) == ["e1,e2", "e3,e4", "", "3", "1/2"]
-    rows = [cli._cells({"tree": ("e1", "e2")}), cli._cells({"tree": ["e1", "e2"]})]
+    assert reference_cells(item) == ["e1,e2", "e3,e4", "", "3", "1/2"]
+    rows = [reference_cells({"tree": ("e1", "e2")}), reference_cells({"tree": ["e1", "e2"]})]
     out = io.StringIO()
     cli._emit_table(["tree"], rows, out)
     assert out.getvalue() == "tree\ne1,e2\ne1,e2\n"
@@ -649,15 +652,24 @@ def _first_tree_swapped(counts):
     return {tree | {"absent"}: count, **dict(rest)}
 
 
+def _first_tree_foreign_id(counts):
+    # the same trees but the first, and in its place that tree with one
+    # edge id traded for one the graph does not have
+    (tree, count), *rest = counts.items()
+    return {tree - {min(tree)} | {"absent"}: count, **dict(rest)}
+
+
 def _report_row_dropped(route):
     def dropped(g, part):
-        return WeightReport(route(g, part).rows[1:])
+        rows, denom = route(g, part)
+        return rows[1:], denom
     return dropped
 
 
 # the census side: one count off by one either way, or one tree missing
-# from it or traded for an edge set the partition route never gives;
-# the partition side: one tree missing from the report
+# from it or traded for an edge set the partition route never gives,
+# one edge id more or one foreign id in place of its own; the partition
+# side: one tree missing from its rows
 @pytest.mark.parametrize(
     "name,broken",
     [
@@ -665,10 +677,11 @@ def _report_row_dropped(route):
         ("sector_census", lambda f: _census_changed(_first_count_off(-1))),
         ("sector_census", lambda f: _census_changed(_first_tree_dropped)),
         ("sector_census", lambda f: _census_changed(_first_tree_swapped)),
-        ("weight_distribution", _report_row_dropped),
+        ("sector_census", lambda f: _census_changed(_first_tree_foreign_id)),
+        ("_tree_sums", _report_row_dropped),
     ],
     ids=["count-plus-one", "count-minus-one", "census-tree-missing", "census-tree-swapped",
-         "report-tree-missing"],
+         "census-tree-foreign-id", "report-tree-missing"],
 )
 def test_symmetric_reports_a_broken_route(monkeypatch, name, broken):
     monkeypatch.setattr(cli, name, broken(getattr(cli, name)))

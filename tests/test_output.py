@@ -3,14 +3,15 @@
 cli._json_text must return exactly json.dumps(value, indent=2,
 allow_nan=False), and cli._emit must write the same bytes as the
 reference writer in tests/helpers.py for every command and format.
-Three commands hand _emit JSON laid out as text with edge ids escaped
+Four commands hand _emit JSON laid out as text with edge ids escaped
 by hand, which the reference writer cannot take: weights, whose rows
 are written from each distinct weight's shared text, trees, whose tree
-list is built along the tree walk, and psd, whose checks are laid out
-with each edge id quoted once. Their stdout must equal that of
-reference_cmd_weights, reference_cmd_trees and reference_cmd_psd,
-which build the rows, trees and checks as dicts and lists and write
-them through the reference writer.
+list is built along the tree walk, psd, whose checks are laid out with
+each edge id quoted once, and symmetric, whose rows are laid out from
+the census counts. Their stdout must equal that of
+reference_cmd_weights, reference_cmd_trees, reference_cmd_psd and
+reference_cmd_symmetric, which build the rows, trees and checks as
+dicts and lists and write them through the reference writer.
 """
 
 import io
@@ -27,12 +28,13 @@ from treeweights import cli
 from treeweights.cli import RunConfig
 from treeweights.graph import Multigraph
 from treeweights.partitions import Partition
-from treeweights.weights import weight_distribution
+from treeweights.weights import _Listing, _tree_sums, weight_distribution
 
 from helpers import (
     fig1,
     fig2,
     reference_cmd_psd,
+    reference_cmd_symmetric,
     reference_cmd_trees,
     reference_cmd_weights,
     reference_emit,
@@ -170,10 +172,10 @@ FORMATS = ("json", "table", "csv")
 
 def _reference_stdout(args) -> tuple[int, str, str]:
     """_stdout with the reference writer and the reference trees,
-    weights and psd commands."""
+    symmetric, weights and psd commands."""
     with mock.patch.object(cli, "_emit", reference_emit), mock.patch.dict(
-        cli.COMMANDS, trees=reference_cmd_trees, weights=reference_cmd_weights,
-        psd=reference_cmd_psd,
+        cli.COMMANDS, trees=reference_cmd_trees, symmetric=reference_cmd_symmetric,
+        weights=reference_cmd_weights, psd=reference_cmd_psd,
     ):
         return _stdout(args)
 
@@ -191,14 +193,14 @@ def test_stdout_matches_reference_writer(tmp_path, g):
 
 
 def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
-    """Each command but trees, weights and psd runs once; its _emit call
-    is written in every format by both writers, from the same payload
-    and rows. trees, weights and psd run in every format, their whole
-    stdout against reference_cmd_trees, reference_cmd_weights and
-    reference_cmd_psd."""
+    """verify runs once; its _emit call is written in every format by
+    both writers, from the same payload and rows. trees, symmetric,
+    weights and psd run in every format, their whole stdout against
+    reference_cmd_trees, reference_cmd_symmetric, reference_cmd_weights
+    and reference_cmd_psd."""
     emit = cli._emit
     written = []
-    whole = ("trees", "weights", "psd")
+    whole = ("trees", "symmetric", "weights", "psd")
 
     def both(config, payload, headers, rows, out):
         written.append(config.command)
@@ -228,9 +230,11 @@ def test_writers_match_reference_on_acceptance_pool(monkeypatch, tmp_path):
                 assert _stdout([*args, "--format", fmt]) == expected, (args, fmt)
             compared.append(line[0])
     assert {c: written.count(c) for c in cli.COMMANDS} == {
-        "trees": 300, "symmetric": 100, "weights": 1200, "verify": 300, "psd": 300,
+        "trees": 300, "symmetric": 300, "weights": 1200, "verify": 300, "psd": 300,
     }
-    assert {c: compared.count(c) for c in whole} == {"trees": 100, "weights": 400, "psd": 100}
+    assert {c: compared.count(c) for c in whole} == {
+        "trees": 100, "symmetric": 100, "weights": 400, "psd": 100,
+    }
 
 
 # Edge ids take any character the JSON quoter must escape, and the
@@ -255,14 +259,14 @@ def id_graphs(draw):
     return Multigraph.build(vertices, edges)
 
 
-@pytest.mark.parametrize("command", ["trees", "weights", "psd"])
+@pytest.mark.parametrize("command", ["trees", "symmetric", "weights", "psd"])
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(g=id_graphs(), rooted=st.booleans())
 def test_escapes_edge_ids_like_reference(tmp_path, command, g, rooted):
-    """trees, weights with and without --breakdown, and psd, on a
-    singleton or rooted partition, in every format."""
+    """trees, symmetric, weights with and without --breakdown, and
+    psd, on a singleton or rooted partition, in every format."""
     path = tmp_path / "g.json"
     path.write_text(to_json(g))
     vertices = list(g.vertices)
@@ -318,9 +322,12 @@ def _weight_tables(g, spec: str, breakdown: bool) -> tuple[str, str, str]:
     """The weights table of (g, spec) as _weight_table writes it, as
     _emit_table pads the cells of _weight_lines, and as the reference
     writer writes reference_weight_items."""
-    report = weight_distribution(g, Partition.parse(spec, g.vertices))
-    text = cli._weight_table(WEIGHT_HEADERS, report, breakdown)
-    padded = _table(cli._emit_table, WEIGHT_HEADERS, cli._weight_lines(report, breakdown))
+    part = Partition.parse(spec, g.vertices)
+    report = weight_distribution(g, part)
+    rows, denom = _tree_sums(g, part)
+    listing = _Listing(g, part, {mask: count for _, mask, _, count in rows}) if breakdown else None
+    text = cli._weight_table(WEIGHT_HEADERS, rows, denom, listing)
+    padded = _table(cli._emit_table, WEIGHT_HEADERS, cli._weight_lines(rows, denom, listing))
     items = reference_weight_items(report, breakdown, table=True)
     return text, padded, _table(reference_table, WEIGHT_HEADERS, items)
 

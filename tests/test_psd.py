@@ -1,5 +1,6 @@
 import io
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from treeweights.psd import (
     min_eigenvalue,
     trace_batch,
     verify_constructive,
+    verify_exact,
 )
 
 from helpers import (
@@ -32,6 +34,8 @@ from helpers import (
     trace_matrix_direct,
     trace_matrix_recursion,
 )
+from test_acceptance import pool_lemma5
+from test_sweeps import multigraph_pool
 
 FIXTURE_CASES = [
     (fig1(), fig1_root_first()),
@@ -275,3 +279,27 @@ def test_psd_reports_a_broken_normalization(monkeypatch, name, broken):
         assert err.getvalue() == "error[check-failure]: positivity verification failed\n"
         if fmt == "json":
             assert '"measure_normalized": false' in out.getvalue()
+
+
+@pytest.mark.parametrize("broken", [None, _drop_second_ordering], ids=["whole", "ordering-dropped"])
+def test_exact_total_equals_fraction_sum(monkeypatch, broken):
+    """verify_exact sums the 1/d of its walk in integers, over the lcm
+    of the distinct d: the same value, and so the same text, as the
+    Fraction sum over the walk, on singletons and a rooted partition of
+    every pool graph; with an ordering dropped the sum is not 1."""
+    if broken is not None:
+        monkeypatch.setattr(psd, "_ordered_tree_walk", broken(psd._ordered_tree_walk))
+    short = 0
+    for g in (*pool_lemma5(), *multigraph_pool()):
+        vertices = sorted(g.vertices)
+        for part in (
+            Partition.singletons(vertices),
+            Partition.of([vertices[:1], vertices[1:]]),
+        ):
+            walked = psd._ordered_tree_walk(g, part, lambda eid: (), ())
+            expected = sum((Fraction(1, denom) for *_, denom in walked), Fraction(0))
+            total = verify_exact(g, part).total
+            assert total == expected and str(total) == str(expected), (g, part)
+            short += total != 1
+    # 250 of the 280 walks hold two or more orderings
+    assert short == (250 if broken else 0)

@@ -68,6 +68,7 @@ from helpers import (
     random_connected_multigraph,
     reference_cmd_weights,
     reference_ordering_states,
+    report_rows,
     report_weights,
     symmetric_via_partition,
     to_json,
@@ -515,7 +516,9 @@ def test_tree_weights_never_list_orderings(monkeypatch):
 
     # the bytes of the replaced routes
     with monkeypatch.context() as patched:
-        patched.setattr(cli, "weight_distribution", grouped_weight_distribution)
+        patched.setattr(
+            cli, "_tree_sums", lambda g, part: report_rows(g, grouped_weight_distribution(g, part))
+        )
         patched.setattr(cli, "sector_census", lambda g, guard: permutation_census(g))
         expected = run_all()
 
